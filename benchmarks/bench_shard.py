@@ -27,21 +27,33 @@ skewed-row-count synthetic tensor and writes ``BENCH_shard.json``:
   the respawn-and-replay contract of
   :class:`~repro.parallel.sharding.ProcessShardRunner`.
 
+The script pins OpenBLAS/OpenMP/MKL to one thread before numpy loads:
+every forked shard worker inherits the BLAS pool, and shards x BLAS
+threads above the core count oversubscribes the machine (on a 2-vCPU
+VM six 2-shard process calls took 0.34-0.41 s each pinned and
+0.9-15.8 s unpinned, and the unpinned dense digests left their
+recorded families).
+
 Run::
 
     python benchmarks/bench_shard.py --json BENCH_shard.json --check
     python benchmarks/bench_shard.py --inject --inject-only --check
 """
 
-import argparse
-import hashlib
-import json
 import os
-import platform
-import sys
-import time
 
-import numpy as np
+# Pinned before numpy loads; forked shard workers inherit it.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 
 def factor_sha256(result) -> str:

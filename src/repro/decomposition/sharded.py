@@ -66,7 +66,7 @@ __all__ = ["Dpar2Shard", "sharded_dpar2", "sharded_stage1"]
 class Dpar2Shard:
     """Worker-side state: the cells a shard owns and their sweep kernels.
 
-    Built by the shard runner's factory from one init payload holding the
+    The shard runner's factory: built from one init payload holding the
     shard's cells (``[(cell_id, [slice indices...]), ...]``), either the
     raw slices plus per-slice generators (stage 1 runs here) or the
     precomputed ``Ak`` factors, and the stage-1 hyper-parameters.  All
@@ -206,11 +206,6 @@ class Dpar2Shard:
         return out
 
 
-def _build_shard(init: dict) -> Dpar2Shard:
-    """Module-level factory so the process runner can pickle it."""
-    return Dpar2Shard(init)
-
-
 # --------------------------------------------------------------------- #
 # coordinator
 # --------------------------------------------------------------------- #
@@ -318,7 +313,7 @@ def sharded_stage1(
         generators=list(generators),
         return_U=True,
     )
-    with get_shard_runner(shard_backend, _build_shard, payloads) as runner:
+    with get_shard_runner(shard_backend, Dpar2Shard, payloads) as runner:
         merged = _merge_cells(runner.start())
         if fault_stats_out is not None:
             fresh = runner.fault_stats
@@ -409,7 +404,7 @@ def sharded_dpar2(
         )
 
     with run_span, get_shard_runner(
-        config.shard_backend, _build_shard, payloads
+        config.shard_backend, Dpar2Shard, payloads
     ) as runner:
         with trace.span("dpar2.compress", slices=K):
             stage1 = _merge_cells(runner.start())

@@ -18,7 +18,6 @@ from repro.parallel.backends import (
     ThreadBackend,
     get_backend,
 )
-from repro.parallel.executor import map_partitioned, parallel_map
 from repro.parallel.partition import greedy_partition, partition_imbalance
 
 __all__ = [
@@ -30,7 +29,5 @@ __all__ = [
     "ThreadBackend",
     "get_backend",
     "greedy_partition",
-    "map_partitioned",
-    "parallel_map",
     "partition_imbalance",
 ]

@@ -16,10 +16,11 @@ carry other shardable solvers later:
 * :class:`SerialShardRunner` / :class:`ThreadShardRunner` /
   :class:`ProcessShardRunner` — the three transports, one per
   ``shard_backend`` name.  All expose the same ``start`` / ``call`` /
-  ``close`` surface and produce byte-identical results; the process runner
-  ships its init payload through the shared-memory / memmap / CSR
-  machinery of :mod:`repro.parallel.shm` so bulk slice data never transits
-  pickle.
+  ``close`` surface and produce byte-identical results.  The process
+  runner forks its workers, so each inherits its init payload (dense,
+  CSR or memmap slices, or precomputed ``Ak``) as a copy-on-write
+  snapshot of the parent's pages: bulk slice data is neither copied nor
+  pickled, and no ``/dev/shm`` segment is created.
 * byte accounting — every runner counts the ndarray bytes broadcast to
   and returned from shards (:func:`payload_nbytes`), so the coordinator
   can report the measured allreduce payload per sweep.
@@ -27,6 +28,7 @@ carry other shardable solvers later:
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import shutil
@@ -36,14 +38,13 @@ import time
 import traceback
 import zlib
 from dataclasses import dataclass
-from multiprocessing import Pipe, Process, connection, resource_tracker
+from multiprocessing import connection
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.obs.metrics import get_registry
 from repro.parallel.partition import greedy_partition, partition_imbalance
-from repro.parallel.shm import ArrayShipment, AttachedArrays
 from repro.util import faults
 
 __all__ = [
@@ -226,15 +227,15 @@ _EMPTY_FAULT_STATS = {"worker_restarts": 0, "replayed_calls": 0, "events": []}
 class ShardRunner:
     """Common surface of the three shard transports.
 
-    ``factory`` is a picklable module-level callable mapping one init
-    payload to a live shard-state object; ``payloads`` holds one payload
-    per shard.  :meth:`start` builds every state and returns the per-shard
-    results of its ``startup()`` method (shard order); :meth:`call`
-    broadcasts one method invocation to every shard and returns the
-    results in shard order.  ``bytes_sent`` / ``bytes_received``
-    accumulate the ndarray payload of every ``call`` (startup and
-    shutdown excluded — they are one-time data shipment, not the per-sweep
-    allreduce being measured).
+    ``factory`` is a callable mapping one init payload to a live
+    shard-state object; ``payloads`` holds one payload per shard.
+    :meth:`start` builds every state and returns the per-shard results of
+    its ``startup()`` method (shard order); :meth:`call` broadcasts one
+    method invocation to every shard and returns the results in shard
+    order.  ``bytes_sent`` / ``bytes_received`` accumulate the ndarray
+    payload of every ``call`` (startup and shutdown excluded — they are
+    one-time set-up and gather, not the per-sweep allreduce being
+    measured).
     """
 
     def __init__(self, factory: Callable, payloads: Sequence) -> None:
@@ -363,19 +364,17 @@ class ThreadShardRunner(ShardRunner):
 def _shard_worker_main(
     conn: connection.Connection,
     factory: Callable,
-    packed,
+    payload,
     stderr_path: str | None = None,
     fault_plan=None,
     shard_index: int = 0,
     generation: int = 0,
 ) -> None:
-    """Worker process loop: resolve shipped arrays, answer method calls.
+    """Worker process loop: build the shard state, answer method calls.
 
-    The init payload's bulk arrays arrive as shm/memmap/CSR refs and are
-    resolved into zero-copy views held for the worker's lifetime (the
-    parent may unlink the segments once startup is acknowledged — the
-    mapping keeps them alive here).  Results travel back as a pickled
-    blob plus its CRC-32, so the parent can detect corrupt payloads;
+    ``payload`` is inherited through fork, not pickled: its arrays are the
+    parent's own pages, shared copy-on-write.  Results travel back as a
+    pickled blob plus its CRC-32, so the parent can detect corrupt payloads;
     fd 2 is redirected into ``stderr_path`` so the parent can attach the
     worker's stderr to any failure it reports.  ``fault_plan`` re-scopes
     the (fork-inherited) fault-injection state to this shard and respawn
@@ -391,7 +390,6 @@ def _shard_worker_main(
         except OSError:  # pragma: no cover - capture is best-effort
             pass
     faults.activate(fault_plan, shard=shard_index, generation=generation)
-    holder = AttachedArrays()
 
     def reply(method: str, value) -> None:
         blob = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
@@ -404,8 +402,8 @@ def _shard_worker_main(
     try:
         try:
             faults.check("shard.call.startup")
-            state = factory(holder.resolve(packed))
-            reply("startup", holder.copy_if_shared(state.startup()))
+            state = factory(payload)
+            reply("startup", state.startup())
         except BaseException:
             conn.send(("err", traceback.format_exc()))
             return
@@ -420,11 +418,10 @@ def _shard_worker_main(
             except BaseException:
                 conn.send(("err", traceback.format_exc()))
             else:
-                reply(method, holder.copy_if_shared(result))
+                reply(method, result)
     except EOFError:  # parent went away; nothing left to answer
         pass
     finally:
-        holder.release()
         conn.close()
 
 
@@ -439,28 +436,38 @@ def _default_call_timeout() -> float:
 
 
 class ProcessShardRunner(ShardRunner):
-    """One worker process per shard, fed through shared-memory shipment.
+    """One forked worker process per shard.
 
-    Bulk init data (slices or precomputed factors) moves through
-    :class:`~repro.parallel.shm.ArrayShipment`: in-RAM arrays are parked
-    in named segments, memmap-backed arrays travel as path descriptors,
-    CSR slices as their three component buffers.  Per-call messages are
-    small (O(R²) Grams) and go over a duplex pipe via pickle.
+    Workers start from an explicit ``fork`` context and receive their init
+    payload (slices plus generators, or precomputed ``Ak``) by
+    inheritance: each sees a copy-on-write snapshot of the parent's
+    memory taken at fork, so dense, CSR and memmap slices alike reach the
+    worker without a copy, a pickle, or a ``/dev/shm`` segment.  Because
+    those pages are shared, a worker's RSS counts the slice pages it
+    reads even though the parent holds the only physical copy.  Per-call
+    messages are small (O(R²) Grams) and go over a duplex pipe via
+    pickle.  Platforms without ``fork`` are refused at construction;
+    use the ``serial`` or ``thread`` transport there.
+
+    Each worker brings the BLAS thread pool it inherited, so keep
+    shards × BLAS threads at or below the core count: on a 2-vCPU VM, six
+    2-shard calls on ``bench_shard``'s fixture took 0.9–15.8 s each with
+    BLAS unpinned against 0.34–0.41 s with ``OPENBLAS_NUM_THREADS=1``.
 
     Fault tolerance: every receive polls the pipe on a short heartbeat,
     checking worker liveness and a per-call deadline; replies carry a
-    CRC-32 so corrupt payloads are caught.  A dead, hung, or corrupt
-    worker is killed and **respawned**: the original init payload is
-    re-shipped, startup re-runs (per-cell stage-1 is deterministic given
+    CRC-32 so corrupt payloads are caught.  A dead, hung, or corrupt worker
+    is killed and **respawned**: it forks again from the init payload the
+    runner keeps, startup re-runs (per-cell stage-1 is deterministic given
     the seed), and the full logged call history is replayed — so the
     respawned shard reaches exactly the state it lost and the final
-    factors stay bitwise-identical to a no-fault run.  Respawns are
-    bounded by ``max_respawns`` per shard; past the budget (or on a
-    deterministic in-method exception) a :class:`ShardWorkerError`
-    carrying the worker's captured stderr is raised.  Replayed traffic is
-    not added to ``bytes_sent`` / ``bytes_received`` — those measure the
-    logical allreduce, not recovery overhead (tracked in
-    :attr:`fault_stats` instead).
+    factors stay bitwise-identical to a no-fault run.  Respawns are bounded
+    by ``max_respawns`` per shard; past the budget (or on a deterministic
+    in-method exception) a :class:`ShardWorkerError` carrying the worker's
+    captured stderr is raised.  Replayed traffic is not added to
+    ``bytes_sent`` / ``bytes_received`` — those measure the logical
+    allreduce, not recovery overhead (tracked in :attr:`fault_stats`
+    instead).
 
     ``call_timeout=None`` picks the ``REPRO_SHARD_CALL_TIMEOUT``
     environment override or 300 s; pass ``0`` to disable the deadline
@@ -478,15 +485,22 @@ class ProcessShardRunner(ShardRunner):
         heartbeat_interval: float = 0.25,
         max_respawns: int = 2,
     ) -> None:
+        try:
+            self._context = multiprocessing.get_context("fork")
+        except ValueError:
+            raise ValueError(
+                "the process shard transport needs the 'fork' start method, "
+                "which this platform lacks; use the 'serial' or 'thread' "
+                "shard transport instead"
+            ) from None
         super().__init__(factory, payloads)
         if call_timeout is None:
             call_timeout = _default_call_timeout()
         self._call_timeout = float(call_timeout) if call_timeout and call_timeout > 0 else None
         self._heartbeat_interval = max(0.01, float(heartbeat_interval))
         self._max_respawns = int(max_respawns)
-        self._processes: list[Process | None] = [None] * self.n_shards
+        self._processes: list[multiprocessing.Process | None] = [None] * self.n_shards
         self._conns: list[connection.Connection | None] = [None] * self.n_shards
-        self._shipments: list[ArrayShipment | None] = [None] * self.n_shards
         self._stderr_paths: list[str | None] = [None] * self.n_shards
         self._respawns = [0] * self.n_shards
         self._stderr_dir: str | None = None
@@ -517,25 +531,14 @@ class ProcessShardRunner(ShardRunner):
     # -- lifecycle ----------------------------------------------------- #
 
     def start(self) -> list:
-        # The tracker must exist before forking, for the same reason as
-        # ProcessBackend: workers forked earlier would spawn private
-        # trackers that fight the parent over segment cleanup.
-        try:
-            resource_tracker.ensure_running()
-        except Exception:  # pragma: no cover - platform without tracker
-            pass
         self._stderr_dir = tempfile.mkdtemp(prefix="repro-shard-stderr-")
         for index in range(self.n_shards):
             self._spawn(index)
-        # Collect startup acks while each shard's segments are still
-        # linked — a worker maps them during resolve, so after its ack
-        # the parent copy can go (the mapping keeps the memory alive).
         # Payloads are retained for respawn-and-replay.
         out = []
         for index in range(self.n_shards):
             try:
                 value = self._recv(index, "startup")
-                self._cleanup_shipment(index)
             except _WorkerFault as fault:
                 value = self._restore(index, fault, "startup")
             out.append(value)
@@ -546,16 +549,14 @@ class ProcessShardRunner(ShardRunner):
         stderr_path = os.path.join(
             self._stderr_dir, f"shard{index}-gen{generation}.log"
         )
-        parent_conn, child_conn = Pipe(duplex=True)
-        shipment = ArrayShipment()
+        parent_conn, child_conn = self._context.Pipe(duplex=True)
         try:
-            packed = shipment.pack(self._payloads[index])
-            process = Process(
+            process = self._context.Process(
                 target=_shard_worker_main,
                 args=(
                     child_conn,
                     self._factory,
-                    packed,
+                    self._payloads[index],
                     stderr_path,
                     faults.active_plan(),
                     index,
@@ -565,21 +566,13 @@ class ProcessShardRunner(ShardRunner):
             )
             process.start()
         except BaseException:
-            shipment.cleanup()
             parent_conn.close()
             raise
         finally:
             child_conn.close()
         self._processes[index] = process
         self._conns[index] = parent_conn
-        self._shipments[index] = shipment
         self._stderr_paths[index] = stderr_path
-
-    def _cleanup_shipment(self, index: int) -> None:
-        shipment = self._shipments[index]
-        if shipment is not None:
-            shipment.cleanup()
-            self._shipments[index] = None
 
     # -- receive with heartbeat / deadline ----------------------------- #
 
@@ -663,7 +656,6 @@ class ProcessShardRunner(ShardRunner):
             conn.close()
         self._processes[index] = None
         self._conns[index] = None
-        self._cleanup_shipment(index)
 
     def _note_failure(self, index: int, fault: _WorkerFault, call: str) -> None:
         stderr = self._stderr_tail(index)
@@ -705,7 +697,6 @@ class ProcessShardRunner(ShardRunner):
             try:
                 self._spawn(index)
                 startup_value = self._recv(index, "startup")
-                self._cleanup_shipment(index)
                 for logged_method, logged_args in self._completed_log():
                     self._send(index, (logged_method, logged_args[index]))
                     self._recv(index, logged_method)
@@ -778,8 +769,6 @@ class ProcessShardRunner(ShardRunner):
             if conn is not None:
                 conn.close()
                 self._conns[index] = None
-        for index in range(self.n_shards):
-            self._cleanup_shipment(index)
         if self._stderr_dir is not None:
             shutil.rmtree(self._stderr_dir, ignore_errors=True)
             self._stderr_dir = None

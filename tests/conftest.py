@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+import multiprocessing.shared_memory
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,16 @@ def noiseless_tensor():
 @pytest.fixture
 def default_config():
     return DecompositionConfig(rank=4, max_iterations=20, random_state=7)
+
+
+@pytest.fixture
+def forbid_shm_segments(monkeypatch):
+    """Fail the test if anything constructs a shared-memory segment."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a multiprocessing.shared_memory segment was created")
+
+    monkeypatch.setattr(multiprocessing.shared_memory, "SharedMemory", refuse)
 
 
 def make_irregular(row_counts, n_columns, seed=0):

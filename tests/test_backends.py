@@ -252,26 +252,6 @@ class TestBackendEquivalence:
                 assert np.array_equal(Qa, Qb), name
 
 
-class TestExecutorBackendParam:
-    def test_parallel_map_accepts_backend_name(self):
-        from repro.parallel.executor import parallel_map
-
-        assert parallel_map(_double, [1, 2, 3], 2, backend="serial") == [2, 4, 6]
-
-    def test_map_partitioned_accepts_instance(self):
-        from repro.parallel.executor import map_partitioned
-
-        with ThreadBackend(2) as backend:
-            out = map_partitioned(_double, [3, 1], [3, 1], backend=backend)
-        assert out == [6, 2]
-
-    def test_executor_rejects_bad_thread_count(self):
-        from repro.parallel.executor import parallel_map
-
-        with pytest.raises(ValueError, match="n_threads"):
-            parallel_map(_double, [1], n_threads=0)
-
-
 def test_abstract_base_not_instantiable():
     with pytest.raises(TypeError):
         ExecutionBackend(1)

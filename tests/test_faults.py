@@ -333,6 +333,9 @@ class TestShardedDpar2UnderFaults:
             "crash-finalize", "corrupt-reply",
         ],
     )
+    # Respawned workers fork again from the payload the runner kept, so
+    # recovery must not park slices in /dev/shm either.
+    @pytest.mark.usefixtures("forbid_shm_segments")
     def test_bitwise_identical_after_recovery(self, small_tensor, spec):
         baseline = sharded_dpar2(small_tensor, _sharded_config())
         with faults.injected(FaultPlan(specs=(spec,))):

@@ -1,11 +1,11 @@
-"""Tests for Algorithm 4 (greedy partitioning) and the executor helpers."""
+"""Tests for Algorithm 4 (greedy partitioning) and the backend maps."""
 
 import threading
 
 import numpy as np
 import pytest
 
-from repro.parallel.executor import map_partitioned, parallel_map
+from repro.parallel.backends import get_backend
 from repro.parallel.partition import (
     greedy_partition,
     partition_imbalance,
@@ -119,13 +119,16 @@ class TestImbalance:
 
 
 class TestParallelMap:
+    """``ExecutionBackend.map`` on a thread pool: order and validation."""
+
     def test_preserves_order(self):
-        out = parallel_map(lambda x: x * x, list(range(10)), n_threads=3)
+        with get_backend("thread", 3) as backend:
+            out = backend.map(lambda x: x * x, list(range(10)))
         assert out == [x * x for x in range(10)]
 
     def test_single_thread_path(self):
-        out = parallel_map(lambda x: x + 1, [1, 2, 3], n_threads=1)
-        assert out == [2, 3, 4]
+        with get_backend("thread", 1) as backend:
+            assert backend.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
 
     def test_actually_uses_threads(self):
         seen = set()
@@ -134,34 +137,36 @@ class TestParallelMap:
             seen.add(threading.get_ident())
             return x
 
-        parallel_map(record, list(range(50)), n_threads=4)
-        # At least the pool ran (thread ids may collapse on a 1-core box,
-        # but the main thread must not have done the work alone if a pool
-        # was used... the guarantee we test is correctness, not placement).
+        with get_backend("thread", 4) as backend:
+            backend.map(record, list(range(50)))
+        # Thread ids may collapse on a 1-core box; the guarantee tested is
+        # that the pool ran the work, not where it was placed.
         assert len(seen) >= 1
 
     def test_zero_threads_rejected(self):
-        with pytest.raises(ValueError, match="n_threads"):
-            parallel_map(lambda x: x, [1], n_threads=0)
+        with pytest.raises(ValueError, match="n_workers"):
+            get_backend("thread", 0)
 
 
 class TestMapPartitioned:
+    """``ExecutionBackend.map_partitioned``: Algorithm-4 groups, input order."""
+
     def test_preserves_order(self):
-        out = map_partitioned(
-            lambda x: x * 2, [5, 1, 4, 2], weights=[5, 1, 4, 2], n_threads=2
-        )
+        with get_backend("thread", 2) as backend:
+            out = backend.map_partitioned(lambda x: x * 2, [5, 1, 4, 2], [5, 1, 4, 2])
         assert out == [10, 2, 8, 4]
 
     def test_matches_sequential(self):
         items = list(range(20))
         weights = [(i % 5) + 1 for i in items]
         seq = [x**2 for x in items]
-        par = map_partitioned(lambda x: x**2, items, weights, n_threads=4)
-        assert par == seq
+        with get_backend("thread", 4) as backend:
+            assert backend.map_partitioned(lambda x: x**2, items, weights) == seq
 
     def test_weight_length_mismatch(self):
         with pytest.raises(ValueError, match="align"):
-            map_partitioned(lambda x: x, [1, 2], [1], n_threads=2)
+            get_backend("thread", 2).map_partitioned(lambda x: x, [1, 2], [1])
 
     def test_single_item(self):
-        assert map_partitioned(lambda x: -x, [7], [1], n_threads=8) == [-7]
+        with get_backend("thread", 8) as backend:
+            assert backend.map_partitioned(lambda x: -x, [7], [1]) == [-7]

@@ -7,6 +7,8 @@ bitwise-equal to the single-process solver (cell-order accumulation
 differs) — that path stays untouched and is its own baseline.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.decomposition.sharded import sharded_stage1
 from repro.decomposition.streaming import StreamingDpar2
 from repro.linalg.kernels import batched_randomized_svd
 from repro.parallel.sharding import (
+    ProcessShardRunner,
     ShardPlan,
     get_shard_runner,
     payload_nbytes,
@@ -269,6 +272,46 @@ class TestShardCountInvariance:
         a = dpar2(tensor, config(2, "process", max_iterations=4))
         b = dpar2(tensor, config(4, "serial", max_iterations=4))
         assert_same_factors(a, b)
+
+
+@pytest.mark.usefixtures("forbid_shm_segments")
+class TestProcessTransportInheritsPayload:
+    """Process shards fork with their slices: no shared-memory segment."""
+
+    @pytest.mark.parametrize("data", ["dense", "csr", "memmap"])
+    def test_dpar2_matches_serial(self, data, dense_tensor, sparse_tensor, tmp_path):
+        if data == "memmap":
+            mm = []
+            for k, Xk in enumerate(dense_tensor.slices):
+                np.save(tmp_path / f"s{k}.npy", Xk)
+                mm.append(np.load(tmp_path / f"s{k}.npy", mmap_mode="r"))
+            tensor = IrregularTensor(mm, copy=False)
+        else:
+            tensor = dense_tensor if data == "dense" else sparse_tensor
+        ref = dpar2(tensor, config(2, "serial"))
+        assert_same_factors(ref, dpar2(tensor, config(2, "process")))
+
+    def test_streaming_absorb_many_matches_serial(self):
+        rng = np.random.default_rng(6)
+        batch = [rng.standard_normal((n, 24)) for n in (30, 45, 18, 52)]
+
+        def absorbed(backend):
+            model = StreamingDpar2(DecompositionConfig(
+                rank=4, max_iterations=5, random_state=11,
+                shards=2, shard_backend=backend,
+            ))
+            model.absorb_many(batch, refresh=False)
+            return model.result()
+
+        assert_same_factors(absorbed("serial"), absorbed("process"))
+
+    def test_platform_without_fork_rejected(self, monkeypatch):
+        def no_fork(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        with pytest.raises(ValueError, match="'serial' or 'thread'"):
+            ProcessShardRunner(_Echo, [{"tag": 0, "value": 0}])
 
 
 class TestShardingStats:
