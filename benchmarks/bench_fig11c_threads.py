@@ -7,10 +7,10 @@ dispatch adds no meaningful overhead (the modeled curve lives in
 ``repro.experiments.fig11_scalability.run_threads``).
 
 The backend comparison pins one worker count and swaps the substrate:
-``serial`` is the no-dispatch floor, ``thread`` relies on BLAS releasing
-the GIL, and ``process`` pays fork + shared-memory shipping to escape the
-GIL entirely — the trade DPar2's compression stage amortizes because each
-slice is SVD-heavy.
+``serial`` is the no-dispatch floor, and ``thread`` relies on BLAS
+releasing the GIL — which DPar2's compression stage can exploit because
+each slice is SVD-heavy.  Worker processes are the shard coordinator's
+(``bench_shard.py`` measures them).
 """
 
 import pytest
@@ -46,16 +46,15 @@ def test_compression_backend_sweep(benchmark, skewed_tensor, backend_name):
     """Same compression, same worker count, different execution substrate.
 
     The backend instance is created outside the timed region and reused
-    across rounds — matching how ``dpar2`` holds one backend per call — so
-    the process rows time shipping + compute, not pool forking.
+    across rounds, matching how ``dpar2`` holds one backend per call.
     """
-    with get_backend(backend_name, WORKERS_FOR_BACKEND_SWEEP) as engine:
-        compressed = benchmark.pedantic(
-            compress_tensor,
-            args=(skewed_tensor, 10),
-            kwargs={"random_state": 0, "backend": engine},
-            rounds=3,
-            iterations=1,
-            warmup_rounds=1,
-        )
+    engine = get_backend(backend_name, WORKERS_FOR_BACKEND_SWEEP)
+    compressed = benchmark.pedantic(
+        compress_tensor,
+        args=(skewed_tensor, 10),
+        kwargs={"random_state": 0, "backend": engine},
+        rounds=3,
+        iterations=1,
+        warmup_rounds=1,
+    )
     assert compressed.n_slices == skewed_tensor.n_slices

@@ -34,6 +34,7 @@ from repro.data.registry import DATASETS, load_dataset
 from repro.decomposition.registry import DISPLAY_NAMES, SOLVERS, get_solver
 from repro.linalg.array_module import COMPUTE_BACKEND_NAMES
 from repro.parallel.backends import BACKEND_NAMES
+from repro.parallel.sharding import SHARD_RUNNERS
 from repro.sparse.csr import CsrMatrix
 from repro.tensor.irregular import IrregularTensor
 from repro.tensor.mmap_store import MmapSliceStore
@@ -93,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     decompose.add_argument("--threads", type=int, default=1)
     decompose.add_argument(
         "--backend", default="thread", choices=list(BACKEND_NAMES),
-        help="execution backend for slice-parallel stages (default: thread)",
+        help="execution backend for slice-parallel stages (default: thread); "
+        "worker processes come from --shards",
     )
     decompose.add_argument(
         "--dtype", default="float64", choices=["float64", "float32"],
@@ -115,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
         "final factors are bitwise-identical for any N (dpar2 only)",
     )
     decompose.add_argument(
-        "--shard-backend", default="process", choices=list(BACKEND_NAMES),
+        "--shard-backend", default="process", choices=list(SHARD_RUNNERS),
         help="transport for shard workers (default: process; serial and "
         "thread exist for debugging and overhead measurement)",
     )
@@ -168,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(see decompose --shards)",
     )
     publish.add_argument(
-        "--shard-backend", default="process", choices=list(BACKEND_NAMES),
+        "--shard-backend", default="process", choices=list(SHARD_RUNNERS),
     )
     publish.add_argument("--seed", type=int, default=0)
     publish.add_argument(

@@ -82,75 +82,70 @@ def constrained_dpar2(
         tensor = IrregularTensor(tensor)
     R = min(config.rank, tensor.n_columns, min(tensor.row_counts))
 
-    # One backend serves compression and every sweep's polar SVDs (so a
-    # process pool forks once); closed on every exit path below.
     engine = get_backend(config.backend, config.n_threads)
-    try:
-        if compressed is None:
-            compressed = compress_tensor(
-                tensor,
-                R,
-                oversampling=config.oversampling,
-                power_iterations=config.power_iterations,
-                random_state=config.random_state,
-                backend=engine,
-            )
-        elif compressed.rank < R:
-            raise ValueError(
-                f"precomputed compression has rank {compressed.rank} < target {R}"
-            )
+    if compressed is None:
+        compressed = compress_tensor(
+            tensor,
+            R,
+            oversampling=config.oversampling,
+            power_iterations=config.power_iterations,
+            random_state=config.random_state,
+            backend=engine,
+        )
+    elif compressed.rank < R:
+        raise ValueError(
+            f"precomputed compression has rank {compressed.rank} < target {R}"
+        )
 
-        D, E, F = compressed.D, compressed.E, compressed.F_blocks
-        K = compressed.n_slices
-        init = initialize_factors(tensor.n_columns, K, R, config.random_state)
-        H, V, W = init.H, init.V, init.W
+    D, E, F = compressed.D, compressed.E, compressed.F_blocks
+    K = compressed.n_slices
+    init = initialize_factors(tensor.n_columns, K, R, config.random_state)
+    H, V, W = init.H, init.V, init.W
 
-        FE = F * E
-        data_term = float(np.sum(FE * FE))
-        monitor = ConvergenceMonitor(config.tolerance)
-        history: list[IterationRecord] = []
-        converged = False
-        iteration = 0
-        polar = None
+    FE = F * E
+    data_term = float(np.sum(FE * FE))
+    monitor = ConvergenceMonitor(config.tolerance)
+    history: list[IterationRecord] = []
+    converged = False
+    iteration = 0
+    polar = None
 
-        start = time.perf_counter()
-        for iteration in range(1, config.max_iterations + 1):
-            sweep_start = time.perf_counter()
-            EDtV = (D.T @ V) * E[:, None]
-            small = np.einsum("kij,jr,kr,sr->kis", F, EDtV, W, H, optimize=True)
-            polar = _batched_polar(small, config.n_threads, backend=engine)
-            T = np.einsum("kji,kjs->kis", polar, F, optimize=True)
+    start = time.perf_counter()
+    for iteration in range(1, config.max_iterations + 1):
+        sweep_start = time.perf_counter()
+        EDtV = (D.T @ V) * E[:, None]
+        small = np.einsum("kij,jr,kr,sr->kis", F, EDtV, W, H, optimize=True)
+        polar = _batched_polar(small, config.n_threads, backend=engine)
+        T = np.einsum("kji,kjs->kis", polar, F, optimize=True)
 
-            G1 = np.einsum("kr,kij,jr->ir", W, T, EDtV, optimize=True)
-            H = solve_gram(hadamard(W.T @ W, V.T @ V), G1)
-            H, _ = normalize_columns(H)
+        G1 = np.einsum("kr,kij,jr->ir", W, T, EDtV, optimize=True)
+        H = solve_gram(hadamard(W.T @ W, V.T @ V), G1)
+        H, _ = normalize_columns(H)
 
-            inner = np.einsum("kr,kji,jr->ir", W, T, H, optimize=True)
-            G2 = (D * E) @ inner
-            gram_v = hadamard(W.T @ W, H.T @ H)
-            if smooth_v > 0:
-                # Proximal/ridge update toward the previous V.
-                gram_v = gram_v + smooth_v * np.eye(R)
-                G2 = G2 + smooth_v * V
-            V = solve_gram(gram_v, G2)
-            V, _ = normalize_columns(V)
+        inner = np.einsum("kr,kji,jr->ir", W, T, H, optimize=True)
+        G2 = (D * E) @ inner
+        gram_v = hadamard(W.T @ W, H.T @ H)
+        if smooth_v > 0:
+            # Proximal/ridge update toward the previous V.
+            gram_v = gram_v + smooth_v * np.eye(R)
+            G2 = G2 + smooth_v * V
+        V = solve_gram(gram_v, G2)
+        V, _ = normalize_columns(V)
 
-            EDtV = (D.T @ V) * E[:, None]
-            G3 = np.einsum("ir,kij,jr->kr", H, T, EDtV, optimize=True)
-            W = solve_gram(hadamard(V.T @ V, H.T @ H), G3)
-            if nonnegative_weights:
-                W = project_nonnegative(W)
+        EDtV = (D.T @ V) * E[:, None]
+        G3 = np.einsum("ir,kij,jr->kr", H, T, EDtV, optimize=True)
+        W = solve_gram(hadamard(V.T @ V, H.T @ H), G3)
+        if nonnegative_weights:
+            W = project_nonnegative(W)
 
-            error_sq = _compressed_error(T, E, data_term, D, H, V, W)
-            history.append(
-                IterationRecord(iteration, error_sq, time.perf_counter() - sweep_start)
-            )
-            if monitor.update(error_sq):
-                converged = True
-                break
-        iterate_seconds = time.perf_counter() - start
-    finally:
-        engine.close()
+        error_sq = _compressed_error(T, E, data_term, D, H, V, W)
+        history.append(
+            IterationRecord(iteration, error_sq, time.perf_counter() - sweep_start)
+        )
+        if monitor.update(error_sq):
+            converged = True
+            break
+    iterate_seconds = time.perf_counter() - start
 
     Z_Pt = (
         polar

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -39,10 +38,10 @@ from repro.linalg.kernels import (
     release_sweep_workspace,
 )
 from repro.linalg.pinv import solve_gram
-from repro.linalg.randomized_svd import randomized_svd
+from repro.linalg.randomized_svd import RandomizedSVDResult, randomized_svd
 from repro.obs import trace
 from repro.obs.metrics import get_registry
-from repro.parallel.backends import ExecutionBackend, get_backend, in_process_backend
+from repro.parallel.backends import ExecutionBackend, get_backend
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.ops import slice_squared_norm
 from repro.tensor.irregular import IrregularTensor
@@ -119,49 +118,43 @@ class CompressedTensor:
         return tensor.nbytes / self.nbytes
 
 
-def _compress_slice_task(item, *, rank, oversampling, power_iterations):
-    """Stage-1 kernel: one randomized SVD per ``(slice, generator)`` pair.
-
-    Module-level (rather than a closure) so the process backend can pickle
-    it; the slice itself travels through shared memory, not the pickle.
-    """
-    Xk, rng = item
-    return randomized_svd(
-        Xk,
-        rank,
-        oversampling=oversampling,
-        power_iterations=power_iterations,
-        random_state=rng,
-    )
-
-
-def _use_batched_stage1(
-    stage1_batching: str,
+def _stage1_svds(
+    slices,
+    generators,
+    rank: int,
+    *,
+    oversampling: int,
+    power_iterations: int,
     engine: ExecutionBackend,
-    tensor: IrregularTensor,
-    use_greedy_partition: bool,
     xp: ArrayModule,
-) -> bool:
-    """Decide between the stacked-kernel and per-slice stage-1 paths.
+    stage1_batching: str = "auto",
+    use_greedy_partition: bool = True,
+) -> list[RandomizedSVDResult]:
+    """Stage 1: one randomized SVD per slice, each with its own generator.
 
-    ``"auto"`` batches when it cannot lose: the backend runs in-process
-    (stacking in the parent is free), the slices are in RAM (stacking a
-    memory-mapped store would defeat out-of-core streaming), and either
-    there is a single worker or the slices sit in the many-small regime
-    where Python/LAPACK dispatch — not FLOPs — dominates.  Explicitly
-    disabling greedy partitioning (the Algorithm-4 ablation) keeps the
-    per-slice path so the ablation still measures what it claims to.
-    Either path produces bitwise-identical results; this is purely a
-    performance routing decision.
+    The single stage-1 router, shared by :func:`compress_tensor` and
+    :class:`~repro.decomposition.streaming.StreamingDpar2`.  ``slices`` is
+    an :class:`IrregularTensor` or a list of dense/CSR slices.  Both routes
+    — the stacked kernel
+    (:func:`~repro.linalg.kernels.batched_randomized_svd`) and per-slice
+    dispatch over ``engine``'s workers — give bitwise-identical results,
+    so the choice is purely about speed.  ``stage1_batching`` forces one
+    (``"batched"`` / ``"per-slice"``); ``"auto"`` batches when it cannot
+    lose:
+
+    * memory-mapped slices stream per slice — stacking a bucket would copy
+      it into RAM and defeat out-of-core;
+    * otherwise CSR slices batch at any height: their ``O(nnz·R)`` stage 1
+      is dispatch-bound, and stacking copies only ``nnz``-sized arrays;
+    * dense slices batch on a single worker, or when no slice is taller
+      than ``_BATCH_MAX_ROWS`` (dispatch, not FLOPs, dominates) — unless
+      greedy partitioning is off: the Algorithm-4 ablation keeps the
+      per-slice path, on the naive allocation, so it measures what it
+      claims to.
 
     A non-numpy ``xp`` always batches: device throughput comes from big
-    stacked launches, and worker dispatch of per-slice device calls would
-    only serialize on the stream anyway.  Sparse (CSR) tensors also
-    default to batching: their stage-1 cost is ``O(nnz·R)``, so Python
-    dispatch — not FLOPs — dominates at any slice height, and the stacked
-    SpMM path sketches a whole row-count bucket per call.  (Stacking a
-    sparse bucket copies only its ``nnz``-sized arrays, so the
-    memory-mapped exclusion below does not apply to CSR slices.)
+    stacked launches, and an :class:`IrregularTensor` stacks its buckets
+    from the per-backend device cache instead of re-uploading them.
     """
     if not xp.is_numpy:
         if stage1_batching == "per-slice":
@@ -170,27 +163,55 @@ def _use_batched_stage1(
                 f"cannot run on compute backend {xp.name!r}; "
                 "use compute_backend='numpy' for that measurement"
             )
-        return True
-    if stage1_batching == "per-slice":
-        return False
-    if stage1_batching == "batched":
-        return True
-    if stage1_batching != "auto":
+        batched = True
+    elif stage1_batching in ("batched", "per-slice"):
+        batched = stage1_batching == "batched"
+    elif stage1_batching != "auto":
         raise ValueError(
             "stage1_batching must be 'auto', 'batched', or 'per-slice'; "
             f"got {stage1_batching!r}"
         )
-    dense_memmap = any(isinstance(Xk, np.memmap) for Xk in tensor.slices)
-    if tensor.has_sparse_slices:
-        # Sparse buckets batch for free, but a *mixed* tensor whose dense
-        # slices are memory-mapped must keep the per-slice streaming path:
-        # batching would copy each dense bucket into an in-RAM stack.
-        return not dense_memmap
-    if not engine.in_process or not use_greedy_partition:
-        return False
-    if dense_memmap:
-        return False
-    return engine.n_workers == 1 or tensor.max_rows <= _BATCH_MAX_ROWS
+    elif any(isinstance(Xk, np.memmap) for Xk in slices):
+        batched = False
+    elif any(isinstance(Xk, CsrMatrix) for Xk in slices):
+        batched = True
+    else:
+        batched = use_greedy_partition and (
+            engine.n_workers == 1
+            or max(Xk.shape[0] for Xk in slices) <= _BATCH_MAX_ROWS
+        )
+
+    if batched:
+        return batched_randomized_svd(
+            slices,
+            rank,
+            oversampling=oversampling,
+            power_iterations=power_iterations,
+            generators=generators,
+            xp=xp,
+            native_slices=(
+                slices.to_backend(xp)
+                if not xp.is_numpy and isinstance(slices, IrregularTensor)
+                else None
+            ),
+        )
+
+    def compress_slice(item):
+        Xk, rng = item
+        return randomized_svd(
+            Xk,
+            rank,
+            oversampling=oversampling,
+            power_iterations=power_iterations,
+            random_state=rng,
+        )
+
+    items = list(zip(slices, generators))
+    if not use_greedy_partition:
+        return engine.map(compress_slice, items)
+    return engine.map_partitioned(
+        compress_slice, items, weights=[Xk.shape[0] for Xk in slices]
+    )
 
 
 def compress_tensor(
@@ -204,29 +225,27 @@ def compress_tensor(
     use_greedy_partition: bool = True,
     backend: "str | ExecutionBackend" = "thread",
     stage1_batching: str = "auto",
-    stage1_pad_ratio: float = 0.0,
     compute_backend: "str | ArrayModule" = "numpy",
 ) -> CompressedTensor:
     """Two-stage randomized-SVD compression (Algorithm 3, lines 2–6).
 
-    Stage 1 runs one randomized SVD per slice.  For in-RAM tensors on an
-    in-process backend the slices are grouped into equal-row-count buckets
-    and the whole Algorithm-1 pipeline runs as stacked 3-D LAPACK calls
+    Stage 1 (:func:`_stage1_svds`) runs one randomized SVD per slice.  For
+    in-RAM tensors the slices are grouped into equal-row-count buckets and
+    the whole Algorithm-1 pipeline runs as stacked 3-D LAPACK calls
     (:func:`~repro.linalg.kernels.batched_randomized_svd`) — identical
-    results, no per-slice Python dispatch.  Otherwise (process backend,
-    memory-mapped slices, or ``stage1_batching="per-slice"``) each slice is
-    dispatched over the ``backend``'s workers with Algorithm 4's greedy
-    number partitioning keyed on row counts (``use_greedy_partition=False``
-    selects the naive allocation, used by the partitioning ablation).
-    ``stage1_pad_ratio > 0`` lets the batched path zero-pad nearly-equal
-    row counts into shared buckets (value-identical, not bitwise).  Stage 2
-    compresses the ``J×KR`` concatenation of the ``Ck Bk`` products.
+    results, no per-slice Python dispatch.  Otherwise (tall slices on
+    several workers, memory-mapped slices, or
+    ``stage1_batching="per-slice"``) each slice is dispatched over the
+    ``backend``'s workers with Algorithm 4's greedy number partitioning
+    keyed on row counts (``use_greedy_partition=False`` selects the naive
+    allocation, used by the partitioning ablation).  Stage 2 compresses
+    the ``J×KR`` concatenation of the ``Ck Bk`` products.
 
     Because stage 1 is the only place the raw slices are read, a tensor
     backed by an on-disk :class:`~repro.tensor.mmap_store.MmapSliceStore`
     streams through here one slice at a time — nothing requires the whole
-    tensor in RAM.  ``backend`` accepts a name (a backend is created and
-    closed around the call) or a live instance (reused, left open).
+    tensor in RAM.  ``backend`` accepts a name or a live
+    :class:`~repro.parallel.backends.ExecutionBackend` instance.
 
     The compression runs in the tensor's dtype: float32 slices yield a
     float32 :class:`CompressedTensor` at half the memory traffic.
@@ -247,8 +266,8 @@ def compress_tensor(
     ``"torch-cuda"`` / ``"cupy"``).  Device backends stack each row bucket
     on-device once (slices move through
     :meth:`IrregularTensor.to_backend`'s per-backend cache), force the
-    batched in-process stage-1 path, and refuse memory-mapped tensors —
-    out-of-core streaming and device residency are mutually exclusive.
+    batched stage-1 path, and refuse memory-mapped tensors — out-of-core
+    streaming and device residency are mutually exclusive.
     """
     if not isinstance(tensor, IrregularTensor):
         tensor = IrregularTensor(tensor)
@@ -264,46 +283,20 @@ def compress_tensor(
     R = min(rank, tensor.n_columns, min(tensor.row_counts))
     start = time.perf_counter()
 
-    owned = not isinstance(backend, ExecutionBackend)
-    engine = get_backend(backend, n_threads)
-    if not xp.is_numpy:
-        engine = in_process_backend(engine)
-
     # Stage 1: per-slice randomized SVD, one private RNG per slice so the
     # result is independent of the worker schedule (and of the backend,
     # and of whether slices were dispatched stacked or one by one).
-    generators = spawn_generators(random_state, tensor.n_slices)
-    try:
-        if _use_batched_stage1(
-            stage1_batching, engine, tensor, use_greedy_partition, xp
-        ):
-            stage1 = batched_randomized_svd(
-                tensor.slices,
-                R,
-                oversampling=oversampling,
-                power_iterations=power_iterations,
-                generators=generators,
-                max_pad_ratio=stage1_pad_ratio,
-                xp=xp,
-                native_slices=None if xp.is_numpy else tensor.to_backend(xp),
-            )
-        else:
-            compress_slice = partial(
-                _compress_slice_task,
-                rank=R,
-                oversampling=oversampling,
-                power_iterations=power_iterations,
-            )
-            items = list(zip(tensor.slices, generators))
-            if use_greedy_partition:
-                stage1 = engine.map_partitioned(
-                    compress_slice, items, weights=tensor.row_counts
-                )
-            else:
-                stage1 = engine.map(compress_slice, items)
-    finally:
-        if owned:
-            engine.close()
+    stage1 = _stage1_svds(
+        tensor,
+        spawn_generators(random_state, tensor.n_slices),
+        R,
+        oversampling=oversampling,
+        power_iterations=power_iterations,
+        engine=get_backend(backend, n_threads),
+        xp=xp,
+        stage1_batching=stage1_batching,
+        use_greedy_partition=use_greedy_partition,
+    )
 
     # Stage 2: M = ∥k (Ck Bk) ∈ R^{J x KR}, randomized SVD at rank R.  The
     # K products are written straight into one preallocated array instead
@@ -375,18 +368,10 @@ def _batched_polar(
         return xp.matmul(Z, Pt)
     K = matrices.shape[0]
     engine = get_backend(backend, n_threads)
-    owned = not isinstance(backend, ExecutionBackend)
     if engine.n_workers <= 1 or K < 4 * engine.n_workers:
-        if owned:
-            engine.close()
         return _polar_stack_task(matrices)
-
     chunks = np.array_split(matrices, engine.n_workers)
-    try:
-        return np.concatenate(engine.map(_polar_stack_task, chunks))
-    finally:
-        if owned:
-            engine.close()
+    return np.concatenate(engine.map(_polar_stack_task, chunks))
 
 
 def dpar2(
@@ -427,13 +412,12 @@ def dpar2(
     Notes
     -----
     **Execution backend.**  ``config.backend`` selects how slice-parallel
-    stages run: ``"serial"``, ``"thread"`` (default), or ``"process"``
-    (workers fed through ``multiprocessing.shared_memory``); ``config.n_threads``
+    stages run: ``"serial"`` or ``"thread"`` (default); ``config.n_threads``
     sets the worker count.  One backend instance is shared by stage-1
-    compression and every sweep's batched polar SVDs, so a process pool is
-    forked once per call.  For a fixed ``random_state`` all backends return
-    identical factors — per-slice spawned RNGs make the result independent
-    of the schedule.
+    compression and every sweep's batched polar SVDs.  For a fixed
+    ``random_state`` both backends return identical factors — per-slice
+    spawned RNGs make the result independent of the schedule.  Worker
+    processes are the shard coordinator's (``config.shards``).
 
     **Out of core.**  The raw slices are only read during stage-1
     compression, so a tensor built with
@@ -471,8 +455,7 @@ def dpar2(
     bucket stacks, the sweep contractions, and the polar SVDs resident on
     the device; factors and results are always returned as host arrays.
     Device backends are incompatible with out-of-core (memory-mapped)
-    tensors and with the ``"process"`` execution backend — both rejected
-    with explicit errors before any work starts.
+    tensors — rejected with an explicit error before any work starts.
     """
     config = (config or DecompositionConfig()).with_(**overrides)
     xp = config.array_module
@@ -510,31 +493,29 @@ def dpar2(
             tensor, config, compressed=compressed, target_rank=R
         )
 
-    # One backend instance serves compression and every sweep, so a process
-    # pool pays its fork cost once per dpar2() call.
+    engine = get_backend(config.backend, config.n_threads)
     with trace.span(
         "dpar2.run", backend=config.backend, compute_backend=xp.name, rank=R
     ):
-        with get_backend(config.backend, config.n_threads) as engine:
-            if compressed is None:
-                with trace.span("dpar2.compress", slices=tensor.n_slices):
-                    compressed = compress_tensor(
-                        tensor,
-                        R,
-                        oversampling=config.oversampling,
-                        power_iterations=config.power_iterations,
-                        random_state=config.random_state,
-                        use_greedy_partition=use_greedy_partition,
-                        backend=engine,
-                        compute_backend=xp,
-                    )
-            elif compressed.rank < R:
-                raise ValueError(
-                    f"precomputed compression has rank {compressed.rank} < target {R}"
+        if compressed is None:
+            with trace.span("dpar2.compress", slices=tensor.n_slices):
+                compressed = compress_tensor(
+                    tensor,
+                    R,
+                    oversampling=config.oversampling,
+                    power_iterations=config.power_iterations,
+                    random_state=config.random_state,
+                    use_greedy_partition=use_greedy_partition,
+                    backend=engine,
+                    compute_backend=xp,
                 )
-            return _iterate(
-                tensor, config, compressed, engine, R, exact_convergence, xp
+        elif compressed.rank < R:
+            raise ValueError(
+                f"precomputed compression has rank {compressed.rank} < target {R}"
             )
+        return _iterate(
+            tensor, config, compressed, engine, R, exact_convergence, xp
+        )
 
 
 def _iterate(

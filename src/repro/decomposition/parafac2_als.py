@@ -36,9 +36,8 @@ def update_orthogonal_factor(Xk: np.ndarray, target: np.ndarray) -> np.ndarray:
 def _slice_update_task(item) -> tuple[np.ndarray, np.ndarray]:
     """Per-slice sweep work: ``(Qk, Yk = Qkᵀ Xk)`` from ``(Xk, V Sk Hᵀ)``.
 
-    Module-level so the process backend can pickle it; ``Xk`` itself is
-    shipped through shared memory (or referenced in place when the tensor
-    is memory-mapped).
+    Worker threads read ``Xk`` in place — in RAM or memory-mapped — so
+    nothing is copied per sweep.
     """
     Xk, target = item
     Qk = update_orthogonal_factor(Xk, target)
@@ -120,31 +119,31 @@ def parafac2_als(
     iteration = 0
     row_counts = tensor.row_counts
 
+    engine = get_backend(config.backend, config.n_threads)
     start = time.perf_counter()
-    with get_backend(config.backend, config.n_threads) as engine:
-        for iteration in range(1, config.max_iterations + 1):
-            sweep_start = time.perf_counter()
-            items = [(Xk, (V * W[k]) @ H.T) for k, Xk in enumerate(tensor)]
-            pairs = engine.map_partitioned(
-                _slice_update_task, items, weights=row_counts
-            )
-            Q = [Qk for Qk, _ in pairs]
-            Y_slices = [Yk for _, Yk in pairs]
+    for iteration in range(1, config.max_iterations + 1):
+        sweep_start = time.perf_counter()
+        items = [(Xk, (V * W[k]) @ H.T) for k, Xk in enumerate(tensor)]
+        pairs = engine.map_partitioned(
+            _slice_update_task, items, weights=row_counts
+        )
+        Q = [Qk for Qk, _ in pairs]
+        Y_slices = [Yk for _, Yk in pairs]
 
-            Y = DenseTensor.from_frontal_slices(Y_slices)
-            H, V, W = cp_single_iteration(
-                (Y.unfold(1), Y.unfold(2), Y.unfold(3)), H, V, W
-            )
+        Y = DenseTensor.from_frontal_slices(Y_slices)
+        H, V, W = cp_single_iteration(
+            (Y.unfold(1), Y.unfold(2), Y.unfold(3)), H, V, W
+        )
 
-            error_sq = reconstruction_error_squared(
-                Y_slices, slice_norms_sq, H, V, W
-            )
-            history.append(
-                IterationRecord(iteration, error_sq, time.perf_counter() - sweep_start)
-            )
-            if monitor.update(error_sq):
-                converged = True
-                break
+        error_sq = reconstruction_error_squared(
+            Y_slices, slice_norms_sq, H, V, W
+        )
+        history.append(
+            IterationRecord(iteration, error_sq, time.perf_counter() - sweep_start)
+        )
+        if monitor.update(error_sq):
+            converged = True
+            break
     iterate_seconds = time.perf_counter() - start
 
     if Q and Q[0] is None:

@@ -49,9 +49,8 @@ def _slice_rmatmul(Xk, dense: np.ndarray) -> np.ndarray:
 def _slice_update_task(item) -> tuple[np.ndarray, np.ndarray]:
     """``(Qk, Yk)`` for one slice — SPARTan's per-slice sweep stage.
 
-    Module-level so the process backend can pickle it.  Dense slices travel
-    through shared memory; :class:`CsrMatrix` slices fall back to pickle
-    (their payload is the compressed arrays, already small).
+    Dense and :class:`CsrMatrix` slices alike are read in place by the
+    worker threads.
     """
     Xk, target = item
     Z, _, Pt = np.linalg.svd(_slice_matmul(Xk, target), full_matrices=False)
@@ -114,43 +113,43 @@ def spartan(
     iteration = 0
     Q: list[np.ndarray] = [None] * K
 
+    engine = get_backend(config.backend, config.n_threads)
     start = time.perf_counter()
-    with get_backend(config.backend, config.n_threads) as engine:
-        for iteration in range(1, config.max_iterations + 1):
-            sweep_start = time.perf_counter()
-            items = [(slices[k], (V * W[k]) @ H.T) for k in range(K)]
-            pairs = engine.map(_slice_update_task, items)
-            Q = [Qk for Qk, _ in pairs]
-            Y_slices = [Yk for _, Yk in pairs]
+    for iteration in range(1, config.max_iterations + 1):
+        sweep_start = time.perf_counter()
+        items = [(slices[k], (V * W[k]) @ H.T) for k in range(K)]
+        pairs = engine.map(_slice_update_task, items)
+        Q = [Qk for Qk, _ in pairs]
+        Y_slices = [Yk for _, Yk in pairs]
 
-            # One CP sweep via slice-wise MTTKRP (no Y materialization).
-            H = solve_gram(
-                hadamard(W.T @ W, V.T @ V), slice_mttkrp(Y_slices, H, V, W, mode=1)
-            )
-            H, _ = normalize_columns(H)
-            V = solve_gram(
-                hadamard(W.T @ W, H.T @ H), slice_mttkrp(Y_slices, H, V, W, mode=2)
-            )
-            V, _ = normalize_columns(V)
-            W = solve_gram(
-                hadamard(V.T @ V, H.T @ H), slice_mttkrp(Y_slices, H, V, W, mode=3)
-            )
+        # One CP sweep via slice-wise MTTKRP (no Y materialization).
+        H = solve_gram(
+            hadamard(W.T @ W, V.T @ V), slice_mttkrp(Y_slices, H, V, W, mode=1)
+        )
+        H, _ = normalize_columns(H)
+        V = solve_gram(
+            hadamard(W.T @ W, H.T @ H), slice_mttkrp(Y_slices, H, V, W, mode=2)
+        )
+        V, _ = normalize_columns(V)
+        W = solve_gram(
+            hadamard(V.T @ V, H.T @ H), slice_mttkrp(Y_slices, H, V, W, mode=3)
+        )
 
-            VtV = V.T @ V
-            error_sq = 0.0
-            for k, Yk in enumerate(Y_slices):
-                M_left = H * W[k]
-                cross = float(np.sum((Yk @ V) * M_left))
-                model_sq = float(np.sum((M_left.T @ M_left) * VtV))
-                error_sq += float(slice_norms_sq[k]) - 2.0 * cross + model_sq
-            error_sq = max(error_sq, 0.0)
+        VtV = V.T @ V
+        error_sq = 0.0
+        for k, Yk in enumerate(Y_slices):
+            M_left = H * W[k]
+            cross = float(np.sum((Yk @ V) * M_left))
+            model_sq = float(np.sum((M_left.T @ M_left) * VtV))
+            error_sq += float(slice_norms_sq[k]) - 2.0 * cross + model_sq
+        error_sq = max(error_sq, 0.0)
 
-            history.append(
-                IterationRecord(iteration, error_sq, time.perf_counter() - sweep_start)
-            )
-            if monitor.update(error_sq):
-                converged = True
-                break
+        history.append(
+            IterationRecord(iteration, error_sq, time.perf_counter() - sweep_start)
+        )
+        if monitor.update(error_sq):
+            converged = True
+            break
     iterate_seconds = time.perf_counter() - start
 
     if Q and Q[0] is None:

@@ -27,24 +27,17 @@ import os
 import shutil
 import tempfile
 import time
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from repro.decomposition.dpar2 import (
-    _BATCH_MAX_ROWS,
-    CompressedTensor,
-    _compress_slice_task,
-    dpar2,
-)
+from repro.decomposition.dpar2 import CompressedTensor, _stage1_svds, dpar2
 from repro.decomposition.result import Parafac2Result
 from repro.linalg.array_module import get_xp
-from repro.linalg.kernels import batched_randomized_svd
 from repro.linalg.randomized_svd import randomized_svd
 from repro.obs import trace
 from repro.obs.metrics import get_registry
-from repro.parallel.backends import get_backend, in_process_backend
+from repro.parallel.backends import get_backend
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.ops import check_finite_csr
 from repro.tensor.irregular import IrregularTensor
@@ -263,13 +256,14 @@ class StreamingDpar2:
     def absorb_many(self, slices, *, refresh: bool = True) -> None:
         """Ingest a batch of slices, stage-1 compressing them in parallel.
 
-        On an in-process backend (serial/thread) the batch is stage-1
-        compressed through the stacked kernels of
-        :func:`~repro.linalg.kernels.batched_randomized_svd` — one batched
-        LAPACK pipeline per equal-row-count bucket.  On the process backend
-        the per-slice randomized SVDs are distributed over
-        ``config.n_threads`` workers with Algorithm-4 load balancing.  Each
-        slice gets a private spawned generator, so the model state is
+        Stage 1 takes the route
+        :func:`~repro.decomposition.dpar2.compress_tensor` takes: short,
+        sparse, or single-worker batches run through the stacked kernels
+        of :func:`~repro.linalg.kernels.batched_randomized_svd` — one
+        batched LAPACK pipeline per equal-row-count bucket — while tall
+        slices on several threads are distributed over
+        ``config.n_threads`` workers with Algorithm-4 load balancing.
+        Each slice gets a private spawned generator, so the model state is
         identical either way and independent of the worker schedule —
         though it differs from absorbing the same slices one by one, which
         draws from the stream's generator sequentially.
@@ -348,54 +342,16 @@ class StreamingDpar2:
                 n_cells=self.config.shard_cells,
                 fault_stats_out=self.stats,
             )
-            for svd in stage1:
-                self._absorb_stage1(svd)
-            return
-        xp = get_xp(self.config.compute_backend)
-        with get_backend(self.config.backend, self.config.n_threads) as engine:
-            if not xp.is_numpy:
-                engine = in_process_backend(engine)
-            # Same routing rule as compress_tensor: stacked dispatch only
-            # when it cannot lose — single worker, slices small enough
-            # that Python/LAPACK dispatch (not FLOPs) dominates, or a
-            # device backend (whose throughput comes from big stacked
-            # launches).  Tall slices on a multi-worker thread backend
-            # keep the per-slice partitioned path and its parallel
-            # speedup.
-            any_sparse = any(isinstance(Xk, CsrMatrix) for Xk in matrices)
-            batch = (
-                any_sparse  # SpMM buckets: dispatch-bound at any height
-                or not xp.is_numpy
-                or (
-                    engine.in_process
-                    and (
-                        engine.n_workers == 1
-                        or max(Xk.shape[0] for Xk in matrices) <= _BATCH_MAX_ROWS
-                    )
-                )
+        else:
+            stage1 = _stage1_svds(
+                matrices,
+                generators,
+                self.config.rank,
+                oversampling=self.config.oversampling,
+                power_iterations=self.config.power_iterations,
+                engine=get_backend(self.config.backend, self.config.n_threads),
+                xp=get_xp(self.config.compute_backend),
             )
-            if batch:
-                stage1 = batched_randomized_svd(
-                    matrices,
-                    self.config.rank,
-                    oversampling=self.config.oversampling,
-                    power_iterations=self.config.power_iterations,
-                    generators=generators,
-                    xp=xp,
-                )
-            else:
-                task = partial(
-                    _compress_slice_task,
-                    rank=self.config.rank,
-                    oversampling=self.config.oversampling,
-                    power_iterations=self.config.power_iterations,
-                )
-                stage1 = engine.map_partitioned(
-                    task,
-                    list(zip(matrices, generators)),
-                    weights=[Xk.shape[0] for Xk in matrices],
-                )
-
         for svd in stage1:
             self._absorb_stage1(svd)
 

@@ -13,11 +13,8 @@ hardware-bound:
   Algorithm-1 pipeline — Gaussian sketch, power iterations, QR, small SVD —
   as batched 3-D ``matmul`` / ``np.linalg.qr`` / ``np.linalg.svd`` calls.
   numpy's stacked linalg gufuncs invoke the very same LAPACK routine per
-  sub-matrix, so for unpadded buckets the results are **bitwise identical**
-  to the per-slice loop (given the same per-slice generators).  Optional
-  pad-to-bucket merging trades that bitwise guarantee for fewer, larger
-  batches on ragged row counts (still exact in infinite precision: appended
-  zero rows stay exactly zero through QR).
+  sub-matrix, so the results are **bitwise identical** to the per-slice
+  loop (given the same per-slice generators).
 
 * :func:`batched_stacked_matmul` applies one ``(b, Ik, R) @ (b, R, R)``
   matmul per row-count bucket — the final ``Qk = Ak Zk Pkᵀ``
@@ -77,55 +74,16 @@ __all__ = [
 # --------------------------------------------------------------------- #
 
 
-def bucket_by_rows(
-    row_counts,
-    *,
-    n_columns: int | None = None,
-    rank: int | None = None,
-    oversampling: int = 0,
-    max_pad_ratio: float = 0.0,
-) -> list[tuple[int, list[int]]]:
-    """Group slice indices into row-count buckets for stacked dispatch.
+def bucket_by_rows(row_counts) -> list[tuple[int, list[int]]]:
+    """Group slice indices into equal-row-count buckets for stacked dispatch.
 
-    Returns ``[(stack_height, indices), ...]`` with buckets ordered by
-    height and indices in input order.  With ``max_pad_ratio == 0`` every
-    bucket holds exactly-equal row counts (the bitwise-safe default).  A
-    positive ratio greedily merges, from the tallest height down, any height
-    ``h`` with ``h >= tallest / (1 + max_pad_ratio)`` — those slices are
-    zero-padded up to the bucket height.  Merged buckets must share the
-    sketch geometry, so a height only joins when ``min(h, n_columns) >=
-    rank + oversampling`` (its effective rank and sketch width are then
-    determined by ``rank`` alone); heights failing that stay exact.
+    Returns ``[(height, indices), ...]`` with buckets ordered by height and
+    indices in input order.
     """
-    if max_pad_ratio < 0:
-        raise ValueError(f"max_pad_ratio must be >= 0, got {max_pad_ratio}")
     by_height: dict[int, list[int]] = {}
     for index, rows in enumerate(row_counts):
         by_height.setdefault(int(rows), []).append(index)
-    heights = sorted(by_height)
-    if max_pad_ratio == 0.0 or len(heights) < 2:
-        return [(h, by_height[h]) for h in heights]
-
-    if n_columns is None or rank is None:
-        raise ValueError("padded bucketing needs n_columns and rank")
-    sketch_floor = rank + oversampling
-
-    def mergeable(height: int) -> bool:
-        return min(height, n_columns) >= sketch_floor
-
-    buckets: list[tuple[int, list[int]]] = []
-    pending = list(heights)
-    while pending:
-        anchor = pending.pop()  # tallest remaining
-        group = [anchor]
-        if mergeable(anchor):
-            floor = anchor / (1.0 + max_pad_ratio)
-            while pending and pending[-1] >= floor and mergeable(pending[-1]):
-                group.append(pending.pop())
-        indices = sorted(i for h in group for i in by_height[h])
-        buckets.append((anchor, indices))
-    buckets.reverse()
-    return buckets
+    return [(h, by_height[h]) for h in sorted(by_height)]
 
 
 def _stacked_rsvd(
@@ -140,8 +98,8 @@ def _stacked_rsvd(
     ``stack``/``omegas`` are ``xp``-native arrays and every step dispatches
     through ``xp``.  On the numpy module each call *is* the numpy function
     the pre-``xp`` code used, mapping to the same LAPACK/BLAS routine per
-    2-D sub-array — so unpadded stacks reproduce the per-slice results bit
-    for bit.  Device modules run the identical pipeline on their batched
+    2-D sub-array — so stacks reproduce the per-slice results bit for
+    bit.  Device modules run the identical pipeline on their batched
     primitives.
     """
     Y = xp.matmul(stack, omegas)
@@ -208,7 +166,6 @@ def batched_randomized_svd(
     oversampling: int = 5,
     power_iterations: int = 1,
     generators,
-    max_pad_ratio: float = 0.0,
     xp: "ArrayModule | str | None" = None,
     native_slices=None,
 ) -> list[RandomizedSVDResult]:
@@ -217,14 +174,9 @@ def batched_randomized_svd(
     Drop-in replacement for ``[randomized_svd(Xk, rank, random_state=g)
     for Xk, g in zip(matrices, generators)]`` — each slice keeps its own
     generator and draws its Gaussian sketch in the same shape, so the
-    results are independent of the bucket schedule and (for unpadded
-    buckets) bitwise identical to the per-slice loop.  Singleton buckets
-    route straight through :func:`randomized_svd`: stacking a single slice
-    would only add a copy.
-
-    ``max_pad_ratio > 0`` additionally merges nearby row counts by
-    zero-padding (see :func:`bucket_by_rows`); padded results are exact in
-    infinite precision and agree with the per-slice path to roundoff.
+    results are independent of the bucket schedule and bitwise identical
+    to the per-slice loop.  Singleton buckets route straight through
+    :func:`randomized_svd`: stacking a single slice would only add a copy.
 
     ``xp`` selects the compute backend (default numpy, the bitwise-exact
     path).  On a device backend each bucket's stack crosses the host↔device
@@ -233,8 +185,8 @@ def batched_randomized_svd(
     optionally supplies the same slices as ``xp``-native arrays (e.g. from
     :meth:`IrregularTensor.to_backend
     <repro.tensor.irregular.IrregularTensor.to_backend>`'s per-backend
-    cache); exact buckets are then stacked on-device from the cached
-    slices and the raw data is not re-uploaded at all.
+    cache); buckets are then stacked on-device from the cached slices and
+    the raw data is not re-uploaded at all.
 
     Slices may also be :class:`~repro.sparse.csr.CsrMatrix` instances, on
     any backend: an all-sparse bucket is concatenated into a
@@ -245,8 +197,7 @@ def batched_randomized_svd(
     pipeline (``torch.sparse_csr_tensor`` / ``cupyx`` CSR under the
     module's ``spmm``); the numpy path is the historical scipy/pure-numpy
     kernel, bit for bit.  Mixed buckets densify their sparse members
-    (stacking forces a common layout anyway); sparse padding is free, so
-    ``max_pad_ratio`` applies unchanged.  Each slice still draws its own
+    (stacking forces a common layout anyway).  Each slice still draws its own
     sketch from its own generator, so the factors agree with a densified
     run to floating-point rounding for a fixed seed.
     """
@@ -267,16 +218,8 @@ def batched_randomized_svd(
     if not mats:
         return []
     J = mats[0].shape[1]
-    buckets = bucket_by_rows(
-        [Xk.shape[0] for Xk in mats],
-        n_columns=J,
-        rank=rank,
-        oversampling=oversampling,
-        max_pad_ratio=max_pad_ratio,
-    )
-
     results: list[RandomizedSVDResult | None] = [None] * len(mats)
-    for height, indices in buckets:
+    for height, indices in bucket_by_rows([Xk.shape[0] for Xk in mats]):
         if len(indices) == 1:
             k = indices[0]
             results[k] = randomized_svd(
@@ -289,11 +232,9 @@ def batched_randomized_svd(
             )
             continue
 
-        min_rows = min(mats[k].shape[0] for k in indices)
-        effective_rank = min(rank, min_rows, J)
-        sketch_size = min(effective_rank + oversampling, min(min_rows, J))
+        effective_rank = min(rank, height, J)
+        sketch_size = min(effective_rank + oversampling, min(height, J))
         dtype = mats[indices[0]].dtype
-        exact = all(mats[k].shape[0] == height for k in indices)
         sparse_bucket = all(isinstance(mats[k], CsrMatrix) for k in indices)
 
         omegas = np.empty((len(indices), J, sketch_size), dtype=dtype)
@@ -304,24 +245,22 @@ def batched_randomized_svd(
             omegas[pos] = omega if dtype == np.float64 else omega.astype(dtype)
 
         if sparse_bucket:
-            stacked = StackedCsr.from_matrices(
-                [mats[k] for k in indices], height=height
-            )
+            stacked = StackedCsr.from_matrices([mats[k] for k in indices])
             U, sigma, Vt = _stacked_rsvd_sparse(
                 stacked, effective_rank, power_iterations, omegas, xp
             )
         else:
-            if exact and native_slices is not None and not xp.is_numpy:
+            if native_slices is not None and not xp.is_numpy:
                 stack = xp.stack([native_slices[k] for k in indices])
             else:
-                host = np.zeros((len(indices), height, J), dtype=dtype)
+                host = np.empty((len(indices), height, J), dtype=dtype)
                 for pos, k in enumerate(indices):
                     Xk = mats[k]
                     if isinstance(Xk, CsrMatrix):
                         # Mixed bucket: the stack is dense regardless, so a
                         # lone sparse member just materializes its rows.
                         Xk = Xk.to_dense()
-                    host[pos, : Xk.shape[0]] = Xk
+                    host[pos] = Xk
                 stack = host if xp.is_numpy else xp.asarray(host)
 
             U, sigma, Vt = _stacked_rsvd(
@@ -330,9 +269,8 @@ def batched_randomized_svd(
         # One transfer back per bucket; slicing the host copies after.
         U, sigma, Vt = xp.to_numpy(U), xp.to_numpy(sigma), xp.to_numpy(Vt)
         for pos, k in enumerate(indices):
-            rows = mats[k].shape[0]
             results[k] = RandomizedSVDResult(
-                U=np.ascontiguousarray(U[pos, :rows]),
+                U=np.ascontiguousarray(U[pos]),
                 singular_values=sigma[pos].copy(),
                 V=np.ascontiguousarray(Vt[pos].T),
             )

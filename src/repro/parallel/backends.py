@@ -1,4 +1,4 @@
-"""Pluggable execution backends: serial, thread, and process workers.
+"""Pluggable execution backends: serial and thread workers.
 
 Every slice-parallel stage in the library dispatches through an
 :class:`ExecutionBackend`, selected by name (``DecompositionConfig.backend``
@@ -12,43 +12,30 @@ or the CLI's ``--backend`` flag):
     kernels release the GIL, so threads speed up the SVD-heavy stages while
     sharing slice memory for free.  This is the paper's own model (6-thread
     OpenMP-style slice parallelism) and the default.
-``process``
-    A :class:`~concurrent.futures.ProcessPoolExecutor` fed through
-    ``multiprocessing.shared_memory``: slice data is parked in named
-    segments (or referenced in place when it is already memory-mapped) and
-    workers operate on zero-copy views — no pickling of the bulk data.
-    Escapes the GIL entirely, for the Python-bound portions of the
-    pipeline, at the cost of worker startup and result transfer.
 
-All backends preserve input order, run the work single-shot when it cannot
+Worker processes are not an execution backend: they belong to the shard
+coordinator (``DecompositionConfig.shards`` with ``shard_backend="process"``,
+see :mod:`repro.parallel.sharding`), which forks workers that inherit their
+slices and survives their failures.
+
+Both backends preserve input order, run the work single-shot when it cannot
 benefit from workers, and honour Algorithm 4's greedy partitioning through
 :meth:`ExecutionBackend.map_partitioned` — so results are identical (to the
-bit, given per-item RNGs) no matter the backend or worker count.
-
-Work submitted to the process backend must be *picklable*: module-level
-functions or :func:`functools.partial` of them, not closures.
+bit, given per-item RNGs) no matter the backend or worker count.  Neither
+holds resources between calls: a thread pool lives for one ``map``.
 """
 
 from __future__ import annotations
 
 import abc
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from multiprocessing import resource_tracker
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, ClassVar, Sequence
 
 from repro.parallel.partition import greedy_partition
-from repro.parallel.shm import ArrayShipment, AttachedArrays
 from repro.util.validation import check_positive_int
 
 #: Registry names, in the order they should be offered to users.
-BACKEND_NAMES = ("serial", "thread", "process")
-
-
-def _contiguous_chunks(n_items: int, n_parts: int) -> list[list[int]]:
-    """Split ``range(n_items)`` into at most ``n_parts`` contiguous runs."""
-    n_parts = min(n_parts, n_items)
-    bounds = [round(part * n_items / n_parts) for part in range(n_parts + 1)]
-    return [list(range(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+BACKEND_NAMES = ("serial", "thread")
 
 
 class ExecutionBackend(abc.ABC):
@@ -64,31 +51,20 @@ class ExecutionBackend(abc.ABC):
     """
 
     name: ClassVar[str]
-    #: True when work runs in the calling process (serial/thread) — such
-    #: backends can hand whole stages to batched in-process kernels (e.g.
-    #: stacked stage-1 randomized SVDs) without shipping data anywhere.
-    #: Process-style backends keep the per-item path so slices can travel
-    #: through shared memory / file descriptors instead of being stacked in
-    #: the parent.
-    in_process: ClassVar[bool] = True
 
     def __init__(self, n_workers: int = 1) -> None:
         self.n_workers = check_positive_int(n_workers, "n_workers")
 
-    # ------------------------------------------------------------------ #
-    # public mapping API
-    # ------------------------------------------------------------------ #
-
     def map(self, func: Callable, items: Sequence) -> list:
         """Apply ``func`` to every item, preserving order.
 
-        Items are dealt to workers in contiguous chunks (the "uniform
-        allocation" of Section III-F — right when per-item cost is even).
+        Each item is its own unit of work, so the workers balance uneven
+        items even without cost estimates.
         """
         items = list(items)
         if self._inline(len(items)):
             return [func(item) for item in items]
-        return self._run_groups(func, items, _contiguous_chunks(len(items), self.n_workers))
+        return self._run_groups(func, items, [[index] for index in range(len(items))])
 
     def map_partitioned(self, func: Callable, items: Sequence, weights: Sequence[float]) -> list:
         """Apply ``func`` with Algorithm-4 load balancing over ``weights``.
@@ -114,19 +90,6 @@ class ExecutionBackend(abc.ABC):
     def _run_groups(self, func: Callable, items: list, groups: list[list[int]]) -> list:
         """Run ``func`` over pre-grouped item indices; return in item order."""
 
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-
-    def close(self) -> None:
-        """Release worker resources (idempotent; no-op for pool-free backends)."""
-
-    def __enter__(self) -> "ExecutionBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n_workers={self.n_workers})"
 
@@ -148,15 +111,6 @@ class ThreadBackend(ExecutionBackend):
 
     name = "thread"
 
-    def map(self, func, items):
-        items = list(items)
-        if self._inline(len(items)):
-            return [func(item) for item in items]
-        # Per-item scheduling: lets the pool balance uneven items even
-        # without cost estimates (chunking would pin them to one thread).
-        with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
-            return list(pool.map(func, items))
-
     def _run_groups(self, func, items, groups):
         results: list = [None] * len(items)
 
@@ -170,121 +124,10 @@ class ThreadBackend(ExecutionBackend):
         return results
 
 
-def _process_group_worker(func: Callable, payload: list) -> list:
-    """Worker-side kernel: resolve shipped arrays, apply ``func`` per item.
-
-    ``payload`` is ``[(index, packed_item), ...]``; the return value carries
-    the indices back so the parent can restore input order regardless of
-    completion order.
-    """
-    holder = AttachedArrays()
-    try:
-        out = []
-        item = None
-        for index, packed in payload:
-            item = holder.resolve(packed)
-            out.append((index, func(item)))
-        # Results are pickled after this function returns — make sure none
-        # of them still view a segment we are about to unmap.
-        out = holder.copy_if_shared(out)
-        del item
-    finally:
-        holder.release()
-    return out
-
-
-class ProcessBackend(ExecutionBackend):
-    """Worker processes with shared-memory slice transfer.
-
-    The pool is created lazily on first use and reused across calls (DPar2
-    runs one ``map`` per compression plus one per ALS sweep), so the fork
-    cost is paid once per backend instance.  Call :meth:`close` — or use the
-    backend as a context manager — to reap the workers.
-    """
-
-    name = "process"
-    in_process = False
-
-    def __init__(self, n_workers: int = 1) -> None:
-        super().__init__(n_workers)
-        self._pool: ProcessPoolExecutor | None = None
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            # Start the shared-memory resource tracker *before* forking the
-            # workers.  Workers forked earlier would lazily spawn private
-            # trackers on their first attach, and those would try to clean
-            # up (and warn about) segments the parent already unlinked.
-            try:
-                resource_tracker.ensure_running()
-            except Exception:  # pragma: no cover - platform without tracker
-                pass
-            self._pool = ProcessPoolExecutor(max_workers=self.n_workers)
-        return self._pool
-
-    def _run_groups(self, func, items, groups):
-        pool = self._ensure_pool()
-        results: list = [None] * len(items)
-        with ArrayShipment() as shipment:
-            futures = [
-                pool.submit(
-                    _process_group_worker,
-                    func,
-                    [(index, shipment.pack(items[index])) for index in group],
-                )
-                for group in groups
-            ]
-            # The shipment's segments must stay linked until every worker
-            # has read them, hence collection inside the ``with`` block.
-            for future in futures:
-                for index, value in future.result():
-                    results[index] = value
-        return results
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __del__(self) -> None:  # pragma: no cover - belt and braces
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-def in_process_backend(engine: ExecutionBackend) -> ExecutionBackend:
-    """Coerce ``engine`` to one that runs in the calling process.
-
-    Device compute backends (torch/CuPy) must keep their arrays in the
-    process that owns the device context — shipping them through worker
-    processes is meaningless, exactly like memory-mapped slices must not
-    be stacked in the parent.  ``DecompositionConfig`` already rejects the
-    ``process`` + device combination at construction; this helper guards
-    the direct-call surface (``compress_tensor(..., backend="process",
-    compute_backend="torch")``), downgrading to a serial engine with a
-    warning instead of failing deep inside a kernel.
-    """
-    if engine.in_process:
-        return engine
-    import warnings
-
-    warnings.warn(
-        f"execution backend {engine.name!r} cannot drive a device compute "
-        "backend; falling back to in-process (serial) execution for the "
-        "device-compute stages",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return SerialBackend(engine.n_workers)
-
-
-#: Name → backend class.  Extend by appending here (e.g. a future
-#: distributed backend) — ``DecompositionConfig`` validates against it.
+#: Name → backend class — ``DecompositionConfig`` validates against it.
 BACKENDS: dict[str, type[ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
     ThreadBackend.name: ThreadBackend,
-    ProcessBackend.name: ProcessBackend,
 }
 
 
@@ -295,8 +138,7 @@ def get_backend(backend: "str | ExecutionBackend", n_workers: int = 1) -> Execut
     ----------
     backend:
         A registry name (case-insensitive) or an existing instance, which
-        is returned unchanged — its own ``n_workers`` wins, and the caller
-        who constructed it stays responsible for closing it.
+        is returned unchanged — its own ``n_workers`` wins.
     n_workers:
         Worker count for a newly constructed backend.
     """

@@ -338,9 +338,9 @@ class IrregularTensor:
         slices come back as read-only ``np.memmap`` views, sparse slices
         as :class:`~repro.sparse.csr.CsrMatrix` instances whose component
         arrays are memory-mapped: methods stream through the OS page
-        cache, and the process execution backend ships dense views to
-        workers as file descriptors rather than copies.  Validation is
-        skipped — the store validated each slice when it was written.
+        cache, and worker threads and forked process shards read the maps
+        in place rather than copies.  Validation is skipped — the store
+        validated each slice when it was written.
 
         The store's files must outlive the returned tensor.
         """

@@ -20,10 +20,9 @@ provides the streaming substrate:
   container without copying, so every solver accepts an out-of-core tensor
   unchanged.
 
-The process execution backend recognises store-backed dense slices and
-ships them to workers as *(path, dtype, shape, offset)* descriptors instead
-of copying them through shared memory — the data goes disk → page cache →
-worker, and never transits the parent.
+Worker threads read store-backed slices in place, and forked process
+shards inherit the maps, so the data goes disk → page cache → worker
+without a copy.
 
 Manifest versions: version 1 (dense-only, one filename string per slice)
 and version 2 (dense strings and/or sparse payload dicts) are both read;

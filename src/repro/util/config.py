@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from repro.parallel.backends import BACKEND_NAMES
+from repro.parallel.sharding import SHARD_RUNNERS
 from repro.util.validation import check_non_negative_int, check_positive_int
 
 
@@ -33,10 +34,10 @@ class DecompositionConfig:
     n_threads:
         Worker count for slice-parallel stages; the paper defaults to 6.
     backend:
-        Execution backend for those stages: ``"serial"``, ``"thread"``
-        (default — BLAS releases the GIL), or ``"process"`` (worker
-        processes fed via shared memory).  Validated here, at construction
-        time, so a typo fails immediately rather than deep inside a solver.
+        Execution backend for those stages: ``"serial"`` or ``"thread"``
+        (default — BLAS releases the GIL).  Worker processes come from
+        ``shards`` instead.  Validated here, at construction time, so a
+        typo fails immediately rather than deep inside a solver.
     oversampling:
         Extra columns ``s`` in the randomized-SVD sketch (Algorithm 1).
     power_iterations:
@@ -56,11 +57,7 @@ class DecompositionConfig:
         (PyTorch on a GPU), or ``"cupy"``.  Validated *by name* here — the
         optional library is only imported when compute starts, so configs
         naming an absent backend fail with an install hint at solve time,
-        not at construction.  Device/torch backends run the batched
-        kernels in-process, which is why combining them with the
-        ``"process"`` execution backend is rejected outright: device
-        arrays cannot cross process boundaries, and discovering that deep
-        inside ``compress_tensor`` helps nobody.
+        not at construction.
     shards:
         ``None`` (default) runs the classic single-process DPar2 path,
         byte-for-byte unchanged.  An integer ``N >= 1`` routes the solve
@@ -71,10 +68,10 @@ class DecompositionConfig:
         any shard count (see ``docs/distributed.md``); the sharded path
         requires the numpy compute backend.
     shard_backend:
-        Transport for shard workers: ``"process"`` (default — worker
-        processes fed via shared memory), ``"thread"``, or ``"serial"``
-        (in-process, for debugging and overhead measurement).  All three
-        produce bitwise-identical factors.
+        Transport for shard workers: ``"process"`` (default — forked
+        worker processes that inherit their slices), ``"thread"``, or
+        ``"serial"`` (in-process, for debugging and overhead measurement).
+        All three produce bitwise-identical factors.
     shard_cells:
         Number of fixed reduction cells the K slices are grouped into
         (clamped to K).  Cells — not shards — are the unit of floating
@@ -109,7 +106,8 @@ class DecompositionConfig:
         if normalized not in BACKEND_NAMES:
             raise ValueError(
                 f"backend must be one of {', '.join(BACKEND_NAMES)}; "
-                f"got {self.backend!r}"
+                f"got {self.backend!r} (worker processes: set shards=N, "
+                "whose shard_backend defaults to 'process')"
             )
         object.__setattr__(self, "backend", normalized)
         try:
@@ -139,13 +137,6 @@ class DecompositionConfig:
                 f"got {self.compute_backend!r}"
             )
         object.__setattr__(self, "compute_backend", compute)
-        if compute != "numpy" and self.backend == "process":
-            raise ValueError(
-                f"compute_backend {compute!r} cannot be combined with the "
-                "'process' execution backend: device arrays do not cross "
-                "process boundaries, and the batched device kernels run "
-                "in-process anyway — use backend='serial' or 'thread'"
-            )
         if self.shards is not None:
             check_positive_int(self.shards, "shards")
             if compute != "numpy":
@@ -160,9 +151,9 @@ class DecompositionConfig:
                 f"got {type(self.shard_backend).__name__}"
             )
         shard_backend = self.shard_backend.strip().lower()
-        if shard_backend not in BACKEND_NAMES:
+        if shard_backend not in SHARD_RUNNERS:
             raise ValueError(
-                f"shard_backend must be one of {', '.join(BACKEND_NAMES)}; "
+                f"shard_backend must be one of {', '.join(SHARD_RUNNERS)}; "
                 f"got {self.shard_backend!r}"
             )
         object.__setattr__(self, "shard_backend", shard_backend)
@@ -201,7 +192,14 @@ class DecompositionConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DecompositionConfig":
-        """Rebuild a config from :meth:`to_dict` output (re-validates)."""
+        """Rebuild a config from :meth:`to_dict` output (re-validates).
+
+        Artifacts recorded with the retired ``"process"`` execution backend
+        load as ``"thread"``: factors never depended on the execution
+        backend, so nothing a reader uses changes.
+        """
+        if payload.get("backend") == "process":
+            payload = {**payload, "backend": "thread"}
         return cls(**payload)
 
     @property

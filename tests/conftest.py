@@ -1,5 +1,6 @@
 """Shared fixtures for the test suite."""
 
+import importlib
 import multiprocessing.shared_memory
 
 import numpy as np
@@ -49,6 +50,23 @@ def forbid_shm_segments(monkeypatch):
         raise AssertionError("a multiprocessing.shared_memory segment was created")
 
     monkeypatch.setattr(multiprocessing.shared_memory, "SharedMemory", refuse)
+
+
+@pytest.fixture
+def batched_stage1_calls(monkeypatch):
+    """Slice counts of the stacked stage-1 calls the stage-1 router makes."""
+    # ``repro.decomposition.dpar2`` the attribute is the function; the
+    # router's module is only reachable through the import system.
+    module = importlib.import_module("repro.decomposition.dpar2")
+    real = module.batched_randomized_svd
+    calls = []
+
+    def spy(slices, *args, **kwargs):
+        calls.append(len(slices))
+        return real(slices, *args, **kwargs)
+
+    monkeypatch.setattr(module, "batched_randomized_svd", spy)
+    return calls
 
 
 def make_irregular(row_counts, n_columns, seed=0):

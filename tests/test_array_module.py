@@ -197,9 +197,9 @@ class _LoopbackModule(NumpyModule):
     Every operation still delegates to numpy (values match the reference
     to roundoff), but ``is_numpy`` is False — so the kernels take their
     device-routing branches: forced batching, on-"device" bucket stacking
-    from ``native_slices``, :class:`DeviceSweepWorkspace` sweeps, the
-    in-process engine coercion.  This keeps the whole device code path
-    under test even where torch is not installed.
+    from ``native_slices``, :class:`DeviceSweepWorkspace` sweeps.  This
+    keeps the whole device code path under test even where torch is not
+    installed.
     """
 
     name = "loopback"
@@ -267,8 +267,9 @@ class TestLoopbackDevicePath:
         compressed = compress_tensor(
             tensor, 4, random_state=7, backend="serial", compute_backend=xp
         )
-        with get_backend("serial", 1) as engine:
-            out = _iterate(tensor, config, compressed, engine, 4, False, xp)
+        out = _iterate(
+            tensor, config, compressed, get_backend("serial"), 4, False, xp
+        )
         assert abs(out.fitness(tensor) - ref.fitness(tensor)) < 1e-10
         for r, o in zip(ref.history, out.history):
             np.testing.assert_allclose(
@@ -291,8 +292,9 @@ class TestLoopbackDevicePath:
         compressed = compress_tensor(
             tensor, 3, random_state=0, backend="serial", compute_backend=xp
         )
-        with get_backend("serial", 1) as engine:
-            out = _iterate(tensor, config, compressed, engine, 3, True, xp)
+        out = _iterate(
+            tensor, config, compressed, get_backend("serial"), 3, True, xp
+        )
         for r, o in zip(ref.history, out.history):
             np.testing.assert_allclose(o.criterion, r.criterion, rtol=1e-8)
 
@@ -306,15 +308,6 @@ class TestLoopbackDevicePath:
             compress_tensor(mapped, 3, compute_backend=_LoopbackModule())
         with pytest.raises(ValueError, match="memory-mapped"):
             mapped.to_backend(_LoopbackModule())
-
-    def test_process_engine_coerced_with_warning(self):
-        tensor = random_irregular_tensor([10, 12], n_columns=6, random_state=0)
-        with pytest.warns(RuntimeWarning, match="in-process"):
-            compressed = compress_tensor(
-                tensor, 3, backend="process", n_threads=2,
-                compute_backend=_LoopbackModule(), random_state=0,
-            )
-        assert compressed.n_slices == 2
 
     def test_per_slice_ablation_rejected_on_device(self):
         tensor = random_irregular_tensor([10, 12], n_columns=6, random_state=0)
@@ -520,15 +513,6 @@ class TestTorchGuards:
             compress_tensor(mapped, 3, compute_backend="torch")
         with pytest.raises(ValueError, match="out-of-core"):
             dpar2(mapped, DecompositionConfig(rank=3, compute_backend="torch"))
-
-    def test_process_engine_coerced_with_warning(self):
-        tensor = random_irregular_tensor([10, 12], n_columns=6, random_state=0)
-        with pytest.warns(RuntimeWarning, match="in-process"):
-            compressed = compress_tensor(
-                tensor, 3, backend="process", n_threads=2,
-                compute_backend="torch", random_state=0,
-            )
-        assert compressed.n_slices == 2
 
     def test_per_slice_ablation_rejected_on_device(self):
         tensor = random_irregular_tensor([10, 12], n_columns=6, random_state=0)

@@ -29,9 +29,9 @@ class TestParser:
 
     def test_decompose_backend_options(self):
         args = build_parser().parse_args(
-            ["decompose", "traffic", "--backend", "process", "--out-of-core"]
+            ["decompose", "traffic", "--backend", "serial", "--out-of-core"]
         )
-        assert args.backend == "process"
+        assert args.backend == "serial"
         assert args.out_of_core is True
 
     def test_unknown_backend_rejected(self):
@@ -181,14 +181,6 @@ class TestCommands:
         )
         assert code == 2
         assert "only" in capsys.readouterr().err
-
-    def test_process_with_device_backend_fails_fast(self, capsys):
-        code = main(
-            ["decompose", "traffic", "--rank", "3", "--max-iterations", "2",
-             "--backend", "process", "--compute-backend", "torch"]
-        )
-        assert code == 2
-        assert "process" in capsys.readouterr().err
 
     def test_bench_info(self, capsys):
         assert main(["bench-info"]) == 0

@@ -535,6 +535,34 @@ class TestStreamingCheckpointResume:
         resumed.absorb_many(slices[resumed.n_slices:])
         assert _factor_digest(resumed.result()) == expected
 
+    def test_checkpoint_recorded_with_process_backend_resumes(self, tmp_path):
+        """A checkpoint whose config names the retired ``process``
+        execution backend resumes on ``thread``, bitwise-identically."""
+        slices = _stream_slices(10)
+        plain = StreamingDpar2(
+            _stream_config(),
+            checkpoint_dir=tmp_path / "a", checkpoint_every=3,
+        )
+        plain.absorb_many(slices)
+        expected = _factor_digest(plain.result())
+
+        interrupted = StreamingDpar2(
+            _stream_config(),
+            checkpoint_dir=tmp_path / "b", checkpoint_every=3,
+        )
+        interrupted.absorb_many(slices[:6])
+        del interrupted
+        seq = int((tmp_path / "b" / "LATEST").read_text())
+        state_path = tmp_path / "b" / f"ckpt-{seq:07d}" / "state.json"
+        state = json.loads(state_path.read_text())
+        state["config"]["backend"] = "process"
+        state_path.write_text(json.dumps(state))
+
+        resumed = StreamingDpar2.resume_from(tmp_path / "b")
+        assert resumed.config.backend == "thread"
+        resumed.absorb_many(slices[6:])
+        assert _factor_digest(resumed.result()) == expected
+
     def test_checkpoints_pruned_and_counted(self, tmp_path):
         stream = StreamingDpar2(
             _stream_config(),

@@ -61,29 +61,6 @@ class TestBatchedStage1:
         [ref] = _per_slice_reference(tensor, 4, 7)
         assert np.array_equal(ref.U, out.U)
 
-    def test_padded_buckets_close_to_reference(self):
-        """Pad-to-bucket merging is value-identical up to roundoff."""
-        tensor = random_irregular_tensor(
-            [40, 44, 38, 42, 40], n_columns=20, random_state=5
-        )
-        expected = _per_slice_reference(tensor, 4, 11)
-        got = batched_randomized_svd(
-            tensor.slices,
-            4,
-            generators=spawn_generators(11, tensor.n_slices),
-            max_pad_ratio=0.25,
-        )
-        for k, (ref, out) in enumerate(zip(expected, got)):
-            assert out.U.shape == (tensor.row_counts[k], 4)
-            np.testing.assert_allclose(out.U, ref.U, atol=1e-9)
-            np.testing.assert_allclose(
-                out.singular_values, ref.singular_values, atol=1e-9
-            )
-            # Padded U must stay orthonormal after the zero rows are cut.
-            np.testing.assert_allclose(
-                out.U.T @ out.U, np.eye(4), atol=1e-10
-            )
-
     def test_compress_tensor_batched_equals_per_slice(self):
         tensor = random_irregular_tensor(RAGGED_ROWS, n_columns=16, random_state=9)
         batched = compress_tensor(
@@ -110,24 +87,6 @@ class TestBucketing:
     def test_exact_buckets_group_equal_heights(self):
         buckets = bucket_by_rows([30, 45, 30, 17, 45, 30])
         assert buckets == [(17, [3]), (30, [0, 2, 5]), (45, [1, 4])]
-
-    def test_padded_merge_respects_ratio_and_sketch_floor(self):
-        buckets = bucket_by_rows(
-            [100, 95, 90, 50, 6],
-            n_columns=40,
-            rank=8,
-            oversampling=2,
-            max_pad_ratio=0.2,
-        )
-        # 100/95/90 merge (within 20%, all >= rank+oversampling); 50 is out
-        # of ratio; 6 < sketch floor stays exact.
-        assert (100, [0, 1, 2]) in buckets
-        assert (50, [3]) in buckets
-        assert (6, [4]) in buckets
-
-    def test_negative_ratio_rejected(self):
-        with pytest.raises(ValueError, match="max_pad_ratio"):
-            bucket_by_rows([3, 3], max_pad_ratio=-0.1)
 
 
 class TestBatchedStackedMatmul:

@@ -130,7 +130,7 @@ class TestOutOfCoreCompression:
         assert np.array_equal(in_memory.E, mapped.E)
         assert np.array_equal(in_memory.F_blocks, mapped.F_blocks)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_dpar2_out_of_core_matches(self, tensor, store, backend):
         config = DecompositionConfig(
             rank=3, max_iterations=3, n_threads=2, backend=backend, random_state=6

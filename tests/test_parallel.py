@@ -122,13 +122,13 @@ class TestParallelMap:
     """``ExecutionBackend.map`` on a thread pool: order and validation."""
 
     def test_preserves_order(self):
-        with get_backend("thread", 3) as backend:
-            out = backend.map(lambda x: x * x, list(range(10)))
+        backend = get_backend("thread", 3)
+        out = backend.map(lambda x: x * x, list(range(10)))
         assert out == [x * x for x in range(10)]
 
     def test_single_thread_path(self):
-        with get_backend("thread", 1) as backend:
-            assert backend.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
+        backend = get_backend("thread", 1)
+        assert backend.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
 
     def test_actually_uses_threads(self):
         seen = set()
@@ -137,8 +137,8 @@ class TestParallelMap:
             seen.add(threading.get_ident())
             return x
 
-        with get_backend("thread", 4) as backend:
-            backend.map(record, list(range(50)))
+        backend = get_backend("thread", 4)
+        backend.map(record, list(range(50)))
         # Thread ids may collapse on a 1-core box; the guarantee tested is
         # that the pool ran the work, not where it was placed.
         assert len(seen) >= 1
@@ -152,21 +152,21 @@ class TestMapPartitioned:
     """``ExecutionBackend.map_partitioned``: Algorithm-4 groups, input order."""
 
     def test_preserves_order(self):
-        with get_backend("thread", 2) as backend:
-            out = backend.map_partitioned(lambda x: x * 2, [5, 1, 4, 2], [5, 1, 4, 2])
+        backend = get_backend("thread", 2)
+        out = backend.map_partitioned(lambda x: x * 2, [5, 1, 4, 2], [5, 1, 4, 2])
         assert out == [10, 2, 8, 4]
 
     def test_matches_sequential(self):
         items = list(range(20))
         weights = [(i % 5) + 1 for i in items]
         seq = [x**2 for x in items]
-        with get_backend("thread", 4) as backend:
-            assert backend.map_partitioned(lambda x: x**2, items, weights) == seq
+        backend = get_backend("thread", 4)
+        assert backend.map_partitioned(lambda x: x**2, items, weights) == seq
 
     def test_weight_length_mismatch(self):
         with pytest.raises(ValueError, match="align"):
             get_backend("thread", 2).map_partitioned(lambda x: x, [1, 2], [1])
 
     def test_single_item(self):
-        with get_backend("thread", 8) as backend:
-            assert backend.map_partitioned(lambda x: -x, [7], [1]) == [-7]
+        backend = get_backend("thread", 8)
+        assert backend.map_partitioned(lambda x: -x, [7], [1]) == [-7]

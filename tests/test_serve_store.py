@@ -123,6 +123,24 @@ class TestFactorStore:
         assert artifact.version == 2
         assert store.get(1).meta["dataset"] == "demo"
 
+    def test_version_recorded_with_process_backend_loads(
+        self, result, config, tmp_path
+    ):
+        """Versions published with the retired ``--backend process`` still
+        load, through the registry and through ``Parafac2Result.load``."""
+        store = FactorStore(tmp_path / "reg")
+        version = store.publish(result, config=config)
+        manifest_path = store.version_dir(version) / MODEL_MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["backend"] = "process"
+        manifest_path.write_text(json.dumps(manifest))
+
+        artifact = store.get(version)
+        assert artifact.config == config.with_(backend="thread")
+        assert np.array_equal(np.asarray(artifact.result.V), result.V)
+        loaded = type(result).load(store.version_dir(version))
+        assert np.array_equal(np.asarray(loaded.H), result.H)
+
     def test_get_unknown_version(self, result, tmp_path):
         store = FactorStore(tmp_path / "reg")
         store.publish(result)

@@ -84,15 +84,14 @@ class TestSparseRandomizedSvd:
 
 class TestSparseBatchedStage1:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("pad_ratio", [0.0, 1.0])
-    def test_matches_densified_per_bucket(self, dtype, pad_ratio):
+    def test_matches_densified_per_bucket(self, dtype):
         slices = sparse_slices([20, 35, 20, 50, 35, 20], dtype=dtype)
         dense = [S.to_dense() for S in slices]
         sparse_out = batched_randomized_svd(
-            slices, 6, generators=spawn_generators(0, 6), max_pad_ratio=pad_ratio
+            slices, 6, generators=spawn_generators(0, 6)
         )
         dense_out = batched_randomized_svd(
-            dense, 6, generators=spawn_generators(0, 6), max_pad_ratio=pad_ratio
+            dense, 6, generators=spawn_generators(0, 6)
         )
         tol = 1e-8 if dtype == np.float64 else 1e-2
         for s_res, d_res in zip(sparse_out, dense_out):
@@ -273,30 +272,25 @@ class TestSparseStore:
         leftovers = [p for p in directory.glob("slice_*.npy")]
         assert len(leftovers) == 1  # just the one dense payload
 
-    def test_mixed_memmap_store_keeps_streaming_stage1(self, tmp_path, rng):
+    def test_mixed_memmap_store_keeps_streaming_stage1(
+        self, tmp_path, rng, batched_stage1_calls
+    ):
         # A store mixing CSR and dense payloads must not let the sparse
         # routing force batched stage 1: batching stacks the dense memmap
         # buckets into RAM, defeating out-of-core.
-        from repro.decomposition.dpar2 import _use_batched_stage1
-        from repro.linalg.array_module import get_xp
-        from repro.parallel.backends import get_backend
-
         mixed = [
             random_sparse((20, 10), 0.2, np.random.default_rng(0)),
             rng.random((25, 10)),
         ]
         store = MmapSliceStore.create(tmp_path / "store", mixed)
-        tensor = IrregularTensor.from_store(store)
-        with get_backend("serial", 1) as engine:
-            assert not _use_batched_stage1(
-                "auto", engine, tensor, True, get_xp("numpy")
-            )
+        compress_tensor(
+            IrregularTensor.from_store(store), 3, random_state=0, backend="serial"
+        )
+        assert batched_stage1_calls == []
         # An all-in-RAM mixed tensor still batches.
         in_ram = IrregularTensor(mixed, copy=False, density_threshold=1.0)
-        with get_backend("serial", 1) as engine:
-            assert _use_batched_stage1(
-                "auto", engine, in_ram, True, get_xp("numpy")
-            )
+        compress_tensor(in_ram, 3, random_state=0, backend="serial")
+        assert batched_stage1_calls == [2]
 
     def test_dpar2_streams_sparse_store(self, sparse_tensor, tmp_path):
         store = sparse_tensor.to_store(tmp_path / "store")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.decomposition.dpar2 import dpar2
+from repro.decomposition.dpar2 import _BATCH_MAX_ROWS, dpar2
 from repro.decomposition.streaming import StreamingDpar2
 from repro.tensor.irregular import IrregularTensor
 from repro.tensor.random import low_rank_irregular_tensor
@@ -167,20 +167,45 @@ class TestAbsorbMany:
         """Batch ingestion is schedule-independent: every backend yields the
         same model state for the same seed."""
         states = {}
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "thread"):
             config = DecompositionConfig(
                 rank=4, n_threads=2, backend=backend, random_state=0
             )
             stream = StreamingDpar2(config)
             stream.absorb_many(list(stream_tensor.slices), refresh=False)
             states[backend] = stream.compressed()
-        for backend in ("thread", "process"):
-            np.testing.assert_array_equal(
-                states["serial"].D, states[backend].D
+        np.testing.assert_array_equal(states["serial"].D, states["thread"].D)
+        np.testing.assert_array_equal(
+            states["serial"].F_blocks, states["thread"].F_blocks
+        )
+
+    def test_tall_slices_per_slice_route_matches_serial(self, batched_stage1_calls):
+        """Slices taller than the batching cut-off go through the per-slice
+        route on several threads; the state still matches the serial
+        (stacked-kernel) run to the bit."""
+        tensor = low_rank_irregular_tensor(
+            [300, 280, 320, 260, 300], 24, rank=4, noise=0.02, random_state=2
+        )
+        assert min(tensor.row_counts) > _BATCH_MAX_ROWS
+        states = {}
+        for backend, n_threads in (("serial", 1), ("thread", 2)):
+            batched_stage1_calls.clear()
+            stream = StreamingDpar2(
+                DecompositionConfig(
+                    rank=4, n_threads=n_threads, backend=backend, random_state=0
+                )
             )
-            np.testing.assert_array_equal(
-                states["serial"].F_blocks, states[backend].F_blocks
-            )
+            stream.absorb_many(list(tensor.slices), refresh=False)
+            states[backend] = (stream.compressed(), list(batched_stage1_calls))
+        serial, serial_calls = states["serial"]
+        threaded, threaded_calls = states["thread"]
+        assert serial_calls == [tensor.n_slices]  # one stacked call
+        assert threaded_calls == []  # per slice, over the thread pool
+        for A_serial, A_threaded in zip(serial.A, threaded.A):
+            np.testing.assert_array_equal(A_serial, A_threaded)
+        np.testing.assert_array_equal(serial.D, threaded.D)
+        np.testing.assert_array_equal(serial.E, threaded.E)
+        np.testing.assert_array_equal(serial.F_blocks, threaded.F_blocks)
 
     def test_quality_comparable_to_sequential(self, stream_config, stream_tensor):
         batched = StreamingDpar2(stream_config)

@@ -62,15 +62,28 @@ class TestBackendValidation:
         assert DecompositionConfig().backend == "thread"
 
     def test_known_backends_accepted(self):
-        for name in ("serial", "thread", "process"):
+        for name in ("serial", "thread"):
             assert DecompositionConfig(backend=name).backend == name
 
     def test_backend_normalized(self):
-        assert DecompositionConfig(backend="  Process ").backend == "process"
+        assert DecompositionConfig(backend="  Serial ").backend == "serial"
 
     def test_unknown_backend_rejected_with_options(self):
-        with pytest.raises(ValueError, match="serial, thread, process"):
+        with pytest.raises(ValueError, match="serial, thread;"):
             DecompositionConfig(backend="gpu")
+
+    def test_process_backend_points_at_shards(self):
+        # Worker processes come from the shard coordinator; the error says so.
+        with pytest.raises(ValueError, match="shards"):
+            DecompositionConfig(backend="process")
+
+    def test_recorded_process_backend_loads_as_thread(self):
+        payload = DecompositionConfig(rank=4, random_state=3).to_dict()
+        payload["backend"] = "process"
+        config = DecompositionConfig.from_dict(payload)
+        assert config.backend == "thread"
+        assert (config.rank, config.random_state) == (4, 3)
+        assert payload["backend"] == "process"  # the caller's dict is untouched
 
     def test_non_string_backend_rejected(self):
         with pytest.raises(TypeError, match="backend"):
@@ -107,14 +120,6 @@ class TestComputeBackendValidation:
         with pytest.raises(TypeError, match="compute_backend"):
             DecompositionConfig(compute_backend=3)
 
-    def test_process_backend_with_device_compute_rejected(self):
-        with pytest.raises(ValueError, match="process"):
-            DecompositionConfig(backend="process", compute_backend="torch")
-
-    def test_process_backend_with_numpy_compute_allowed(self):
-        config = DecompositionConfig(backend="process", compute_backend="numpy")
-        assert config.backend == "process"
-
     def test_serial_and_thread_allowed_with_device_compute(self):
         for backend in ("serial", "thread"):
             config = DecompositionConfig(
@@ -123,8 +128,8 @@ class TestComputeBackendValidation:
             assert config.compute_backend == "torch-cuda"
 
     def test_with_validates_combination(self):
-        config = DecompositionConfig(backend="process")
-        with pytest.raises(ValueError, match="process"):
+        config = DecompositionConfig(shards=2)
+        with pytest.raises(ValueError, match="sharded"):
             config.with_(compute_backend="torch")
 
     def test_array_module_resolves_numpy(self):
