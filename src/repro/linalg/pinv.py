@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.obs.metrics import get_registry
 from repro.util.validation import check_matrix
 
 
@@ -30,7 +31,9 @@ def solve_gram(gram, rhs_t) -> np.ndarray:
     positive semi-definite); ``rhs_t`` is the MTTKRP result ``G``. A Cholesky
     solve is used when ``gram`` is safely positive definite, falling back to
     the pseudoinverse when it is rank deficient (which happens legitimately
-    when the data rank is below the target rank).
+    when the data rank is below the target rank).  Each fallback counts in
+    ``repro_decompose_pinv_fallbacks_total``; the Cholesky path touches no
+    metric.
     """
     G = check_matrix(gram, "gram")
     B = check_matrix(rhs_t, "rhs_t")
@@ -47,4 +50,8 @@ def solve_gram(gram, rhs_t) -> np.ndarray:
         x = np.linalg.solve(chol.T, y)
         return x.T
     except np.linalg.LinAlgError:
+        get_registry().counter(
+            "repro_decompose_pinv_fallbacks_total",
+            "Gram solves that fell back from Cholesky to the pseudoinverse.",
+        ).inc()
         return B @ pseudoinverse(G)

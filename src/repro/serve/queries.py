@@ -26,15 +26,24 @@ how many queries share the call) and the fold-in sketch goes through
 identical to per-slice execution.  The service layer's micro-batching
 therefore returns bit-for-bit the same answers as single-request execution.
 
+Ranking is one host routine, :meth:`QueryEngine._top_k`, behind
+``similar``, ``similar_to`` and the fold-in neighbours.  Its answer is
+exactly the first ``k`` columns of a stable argsort of the negated scores:
+descending score, exact ties to the lower index, NaN last.  Rows of up to
+``_FULL_SORT_MAX_N`` entities are sorted whole; longer rows are partitioned
+at their ``k``-th best score, and only the entities scoring at least that
+are stable-sorted (see :func:`_select_smallest`).  Each row's answer
+depends on that row alone, so ranking keeps the batch-invariance contract.
+
 Device backends (``compute_backend="torch"|"torch-cuda"|"cupy"``) keep the
 same shape of guarantee *per backend*: the factors upload once at engine
 construction, each query's scores come off one device contraction whose
-per-row reduction doesn't depend on batch size, and ranking (stable
-argsort, lower-index tiebreak) always runs on the host over the downloaded
-scores — so a backend answers itself identically however requests are
-batched, while numpy remains the bitwise reference.  Host↔device traffic is
-counted (:meth:`QueryEngine.transfer_stats`) and surfaced by the service's
-``/healthz``.
+per-row reduction doesn't depend on batch size, and ranking (the same
+``_top_k``, lower-index tiebreak) always runs on the host over the
+downloaded scores — so a backend answers itself identically however
+requests are batched, while numpy remains the bitwise reference.
+Host↔device traffic is counted (:meth:`QueryEngine.transfer_stats`) and
+surfaced by the service's ``/healthz``.
 """
 
 from __future__ import annotations
@@ -54,6 +63,19 @@ from repro.util.validation import check_matrix
 
 #: Factor-row spaces a similarity query can rank over.
 SIMILARITY_MODES = ("slice", "feature")
+
+#: Longest score row :meth:`QueryEngine._top_k` sorts whole; longer rows
+#: take the partial selection of :func:`_select_smallest`.  Timed at k = 10
+#: on a 2-vCPU VM (numpy 2.4, BLAS pinned to one thread), each call on
+#: fresh score rows (re-sorting one row trains the branch predictor and
+#: flatters the sort).  A 16-row batch selects faster from n ~ 96: 74 us
+#: against 208 us to sort at n = 256, 139 us against 1074 us at n = 1000.
+#: A single row sorts faster up to n ~ 400: 16 us against 23 us at
+#: n = 256, but 56 us against 20 us at n = 1000.  Weighted like the
+#: serving mix (80% single rows, 10% 16-row batches) the two crossed
+#: between n = 192 and n = 256 in two runs.  So the table2 models
+#: (n = 40-90) keep the sort and the 1000-slice models select.
+_FULL_SORT_MAX_N = 256
 
 
 def _as_float64(matrix) -> np.ndarray:
@@ -82,6 +104,28 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     """Unit-normalize rows; zero rows stay zero (they match nothing)."""
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     return matrix / np.where(norms > 0.0, norms, 1.0)
+
+
+def _select_smallest(values: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(values, axis=1, kind="stable")[:, :k]`` without the full sort.
+
+    Each row is partitioned at its ``k``-th smallest value.  Every column at
+    or below that threshold stays a candidate, ties across the ``k``-th
+    position included, in ascending column order; one ``lexsort`` keyed on
+    (row, value) then stable-sorts only the candidates, so the cut and the
+    lower-index tiebreak fall exactly where the full sort puts them.  A NaN
+    threshold (fewer than ``k`` non-NaN values in a row) matches no column;
+    the batch then takes the full sort, which orders NaN last.  ``k`` must
+    be in ``[1, n]``.
+    """
+    threshold = np.partition(values, k - 1, axis=1)[:, k - 1 : k]
+    rows, cols = np.nonzero(values <= threshold)
+    counts = np.bincount(rows, minlength=values.shape[0])
+    if counts.min(initial=k) < k:
+        return np.argsort(values, axis=1, kind="stable")[:, :k]
+    order = np.lexsort((values[rows, cols], rows))
+    first = np.cumsum(counts) - counts
+    return cols[order[first[:, None] + np.arange(k)]]
 
 
 @dataclass(frozen=True)
@@ -350,6 +394,8 @@ class QueryEngine:
         ``vectors`` is ``(B, R)`` (or a single length-``R`` vector) in the
         model's latent row space — e.g. :class:`FoldInResult.weights` for
         ``mode="slice"``.  No self-exclusion (the query is not an entity).
+        Non-finite vectors are rejected, as :meth:`fold_in` rejects
+        non-finite slices.
         """
         unit = self._unit_rows(mode)
         q = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
@@ -357,6 +403,8 @@ class QueryEngine:
             raise ValueError(
                 f"vectors must be (B, {self.rank}), got {np.shape(vectors)}"
             )
+        if not np.all(np.isfinite(q)):
+            raise ValueError("vectors contains NaN or Inf entries")
         if self._xp.is_numpy:
             scores = np.einsum("nr,br->bn", unit, _normalize_rows(q))
         else:
@@ -367,11 +415,20 @@ class QueryEngine:
     def _top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Deterministic per-row top-``k``: descending score, index tiebreak.
 
-        A stable sort on the negated scores already breaks ties toward the
-        lower index, so one vectorized argsort covers the whole batch.
+        Bit for bit ``np.argsort(-scores, axis=1, kind="stable")[:, :k]``
+        and the scores it picks: descending score, exact ties to the lower
+        index, NaN last.  Rows of up to ``_FULL_SORT_MAX_N`` scores are
+        sorted whole, which is cheaper there; longer rows keep only the
+        entities scoring at least their ``k``-th best score and sort those
+        (:func:`_select_smallest`).
         """
-        k = max(min(k, scores.shape[1]), 0)
-        order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+        n = scores.shape[1]
+        k = max(min(k, n), 0)
+        negated = -scores
+        if n <= _FULL_SORT_MAX_N or k == 0:
+            order = np.argsort(negated, axis=1, kind="stable")[:, :k]
+        else:
+            order = _select_smallest(negated, k)
         return order.astype(np.int64), np.take_along_axis(scores, order, axis=1)
 
     # ------------------------------------------------------------------ #

@@ -27,7 +27,7 @@ from repro.data.synthetic import sparse_irregular_tensor
 from repro.decomposition.dpar2 import compress_tensor, dpar2
 from repro.decomposition.result import Parafac2Result
 from repro.linalg.randomized_svd import randomized_svd
-from repro.serve.queries import QueryEngine
+from repro.serve.queries import _FULL_SORT_MAX_N, QueryEngine
 from repro.serve.service import ModelHost, start_server_in_thread
 from repro.serve.store import FactorStore
 from repro.tensor.random import low_rank_irregular_tensor
@@ -187,18 +187,55 @@ def _tied_result() -> Parafac2Result:
     return Parafac2Result(Q=Q, H=np.eye(R), S=S, V=V, method="crafted")
 
 
+#: Entities in :func:`_large_tied_result`: above the sort/select crossover.
+LARGE_N = _FULL_SORT_MAX_N + 44
+
+#: The block of duplicate rows whose ties straddle the k-th position.
+LARGE_TIED_BLOCK = [7, 100, 250, LARGE_N - 1]
+
+
+def _large_tied_result() -> Parafac2Result:
+    """A model whose rankings take the partial selection, with exact ties.
+
+    Against query 2 the ranking opens with 4 (a duplicate of 2), then the
+    mutual duplicates 1 and 5, then :data:`LARGE_TIED_BLOCK`, four
+    duplicate rows.  For k = 4 or 5 the cut falls inside that block, so
+    exact ties straddle the k-th position and only the lower indices are
+    kept.  The rows near the query are sparse, so their cosines are exact
+    whatever the reduction order; the background rows score at most
+    0.45 against query 2.
+    """
+    rng = np.random.default_rng(1)
+    R, J, n = 4, 6, LARGE_N
+    e = np.eye(R)
+    S = rng.standard_normal((n, R))
+    S[:, 1:] /= np.linalg.norm(S[:, 1:], axis=1, keepdims=True)
+    S[:, 0] = rng.uniform(-1.0, 0.5, n)
+    S[2] = S[4] = e[0]
+    S[1] = S[5] = e[0] + 0.1 * e[1]
+    S[LARGE_TIED_BLOCK] = e[0] + 0.3 * e[2]
+    Q = [np.linalg.qr(rng.standard_normal((5, R)))[0] for _ in range(n)]
+    V = np.linalg.qr(rng.standard_normal((J, R)))[0]
+    return Parafac2Result(Q=Q, H=np.eye(R), S=S, V=V, method="crafted")
+
+
 @pytest.mark.parametrize(
-    "backend_factory",
-    [lambda: "numpy", _LoopbackModule],
-    ids=["numpy", "loopback"],
+    "backend_factory, model",
+    [
+        pytest.param(lambda: "numpy", _tied_result, id="numpy"),
+        pytest.param(_LoopbackModule, _tied_result, id="loopback"),
+        pytest.param(lambda: "numpy", _large_tied_result, id="numpy-large"),
+        pytest.param(_LoopbackModule, _large_tied_result, id="loopback-large"),
+    ],
 )
-def test_deterministic_tiebreak(backend_factory):
+def test_deterministic_tiebreak(backend_factory, model):
     """Exactly tied scores rank lower-index-first on every backend.
 
     Duplicate factor rows produce bit-identical cosine scores whatever the
-    reduction order, so this is checkable machine-independently.
+    reduction order, so this is checkable machine-independently.  The
+    ``-large`` cases rank above the sort/select crossover.
     """
-    engine = QueryEngine(_tied_result(), compute_backend=backend_factory())
+    engine = QueryEngine(model(), compute_backend=backend_factory())
     neighbors, scores = engine.similar([2], k=5)
     order = list(neighbors[0])
     # 4 duplicates the query row: maximal score, first.
@@ -208,6 +245,27 @@ def test_deterministic_tiebreak(backend_factory):
     assert order.index(1) < order.index(5)
     tied = scores[0][order.index(1)], scores[0][order.index(5)]
     assert tied[0] == tied[1]
+
+
+@pytest.mark.parametrize(
+    "backend_factory", [lambda: "numpy", _LoopbackModule], ids=["numpy", "loopback"]
+)
+def test_ties_straddling_the_cut(backend_factory):
+    """Above the crossover, a tied block split by the k-th position keeps
+    its lower indices on every backend."""
+    engine = QueryEngine(_large_tied_result(), compute_backend=backend_factory())
+    assert engine.n_slices > _FULL_SORT_MAX_N
+    neighbors, scores = engine.similar([2], k=5)
+    assert neighbors[0].tolist() == [4, 1, 5] + LARGE_TIED_BLOCK[:2]
+    assert scores[0, 3] == scores[0, 4]
+    # The tie runs on past the cut: the next two are the rest of the block.
+    neighbors, scores = engine.similar([2], k=7)
+    assert neighbors[0, 5:].tolist() == LARGE_TIED_BLOCK[2:]
+    assert len(set(scores[0, 3:].tolist())) == 1
+    neighbors, _ = engine.similar([1], k=4)
+    assert neighbors[0].tolist() == [5, 2, 4, LARGE_TIED_BLOCK[0]]
+    neighbors, _ = engine.similar([LARGE_TIED_BLOCK[0]], k=4)
+    assert neighbors[0].tolist() == LARGE_TIED_BLOCK[1:] + [2]
 
 
 class TestLoopbackSparseStage1:

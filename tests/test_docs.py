@@ -1,10 +1,12 @@
-"""Documentation gates: intra-repo links and serve-API docstrings.
+"""Documentation gates: intra-repo links, the metric inventory, and
+serve-API docstrings.
 
-CI runs ``tools/check_docs_links.py`` directly (docs job) and ruff's
-pydocstyle ``D1`` codes over ``src/repro/serve/`` (lint job).  These
-tests keep both gates enforceable from the tier-1 suite alone, so a
-container without ruff still catches a missing docstring or a broken
-link before it reaches CI.
+CI runs ``tools/check_docs_links.py`` and ``tools/check_metric_inventory.py``
+directly (docs job) and ruff's pydocstyle ``D1`` codes over
+``src/repro/serve/`` (lint job).  These tests keep all three gates
+enforceable from the tier-1 suite alone, so a container without ruff
+still catches a missing docstring, a broken link or a stale inventory row
+before it reaches CI.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 import check_docs_links  # noqa: E402
+import check_metric_inventory  # noqa: E402
 
 DOCS = ["docs/architecture.md", "docs/serving.md", "docs/benchmarks.md"]
 
@@ -50,6 +53,47 @@ class TestDocsTree:
         finally:
             doc.unlink()
         assert len(problems) == 1 and "no/such/file.md" in problems[0]
+
+
+class TestMetricInventory:
+    def test_inventory_matches_code(self):
+        problems = check_metric_inventory.check(
+            REPO_ROOT / "src", REPO_ROOT / "docs" / "observability.md"
+        )
+        assert not problems, "\n".join(problems)
+
+    def test_checker_flags_drift(self, tmp_path):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "m.py").write_text(
+            "def f(registry, other):\n"
+            "    registry.counter('repro_ok_total', 'documented')\n"
+            "    registry.gauge('repro_kind', 'documented as a histogram')\n"
+            "    registry.histogram(name='repro_undocumented_seconds')\n"
+            "    registry.counter('repro_twice', 'a counter here')\n"
+            "    registry.gauge('repro_twice', 'and a gauge here')\n"
+            "    other.counter('not_a_repro_metric')\n",
+            encoding="utf-8",
+        )
+        doc = tmp_path / "observability.md"
+        doc.write_text(
+            "| Metric | Kind | Tier | Meaning |\n|---|---|---|---|\n"
+            "| `repro_ok_total` | counter | t | fine |\n"
+            "| `repro_kind` | histogram | t | wrong kind |\n"
+            "| `repro_twice` | counter | t | two kinds in code |\n"
+            "| `repro_gone_total` | counter | t | not in code |\n"
+            "| `repro_gone_total` | counter | t | and listed twice |\n",
+            encoding="utf-8",
+        )
+        problems = check_metric_inventory.check(src, doc)
+        assert len(problems) == 5, problems
+        text = "\n".join(problems)
+        assert "repro_gone_total is listed twice" in text
+        assert "repro_gone_total (counter) is registered nowhere" in text
+        assert "repro_kind is a histogram in observability.md but a gauge at src/m.py:3" in text
+        assert "repro_twice is registered as more than one kind: counter at" in text
+        assert "repro_undocumented_seconds (histogram at src/m.py:4) is missing" in text
+        assert "repro_ok_total" not in text and "not_a_repro_metric" not in text
 
 
 def _defined_in_source(func) -> bool:

@@ -7,6 +7,7 @@ from repro.linalg.gram import gram_svd
 from repro.linalg.pinv import pseudoinverse, solve_gram
 from repro.linalg.qr import orthonormal_columns, random_orthonormal
 from repro.linalg.truncated_svd import svd_polar_factor, truncated_svd
+from repro.obs.metrics import MetricsRegistry, use_registry
 from tests.conftest import assert_orthonormal_columns
 
 
@@ -129,6 +130,21 @@ class TestSolveGram:
         rhs = rng.standard_normal((4, 3))
         out = solve_gram(gram, rhs)
         np.testing.assert_allclose(out, rhs @ np.linalg.pinv(gram), atol=1e-9)
+
+    def test_fallback_is_counted(self, rng):
+        """Each pseudoinverse fallback bumps one counter; Cholesky solves
+        never touch the registry."""
+        rhs = rng.standard_normal((4, 3))
+        G = rng.standard_normal((3, 2))
+        rank_deficient = G @ G.T  # rank 2 of 3
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            solve_gram(np.eye(3) + rank_deficient, rhs)
+            assert registry.snapshot() == {}
+            out = solve_gram(rank_deficient, rhs)
+            solve_gram(rank_deficient, rhs)
+        np.testing.assert_allclose(out, rhs @ np.linalg.pinv(rank_deficient), atol=1e-9)
+        assert registry.counter("repro_decompose_pinv_fallbacks_total").value == 2
 
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(ValueError, match="columns"):

@@ -7,13 +7,19 @@ to 1e-8 in float64, and every batched path is checked bitwise against its
 single-request execution.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_device_queries import LARGE_N, LARGE_TIED_BLOCK, _large_tied_result
 
 from repro.analysis.anomaly import slice_anomaly_scores
 from repro.decomposition.dpar2 import dpar2
 from repro.linalg.randomized_svd import randomized_svd
-from repro.serve.queries import QueryEngine
+from repro.serve import queries
+from repro.serve.queries import _FULL_SORT_MAX_N, QueryEngine
 from repro.tensor.random import low_rank_irregular_tensor
 from repro.util.config import DecompositionConfig
 
@@ -39,6 +45,34 @@ def result(tensor, config):
 @pytest.fixture(scope="module")
 def engine(result, config):
     return QueryEngine(result, config=config, version=1)
+
+
+@pytest.fixture(scope="module")
+def large_engine():
+    """Ranks above the sort/select crossover, with ties across the cut."""
+    engine = QueryEngine(_large_tied_result(), version=1)
+    assert engine.n_slices > _FULL_SORT_MAX_N
+    return engine
+
+
+#: A 16-query batch over ``large_engine``: the tied rows, a repeat, and
+#: background rows.
+LARGE_BATCH = [2, 4, 1, 5, *LARGE_TIED_BLOCK, 0, 3, 2, 42, 150, 201, 256, LARGE_N - 2]
+
+
+def _stable_sort_top_k(scores, k):
+    """The reference ranking: a stable full sort of the negated scores."""
+    k = max(min(k, scores.shape[1]), 0)
+    order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    return order.astype(np.int64), np.take_along_axis(scores, order, axis=1)
+
+
+def _assert_same_ranking(got, want):
+    """Indices equal, scores equal bit for bit (NaN and signed zeros too)."""
+    assert got[0].dtype == want[0].dtype == np.int64
+    assert np.array_equal(got[0], want[0])
+    assert got[1].shape == want[1].shape
+    assert np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
 
 
 class TestSimilar:
@@ -70,14 +104,36 @@ class TestSimilar:
         assert np.array_equal(neighbors[0], order)
         np.testing.assert_allclose(scores[0], ref[order], atol=1e-8)
 
-    def test_batch_is_bitwise_identical_to_single(self, engine):
-        """The batch-invariance contract the micro-batcher relies on."""
-        indices = [0, 3, 1, 5, 2]
-        neighbors, scores = engine.similar(indices, k=4)
-        for row, idx in enumerate(indices):
-            n1, s1 = engine.similar([idx], k=4)
-            assert np.array_equal(neighbors[row], n1[0])
-            assert np.array_equal(scores[row], s1[0])  # bitwise
+    def test_batch_is_bitwise_identical_to_single(self, engine, large_engine):
+        """The batch-invariance contract the micro-batcher relies on.
+
+        ``large_engine`` ranks through the partial selection, with exact
+        ties across the k-th position.
+        """
+        for eng, indices in ((engine, [0, 3, 1, 5, 2]), (large_engine, LARGE_BATCH)):
+            neighbors, scores = eng.similar(indices, k=4)
+            for row, idx in enumerate(indices):
+                n1, s1 = eng.similar([idx], k=4)
+                assert np.array_equal(neighbors[row], n1[0])
+                assert np.array_equal(scores[row], s1[0])  # bitwise
+
+    @pytest.mark.parametrize("k", [1, 4, 10, LARGE_N - 1, LARGE_N + 3])
+    def test_large_model_matches_full_sort(self, large_engine, k):
+        """Above the crossover, ``similar`` and ``similar_to`` rank exactly
+        as a stable full sort of the same scores."""
+        unit = large_engine._unit["slice"]
+        n = unit.shape[0]
+        every = np.arange(n)
+        scores = np.einsum("nr,br->bn", unit, unit[every])
+        scores[every, every] = -np.inf
+        _assert_same_ranking(
+            large_engine.similar(every, k=k), _stable_sort_top_k(scores, min(k, n - 1))
+        )
+        S = np.asarray(large_engine.result.S)
+        _assert_same_ranking(
+            large_engine.similar_to(S, k=k),
+            _stable_sort_top_k(np.einsum("nr,br->bn", unit, unit), min(k, n)),
+        )
 
     def test_self_excluded_and_k_capped(self, engine, result):
         neighbors, scores = engine.similar([2], k=100)
@@ -100,6 +156,102 @@ class TestSimilar:
             engine.similar([0], k=0)
         with pytest.raises(ValueError, match=r"vectors must be"):
             engine.similar_to(np.ones((2, 3, 4)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_similar_to_rejects_non_finite_vectors(self, engine, bad):
+        """Like ``fold_in`` with a non-finite slice: a ValueError, and no
+        NaN neighbours or overflow warning on the way."""
+        vectors = np.ones((2, engine.rank))
+        vectors[1, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                engine.similar_to(vectors, k=3)
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                engine.similar_to(vectors[1], k=3)
+
+
+@st.composite
+def score_batches(draw):
+    """``(scores, k)`` for ``_top_k``, shaped like the serving batches.
+
+    B is 0, 1 or 16; n falls on both sides of ``_FULL_SORT_MAX_N``; k runs
+    from 0 to n + 3.  Palette rows draw every score from a few values, so
+    exact ties are common and often straddle the k-th position.  ``-inf``
+    (self-exclusion), NaN, signed zeros and all-zero rows are mixed in.
+    """
+    batch = draw(st.sampled_from([0, 1, 16]))
+    n = draw(
+        st.one_of(
+            st.integers(1, 24),
+            st.integers(_FULL_SORT_MAX_N - 4, _FULL_SORT_MAX_N + 100),
+        )
+    )
+    k = draw(st.integers(0, n + 3))
+    specials = st.sampled_from([0.0, -0.0, 1.0, -np.inf, np.nan])
+    palette = draw(
+        st.lists(st.one_of(st.floats(-1.0, 1.0), specials), min_size=1, max_size=5)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        scores = np.asarray(palette)[rng.integers(len(palette), size=(batch, n))]
+    else:
+        scores = rng.uniform(-1.0, 1.0, (batch, n))
+        sprinkle = rng.random((batch, n)) < draw(st.sampled_from([0.0, 0.02, 0.5, 0.98]))
+        scores[sprinkle] = rng.choice(palette, size=int(sprinkle.sum()))
+    if batch and draw(st.booleans()):
+        scores[rng.random(batch) < 0.5] = 0.0
+    if batch and draw(st.booleans()):
+        scores[np.arange(batch), rng.integers(n, size=batch)] = -np.inf
+    return scores, k
+
+
+class TestTopK:
+    """``_top_k`` against the stable full sort it replaces, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(score_batches())
+    def test_matches_stable_full_sort(self, case):
+        scores, k = case
+        _assert_same_ranking(QueryEngine._top_k(scores, k), _stable_sort_top_k(scores, k))
+
+    N = _FULL_SORT_MAX_N + 1
+
+    @pytest.mark.parametrize(
+        "row, k, expected",
+        [
+            # A tied block of 0.5s split by the cut: lowest indices first.
+            ([0.5] * (N - 3) + [0.9, 0.9, 0.9], 5, [N - 3, N - 2, N - 1, 0, 1]),
+            # Self-exclusion at the top; the -inf only returns once k > n - 1.
+            ([-np.inf] + [0.25] * (N - 1), N, [*range(1, N), 0]),
+            # An all-zero row: index order.
+            ([0.0] * N, 4, [0, 1, 2, 3]),
+            # Fewer finite scores than k: the NaN threshold falls back to
+            # the full sort, which keeps NaNs last in index order.
+            ([np.nan] * (N - 2) + [0.1, 0.3], 4, [N - 1, N - 2, 0, 1]),
+            # Signed zeros tie with each other.
+            ([-0.0, 0.0] * (N // 2) + [-1.0] * (N % 2), 3, [0, 1, 2]),
+        ],
+        ids=["tie-across-cut", "self-excluded", "zero-row", "nan-threshold", "signed-zero"],
+    )
+    def test_hand_built_rows(self, row, k, expected):
+        scores = np.array([row, row[::-1]])
+        got = QueryEngine._top_k(scores, k)
+        assert got[0][0].tolist() == expected
+        _assert_same_ranking(got, _stable_sort_top_k(scores, k))
+
+    def test_path_follows_row_length(self, monkeypatch):
+        """Rows longer than ``_FULL_SORT_MAX_N`` select; shorter ones sort."""
+        calls = []
+        select = queries._select_smallest
+        monkeypatch.setattr(
+            queries, "_select_smallest", lambda values, k: calls.append(k) or select(values, k)
+        )
+        rng = np.random.default_rng(0)
+        QueryEngine._top_k(rng.random((16, _FULL_SORT_MAX_N)), 10)
+        assert calls == []
+        QueryEngine._top_k(rng.random((16, _FULL_SORT_MAX_N + 1)), 10)
+        assert calls == [10]
 
 
 class TestReconstruct:
