@@ -9,10 +9,11 @@ skewed-row-count synthetic tensor and writes ``BENCH_shard.json``:
   sharded path's correctness contract, machine-independent, and gated in
   CI (``--check``).
 * **Overhead** — ``shards=1`` on the in-process ``serial`` shard backend
-  against the classic unsharded solver, best-of-N total seconds.  The
-  coordinator restructures the sweeps into per-cell kernels, so this ratio
-  is its pure bookkeeping cost; gated at ``--max-overhead`` (default
-  1.10x).
+  against the unsharded run, best-of-N total seconds.  Both run the same
+  sweep loop — the unsharded run on one cell after an in-process
+  compression, ``shards=1`` on ``shard_cells`` cells after a shard-local
+  stage 1 — so this ratio is the cost of the cell split and the shard
+  stage 1; gated at ``--max-overhead`` (default 1.10x).
 * **Allreduce payload** — bytes crossing shard boundaries per sweep,
   measured by the shard runner.  Gated against an explicit O(R·Rc) bound
   that does not contain K or the row counts: the whole point of the
@@ -156,7 +157,7 @@ def run_shard_bench(
             ]
             record["combos"][f"{data_name}_{dtype}"] = combo
 
-    # --- overhead: shards=1 serial vs the classic unsharded solver ------ #
+    # --- overhead: shards=1 serial vs the unsharded one-cell run -------- #
     # Interleaved A/B pairs so slow machine drift (thermal, noisy
     # neighbours) hits both sides equally instead of biasing the ratio.
     unsharded_total = unsharded_iterate = float("inf")

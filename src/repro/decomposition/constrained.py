@@ -12,35 +12,22 @@ compressed iteration, preserving its O(JR² + KR³) sweep cost:
 * ``smooth_v`` — ridge-style smoothing of ``V`` updates toward the previous
   iterate (proximal term), damping oscillation on noisy features.
 
-Both default to off, in which case the solver matches :func:`dpar2` exactly.
+Both are hooks of the one DPar2 sweep loop
+(:func:`~repro.decomposition.sharded.sharded_dpar2`), so the solver honours
+every :class:`~repro.util.config.DecompositionConfig` knob ``dpar2`` does —
+``dtype``, ``compute_backend``, ``shards`` — and with both constraints off
+it returns exactly what :func:`~repro.decomposition.dpar2.dpar2` returns.
 """
 
 from __future__ import annotations
 
-import time
-
-import numpy as np
-
-from repro.decomposition.convergence import ConvergenceMonitor
-from repro.decomposition.cp_als import normalize_columns
-from repro.decomposition.dpar2 import (
-    CompressedTensor,
-    _batched_polar,
-    _compressed_error,
-    compress_tensor,
-)
-from repro.decomposition.initialization import initialize_factors
-from repro.decomposition.result import IterationRecord, Parafac2Result
-from repro.linalg.pinv import solve_gram
-from repro.parallel.backends import get_backend
+from repro.decomposition.dpar2 import CompressedTensor
+from repro.decomposition.result import Parafac2Result
+from repro.decomposition.sharded import project_nonnegative, sharded_dpar2
 from repro.tensor.irregular import IrregularTensor
-from repro.tensor.products import hadamard
 from repro.util.config import DecompositionConfig
 
-
-def project_nonnegative(matrix: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the non-negative orthant."""
-    return np.clip(matrix, 0.0, None)
+__all__ = ["constrained_dpar2", "project_nonnegative"]
 
 
 def constrained_dpar2(
@@ -78,91 +65,11 @@ def constrained_dpar2(
     config = (config or DecompositionConfig()).with_(**overrides)
     if smooth_v < 0:
         raise ValueError(f"smooth_v must be >= 0, got {smooth_v}")
-    if not isinstance(tensor, IrregularTensor):
-        tensor = IrregularTensor(tensor)
-    R = min(config.rank, tensor.n_columns, min(tensor.row_counts))
-
-    engine = get_backend(config.backend, config.n_threads)
-    if compressed is None:
-        compressed = compress_tensor(
-            tensor,
-            R,
-            oversampling=config.oversampling,
-            power_iterations=config.power_iterations,
-            random_state=config.random_state,
-            backend=engine,
-        )
-    elif compressed.rank < R:
-        raise ValueError(
-            f"precomputed compression has rank {compressed.rank} < target {R}"
-        )
-
-    D, E, F = compressed.D, compressed.E, compressed.F_blocks
-    K = compressed.n_slices
-    init = initialize_factors(tensor.n_columns, K, R, config.random_state)
-    H, V, W = init.H, init.V, init.W
-
-    FE = F * E
-    data_term = float(np.sum(FE * FE))
-    monitor = ConvergenceMonitor(config.tolerance)
-    history: list[IterationRecord] = []
-    converged = False
-    iteration = 0
-    polar = None
-
-    start = time.perf_counter()
-    for iteration in range(1, config.max_iterations + 1):
-        sweep_start = time.perf_counter()
-        EDtV = (D.T @ V) * E[:, None]
-        small = np.einsum("kij,jr,kr,sr->kis", F, EDtV, W, H, optimize=True)
-        polar = _batched_polar(small, config.n_threads, backend=engine)
-        T = np.einsum("kji,kjs->kis", polar, F, optimize=True)
-
-        G1 = np.einsum("kr,kij,jr->ir", W, T, EDtV, optimize=True)
-        H = solve_gram(hadamard(W.T @ W, V.T @ V), G1)
-        H, _ = normalize_columns(H)
-
-        inner = np.einsum("kr,kji,jr->ir", W, T, H, optimize=True)
-        G2 = (D * E) @ inner
-        gram_v = hadamard(W.T @ W, H.T @ H)
-        if smooth_v > 0:
-            # Proximal/ridge update toward the previous V.
-            gram_v = gram_v + smooth_v * np.eye(R)
-            G2 = G2 + smooth_v * V
-        V = solve_gram(gram_v, G2)
-        V, _ = normalize_columns(V)
-
-        EDtV = (D.T @ V) * E[:, None]
-        G3 = np.einsum("ir,kij,jr->kr", H, T, EDtV, optimize=True)
-        W = solve_gram(hadamard(V.T @ V, H.T @ H), G3)
-        if nonnegative_weights:
-            W = project_nonnegative(W)
-
-        error_sq = _compressed_error(T, E, data_term, D, H, V, W)
-        history.append(
-            IterationRecord(iteration, error_sq, time.perf_counter() - sweep_start)
-        )
-        if monitor.update(error_sq):
-            converged = True
-            break
-    iterate_seconds = time.perf_counter() - start
-
-    Z_Pt = (
-        polar
-        if polar is not None
-        else np.tile(np.eye(compressed.rank, R), (K, 1, 1))
-    )
-    Q = [compressed.A[k] @ Z_Pt[k] for k in range(K)]
-    return Parafac2Result(
-        Q=Q,
-        H=H,
-        S=W,
-        V=V,
+    return sharded_dpar2(
+        tensor,
+        config,
+        compressed=compressed,
+        nonnegative_weights=nonnegative_weights,
+        smooth_v=smooth_v,
         method="constrained_dpar2",
-        n_iterations=iteration,
-        converged=converged,
-        preprocess_seconds=compressed.seconds,
-        iterate_seconds=iterate_seconds,
-        preprocessed_bytes=compressed.nbytes,
-        history=history,
     )

@@ -17,6 +17,13 @@ Pipeline:
    ``Σk ‖Tk E Dᵀ − H Sk Vᵀ‖²``, evaluated by the Gram trick in
    ``O(J R² + K R³)`` — this equals ``Σk ‖Ak F(k) E Dᵀ − X̂k‖²`` exactly
    because ``D``, ``Zk``, ``Pk`` are orthonormal.
+
+This module owns the input side — the stage-1 router
+(:func:`_stage1_svds`), the stage-2 helper and :func:`compress_tensor` —
+and the public :func:`dpar2` entry point.  Steps 2 and 3 have one
+implementation, the cell coordinator of
+:mod:`repro.decomposition.sharded`, which :func:`dpar2` runs on a one-cell
+plan in process unless ``config.shards`` spreads the cells over workers.
 """
 
 from __future__ import annotations
@@ -26,24 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.decomposition.convergence import ConvergenceMonitor
-from repro.decomposition.cp_als import normalize_columns
-from repro.decomposition.initialization import initialize_factors
-from repro.decomposition.result import IterationRecord, Parafac2Result
+from repro.decomposition.result import Parafac2Result
 from repro.linalg.array_module import ArrayModule, get_xp
-from repro.linalg.kernels import (
-    acquire_sweep_workspace,
-    batched_randomized_svd,
-    batched_stacked_matmul,
-    release_sweep_workspace,
-)
-from repro.linalg.pinv import solve_gram
+from repro.linalg.kernels import batched_randomized_svd
 from repro.linalg.randomized_svd import RandomizedSVDResult, randomized_svd
-from repro.obs import trace
 from repro.obs.metrics import get_registry
 from repro.parallel.backends import ExecutionBackend, get_backend
 from repro.sparse.csr import CsrMatrix
-from repro.sparse.ops import slice_squared_norm
 from repro.tensor.irregular import IrregularTensor
 from repro.util.config import DecompositionConfig
 from repro.util.rng import as_generator, spawn_generators
@@ -51,7 +47,8 @@ from repro.util.rng import as_generator, spawn_generators
 #: Above this slice height the per-slice (thread-parallel) stage-1 path
 #: beats single-stream batching when multiple workers are available: the
 #: LAPACK calls are then large enough that dispatch overhead no longer
-#: dominates, while worker threads still share the slices zero-copy.
+#: dominates, while worker threads still share the slices zero-copy.  The
+#: final ``Qk`` materialization stops stacking at the same height.
 _BATCH_MAX_ROWS = 256
 
 
@@ -298,22 +295,59 @@ def compress_tensor(
         use_greedy_partition=use_greedy_partition,
     )
 
-    # Stage 2: M = ∥k (Ck Bk) ∈ R^{J x KR}, randomized SVD at rank R.  The
-    # K products are written straight into one preallocated array instead
-    # of concatenating K temporaries.
-    M = np.empty((tensor.n_columns, tensor.n_slices * R), dtype=tensor.dtype)
-    for k, svd in enumerate(stage1):
-        np.multiply(svd.V, svd.singular_values, out=M[:, k * R : (k + 1) * R])
+    # Stage 2: M = ∥k (Ck Bk), randomized SVD at rank R.
+    D, E, F_blocks, seconds = _stage2(
+        [(svd.singular_values, svd.V) for svd in stage1],
+        tensor.n_columns,
+        R,
+        dtype=tensor.dtype,
+        oversampling=oversampling,
+        power_iterations=power_iterations,
+        random_state=random_state,
+        xp=xp,
+        start=start,
+    )
+    return CompressedTensor(
+        A=[svd.U for svd in stage1], D=D, E=E, F_blocks=F_blocks, seconds=seconds
+    )
+
+
+def _stage2(
+    right_factors,
+    n_columns: int,
+    rank: int,
+    *,
+    dtype,
+    oversampling: int,
+    power_iterations: int,
+    random_state,
+    xp: ArrayModule,
+    start: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Stage 2 of the compression on the gathered ``(σk, Ck)`` pairs.
+
+    The one stage-2 helper, shared by :func:`compress_tensor` and the
+    sharded coordinator: assembles ``M = ∥k (Ck Bk) ∈ R^{J×KR}`` — the K
+    products written straight into one preallocated array — and runs its
+    rank-``R`` randomized SVD ``M ≈ D E Fᵀ``.  Returns ``D``, ``E``, the
+    ``(K, R, R)`` stack of ``F(k)`` blocks and the seconds since
+    ``start`` (when stage 1 began), and records the compression in the
+    ``repro_decompose_compress*`` metrics.
+    """
+    K = len(right_factors)
+    M = np.empty((n_columns, K * rank), dtype=dtype)
+    for k, (sv, Ck) in enumerate(right_factors):
+        np.multiply(Ck, sv, out=M[:, k * rank : (k + 1) * rank])
     stage2 = randomized_svd(
         M,
-        R,
+        rank,
         oversampling=oversampling,
         power_iterations=power_iterations,
         random_state=as_generator(random_state),
         xp=xp,
     )
     # F is KR x R; its k-th vertical block (R x R) satisfies Bk Ckᵀ ≈ F(k) E Dᵀ.
-    F_blocks = stage2.V.reshape(tensor.n_slices, R, stage2.V.shape[1])
+    F_blocks = stage2.V.reshape(K, rank, stage2.V.shape[1])
 
     seconds = time.perf_counter() - start
     registry = get_registry()
@@ -325,53 +359,7 @@ def compress_tensor(
         "repro_decompose_compress_seconds",
         "Wall-clock seconds per two-stage compression.",
     ).observe(seconds)
-    return CompressedTensor(
-        A=[svd.U for svd in stage1],
-        D=stage2.U,
-        E=stage2.singular_values,
-        F_blocks=F_blocks,
-        seconds=seconds,
-    )
-
-
-def _polar_stack_task(stack: np.ndarray) -> np.ndarray:
-    """Polar factors ``Zk Pkᵀ`` for one chunk of stacked small matrices.
-
-    The thin SVD keeps this correct when the stack is rectangular
-    ``(m, Rc, R)`` with ``Rc > R`` — a precomputed compression of higher
-    rank than the target (its extra directions are simply truncated).
-    """
-    Z, _, Pt = np.linalg.svd(stack, full_matrices=False)
-    return Z @ Pt
-
-
-def _batched_polar(
-    matrices,
-    n_threads: int,
-    backend: "str | ExecutionBackend" = "thread",
-    xp: "ArrayModule | None" = None,
-) -> np.ndarray:
-    """``Zk Pkᵀ`` and ``Tk``-precursor SVDs for a stack of ``R×R`` matrices.
-
-    Returns the stack ``Zk @ Pkᵀ`` (shape ``(K, R, R)``).  Large stacks are
-    chunked evenly across the backend's workers (the "uniform allocation" of
-    Section III-F: the per-slice work no longer depends on ``Ik``); small
-    stacks go through one LAPACK batched-SVD call, whatever the backend,
-    because dispatch would cost more than the work.
-
-    On a device ``xp`` the input stack is already resident (it comes out of
-    the device sweep workspace) and the whole thing is one batched SVD
-    launch — host worker chunking would only fragment it.
-    """
-    if xp is not None and not xp.is_numpy:
-        Z, _, Pt = xp.svd(matrices, full_matrices=False)
-        return xp.matmul(Z, Pt)
-    K = matrices.shape[0]
-    engine = get_backend(backend, n_threads)
-    if engine.n_workers <= 1 or K < 4 * engine.n_workers:
-        return _polar_stack_task(matrices)
-    chunks = np.array_split(matrices, engine.n_workers)
-    return np.concatenate(engine.map(_polar_stack_task, chunks))
+    return stage2.U, stage2.singular_values, F_blocks, seconds
 
 
 def dpar2(
@@ -400,7 +388,8 @@ def dpar2(
     exact_convergence:
         When True, evaluate the true reconstruction error against the raw
         slices each sweep instead of the compressed criterion — the
-        convergence ablation from DESIGN.md §6.
+        convergence ablation from DESIGN.md §6.  Each cell evaluates its
+        own slices, so it runs sharded too.
 
     Returns
     -------
@@ -411,6 +400,14 @@ def dpar2(
 
     Notes
     -----
+    **One sweep loop.**  Every run goes through the cell coordinator of
+    :mod:`repro.decomposition.sharded`.  Without ``config.shards`` stage 1
+    and stage 2 run here in :func:`compress_tensor`, and the sweeps run on
+    a one-cell plan over the in-process serial runner — no
+    ``stats["sharding"]`` block and no ``repro_shard_*`` metrics.  With
+    ``config.shards`` the cells spread over worker shards (see
+    ``docs/distributed.md``).
+
     **Execution backend.**  ``config.backend`` selects how slice-parallel
     stages run: ``"serial"`` or ``"thread"`` (default); ``config.n_threads``
     sets the worker count.  One backend instance is shared by stage-1
@@ -458,349 +455,19 @@ def dpar2(
     tensors — rejected with an explicit error before any work starts.
     """
     config = (config or DecompositionConfig()).with_(**overrides)
-    xp = config.array_module
-    if not isinstance(tensor, IrregularTensor):
-        tensor = IrregularTensor(tensor, dtype=config.numpy_dtype)
-    elif tensor.dtype != config.numpy_dtype:
-        tensor = tensor.astype(config.numpy_dtype)
-    if not xp.is_numpy and any(
-        isinstance(Xk, np.memmap) for Xk in tensor.slices
-    ):
+    if config.shards is not None and not use_greedy_partition:
         raise ValueError(
-            "out-of-core (memory-mapped) tensors cannot run on compute "
-            f"backend {xp.name!r}: streaming from disk and device residency "
-            "are mutually exclusive; use compute_backend='numpy'"
+            "use_greedy_partition=False is the Algorithm-4 ablation of "
+            "the single-process stage 1; the shard planner always balances "
+            "greedily — unset config.shards to run the ablation"
         )
-    R = min(config.rank, tensor.n_columns, min(tensor.row_counts))
+    # Imported lazily: sharded.py imports this module's stage-1/2 helpers.
+    from repro.decomposition.sharded import sharded_dpar2
 
-    if config.shards is not None:
-        if exact_convergence:
-            raise ValueError(
-                "exact_convergence re-reads the raw slices every sweep and "
-                "is not available on the sharded path; unset config.shards "
-                "for the ablation"
-            )
-        if not use_greedy_partition:
-            raise ValueError(
-                "use_greedy_partition=False is the Algorithm-4 ablation of "
-                "the single-process path; the shard planner always balances "
-                "greedily — unset config.shards to run the ablation"
-            )
-        # Imported lazily: sharded.py imports this module's CompressedTensor.
-        from repro.decomposition.sharded import sharded_dpar2
-
-        return sharded_dpar2(
-            tensor, config, compressed=compressed, target_rank=R
-        )
-
-    engine = get_backend(config.backend, config.n_threads)
-    with trace.span(
-        "dpar2.run", backend=config.backend, compute_backend=xp.name, rank=R
-    ):
-        if compressed is None:
-            with trace.span("dpar2.compress", slices=tensor.n_slices):
-                compressed = compress_tensor(
-                    tensor,
-                    R,
-                    oversampling=config.oversampling,
-                    power_iterations=config.power_iterations,
-                    random_state=config.random_state,
-                    use_greedy_partition=use_greedy_partition,
-                    backend=engine,
-                    compute_backend=xp,
-                )
-        elif compressed.rank < R:
-            raise ValueError(
-                f"precomputed compression has rank {compressed.rank} < target {R}"
-            )
-        return _iterate(
-            tensor, config, compressed, engine, R, exact_convergence, xp
-        )
-
-
-def _iterate(
-    tensor: IrregularTensor,
-    config: DecompositionConfig,
-    compressed: CompressedTensor,
-    engine: ExecutionBackend,
-    R: int,
-    exact_convergence: bool,
-    xp: "ArrayModule | None" = None,
-) -> Parafac2Result:
-    """Compressed ALS sweeps (Alg. 3, lines 7–24) on a live backend.
-
-    All per-sweep temporaries live in a cached
-    :class:`~repro.linalg.kernels.SweepWorkspace`: contraction paths are
-    resolved once per problem shape, every buffer is preallocated, and the
-    Gram matrices ``WᵀW`` / ``VᵀV`` / ``HᵀH`` are each computed once per
-    sweep and shared across the Lemma 1–3 updates and the convergence
-    criterion (``VᵀV`` carries over to the next sweep's Lemma 1, since
-    ``V`` only changes in Lemma 2).
-
-    With a device ``xp`` the workspace is a
-    :class:`~repro.linalg.kernels.DeviceSweepWorkspace`: ``D, E, F`` move
-    to the device once at bind, the ``O(K R² Rc)`` contractions and the
-    polar SVDs stay resident across sweeps, and only the small ``R×R``
-    normal systems cross back for the float64 Lemma solves (``ws.host`` /
-    ``ws.dev`` are identity functions on the numpy workspace, so this is
-    one code path, not two).
-    """
-    xp = get_xp(xp)
-    D = compressed.D  # J x Rc
-    E = compressed.E  # Rc
-    F = compressed.F_blocks  # K x Rc x Rc
-    K = compressed.n_slices
-    dtype = D.dtype
-
-    init = initialize_factors(tensor.n_columns, K, R, config.random_state)
-    H = init.H.astype(dtype, copy=False)
-    V = init.V.astype(dtype, copy=False)
-    W = init.W.astype(dtype, copy=False)
-
-    ws = acquire_sweep_workspace(
-        K, tensor.n_columns, R, compressed.rank, dtype, xp=xp
+    return sharded_dpar2(
+        tensor,
+        config,
+        compressed=compressed,
+        use_greedy_partition=use_greedy_partition,
+        exact_convergence=exact_convergence,
     )
-    ws.bind(D, E, F)
-
-    # Hoisted constants for the exact-error ablation: Akᵀ Xk never changes
-    # across sweeps (Qkᵀ Xk = (Zk Pkᵀ)ᵀ (Akᵀ Xk)), so the raw slices are
-    # read once per call instead of once per sweep.  The hoist is only
-    # valid when the K×Rc×J stack actually fits: memmap-backed tensors are
-    # out of core precisely because the data exceeds RAM, and for short
-    # slices (Ik ≈ Rc) the stack is as large as the data itself — both
-    # keep the per-sweep streaming evaluation instead.
-    slice_norms_sq = None
-    AtX = None
-    if exact_convergence:
-        slice_norms_sq = np.array([slice_squared_norm(Xk) for Xk in tensor])
-        in_ram = not any(
-            isinstance(Xk, np.memmap)
-            or (
-                isinstance(Xk, CsrMatrix)
-                and isinstance(Xk.data, np.memmap)
-            )
-            for Xk in tensor.slices
-        )
-        stack_bytes = K * compressed.rank * tensor.n_columns * dtype.itemsize
-        if in_ram and stack_bytes <= tensor.nbytes:
-            AtX = np.stack(
-                [_slice_AtX(compressed.A[k], Xk) for k, Xk in enumerate(tensor)]
-            )  # K x Rc x J
-
-    monitor = ConvergenceMonitor(config.tolerance)
-    history: list[IterationRecord] = []
-    converged = False
-    iteration = 0
-    # ``polar`` must be bound even when the sweep loop never runs
-    # (``max_iterations=0``): the Qk materialization below reads it.
-    polar = None
-
-    registry = get_registry()
-    m_sweeps = registry.counter(
-        "repro_decompose_sweeps_total", "Compressed ALS sweeps completed."
-    )
-    m_sweep_seconds = registry.histogram(
-        "repro_decompose_sweep_seconds", "Wall-clock seconds per compressed ALS sweep."
-    )
-    m_fitness_delta = registry.gauge(
-        "repro_decompose_fitness_delta",
-        "Sweep-over-sweep decrease in squared reconstruction error.",
-    )
-    prev_error: float | None = None
-
-    try:
-        # VᵀV for the first sweep's Lemma 1 (updated after each Lemma 2).
-        ws.gram_V(V)
-
-        start = time.perf_counter()
-        for iteration in range(1, config.max_iterations + 1):
-            with trace.span("dpar2.sweep", iteration=iteration) as sweep_span:
-                sweep_start = time.perf_counter()
-
-                # --- per-slice R x R SVDs (Alg. 3, lines 8-10) -------------- #
-                ws.update_EDtV(V)  # Rc x R: E Dᵀ V
-                small = ws.compute_small(W, H)  # F(k) E Dᵀ V Sk Hᵀ over k
-                polar = _batched_polar(small, config.n_threads, backend=engine, xp=xp)
-                T = ws.compute_T(polar)  # Tk = Pk Zkᵀ F(k)
-
-                # --- Lemma 1: update H -------------------------------------- #
-                # The three Lemma solves intentionally run in float64 even on
-                # the float32 pipeline (solve_gram promotes its inputs): the
-                # Hadamard-of-Grams normal matrix squares the factor condition
-                # numbers, and a float32 Cholesky there fails noticeably more
-                # often.  The cost is O(J R + R²) casts per solve — noise next
-                # to the O(K R² Rc) contractions that stay in float32.
-                G1 = ws.mttkrp_H(W)
-                ws.gram_W(W)
-                H = solve_gram(ws.host(ws.hadamard_gram(ws.WtW, ws.VtV)), ws.host(G1))
-                H, _ = normalize_columns(H)
-                H = H.astype(dtype, copy=False)
-
-                # --- Lemma 2: update V -------------------------------------- #
-                ws.gram_H(H)
-                G2 = ws.mttkrp_V(W, H)
-                V = solve_gram(ws.host(ws.hadamard_gram(ws.WtW, ws.HtH)), ws.host(G2))
-                V, _ = normalize_columns(V)
-                V = V.astype(dtype, copy=False)
-
-                # --- Lemma 3: update W -------------------------------------- #
-                ws.gram_V(V)  # new V; also serves the criterion + next Lemma 1
-                ws.update_EDtV(V)  # recompute with the new V
-                G3 = ws.mttkrp_W(H)
-                W = solve_gram(ws.host(ws.hadamard_gram(ws.VtV, ws.HtH)), ws.host(G3))
-                W = W.astype(dtype, copy=False)
-
-                # --- convergence criterion ---------------------------------- #
-                if exact_convergence:
-                    polar_host = ws.host(polar)
-                    VtV_host = ws.host(ws.VtV)
-                    if AtX is not None:
-                        error_sq = _exact_error(
-                            slice_norms_sq, AtX, polar_host, VtV_host, H, V, W
-                        )
-                    else:
-                        error_sq = _exact_error_streaming(
-                            tensor, slice_norms_sq, compressed, polar_host,
-                            VtV_host, H, V, W,
-                        )
-                else:
-                    error_sq = ws.compressed_error(H, V, W)
-                sweep_seconds = time.perf_counter() - sweep_start
-                history.append(IterationRecord(iteration, error_sq, sweep_seconds))
-                m_sweeps.inc()
-                m_sweep_seconds.observe(sweep_seconds)
-                if prev_error is not None:
-                    m_fitness_delta.set(float(prev_error) - float(error_sq))
-                prev_error = float(error_sq)
-                sweep_span.annotate(error_sq=prev_error)
-                if monitor.update(error_sq):
-                    converged = True
-                    break
-        iterate_seconds = time.perf_counter() - start
-    finally:
-        release_sweep_workspace(ws)
-
-    # Materialize Qk = Ak Zk Pkᵀ for the returned model (Alg. 3, line 25),
-    # one stacked matmul per row-count bucket.  With zero sweeps there is
-    # no polar factor yet; Qk = Ak, truncated to the target rank when the
-    # compression has more (rectangular eye).
-    Z_Pt = (
-        xp.to_numpy(polar)
-        if polar is not None
-        else np.tile(np.eye(compressed.rank, R, dtype=dtype), (K, 1, 1))
-    )
-    Q = batched_stacked_matmul(
-        compressed.A, Z_Pt, max_stack_rows=_BATCH_MAX_ROWS, xp=xp
-    )
-
-    return Parafac2Result(
-        Q=Q,
-        H=H,
-        S=W,
-        V=V,
-        method="dpar2",
-        n_iterations=iteration,
-        converged=converged,
-        preprocess_seconds=compressed.seconds,
-        iterate_seconds=iterate_seconds,
-        preprocessed_bytes=compressed.nbytes,
-        history=history,
-    )
-
-
-def _slice_AtX(Ak: np.ndarray, Xk) -> np.ndarray:
-    """``Akᵀ Xk`` for a dense or CSR slice (the exact-error hoist kernel)."""
-    if isinstance(Xk, CsrMatrix):
-        return Xk.rmatmul_dense(Ak)
-    return Ak.T @ Xk
-
-
-def _compressed_error(
-    T: np.ndarray,
-    E: np.ndarray,
-    data_term: float,
-    D: np.ndarray,
-    H: np.ndarray,
-    V: np.ndarray,
-    W: np.ndarray,
-) -> float:
-    """``Σk ‖Tk E Dᵀ − H Sk Vᵀ‖²`` via the Gram trick (O(JR² + KR³)).
-
-    Standalone variant used by solvers without a sweep workspace (e.g.
-    :mod:`repro.decomposition.constrained`); the DPar2 loop itself uses
-    :meth:`SweepWorkspace.compressed_error`, which reuses the sweep's Gram
-    matrices and buffers.
-    """
-    VtD = V.T @ D  # R x Rc, O(J R Rc), shared across slices
-    VtV = V.T @ V
-    TE = T * E  # K x R x Rc
-    # cross_k = sum( (Tk E) * ((H * W[k]) @ VtD) )
-    HS = H[None, :, :] * W[:, None, :]  # K x R x R
-    cross = float(np.einsum("kij,kil,lj->", TE, HS, VtD, optimize=True))
-    model = float(
-        np.einsum("kli,klj,ij->", HS, HS, VtV, optimize=True)
-    )
-    return max(data_term - 2.0 * cross + model, 0.0)
-
-
-def _exact_error(
-    slice_norms_sq: np.ndarray,
-    AtX: np.ndarray,
-    polar: np.ndarray,
-    VtV: np.ndarray,
-    H: np.ndarray,
-    V: np.ndarray,
-    W: np.ndarray,
-) -> float:
-    """True ``Σk ‖Xk − Qk H Sk Vᵀ‖²`` (ablation path).
-
-    Uses the hoisted per-slice constants: ``‖Xk‖²`` and ``Akᵀ Xk`` (so
-    ``Qkᵀ Xk = (Zk Pkᵀ)ᵀ (Akᵀ Xk)`` without re-materializing ``Qk`` or
-    re-reading the raw slices), with all K cross terms evaluated as batched
-    matmuls.  Like the compressed criterion, the reductions accumulate in
-    float64: the cross term is ``‖X‖²``-scale, and float32 rounding there
-    would swamp the per-sweep change the stopping rule watches.
-    """
-    proj = np.swapaxes(polar, 1, 2) @ AtX @ V  # K x R x R: Qkᵀ Xk V
-    HS = H[None, :, :] * W[:, None, :]  # K x R x R
-    if proj.dtype != np.float64:
-        proj = proj.astype(np.float64)
-        HS = HS.astype(np.float64)
-        VtV = VtV.astype(np.float64)
-    cross = float(np.einsum("kij,kij->", proj, HS, optimize=True))
-    model = float(np.einsum("kli,klj,ij->", HS, HS, VtV, optimize=True))
-    return max(float(slice_norms_sq.sum()) - 2.0 * cross + model, 0.0)
-
-
-def _exact_error_streaming(
-    tensor: IrregularTensor,
-    slice_norms_sq: np.ndarray,
-    compressed: CompressedTensor,
-    polar: np.ndarray,
-    VtV: np.ndarray,
-    H: np.ndarray,
-    V: np.ndarray,
-    W: np.ndarray,
-) -> float:
-    """:func:`_exact_error` with O(max Ik · J) working memory.
-
-    Used when the hoisted ``Akᵀ Xk`` stack would not fit (memmap-backed
-    slices, or ``Ik ≈ Rc`` where the stack rivals the data): slices are
-    re-read one at a time each sweep, exactly like the pre-hoist code.
-    """
-    VtV64 = VtV.astype(np.float64, copy=False)
-    total = 0.0
-    for k, Xk in enumerate(tensor):
-        if isinstance(Xk, CsrMatrix) and not isinstance(Xk.data, np.memmap):
-            # This evaluator runs every sweep; caching the transpose of an
-            # in-RAM CSR slice pays the counting sort once instead of per
-            # sweep.  Memmap-backed slices stay ephemeral — pinning an
-            # in-RAM copy is exactly what out-of-core must not do.
-            Xk.transpose()
-        AtXk = _slice_AtX(compressed.A[k], Xk)
-        M_left = (H * W[k]).astype(np.float64, copy=False)
-        proj = ((polar[k].T @ AtXk) @ V).astype(np.float64, copy=False)
-        cross = float(np.sum(proj * M_left))
-        model_sq = float(np.sum((M_left.T @ M_left) * VtV64))
-        total += float(slice_norms_sq[k]) - 2.0 * cross + model_sq
-    return max(total, 0.0)

@@ -1,24 +1,38 @@
-"""Sharded DPar2: shard-local stage 1 and sweeps with O(R²) allreduce.
+"""The DPar2 sweep loop: a coordinator over cells of slices.
 
 DPar2's cost structure is embarrassingly shardable.  Stage-1 compression is
 per-slice, and the compressed ALS sweep couples slices only through small
 Gram statistics — everything slice-shaped (``Ak``, ``F(k)``, ``Sk``, the
-polar factors and ``Tk`` buffers) can live and stay on a worker.  This
-module runs DPar2 across N shard workers:
+polar factors and ``Tk`` buffers) can live and stay with the cell that
+owns the slice.  This module is the one implementation of Algorithm 3's
+sweeps (lines 7–24), for every :func:`~repro.decomposition.dpar2.dpar2`
+run:
 
-* **stage 1** — each shard compresses its slices locally through the
-  stacked randomized-SVD kernels and returns only the small right factors
-  ``(σk, Ck)``; the parent runs stage 2 on their ``J×KR`` concatenation.
-  The tall ``Ak`` never leave the worker that computed them.
-* **sweeps** — three rounds per sweep.  The coordinator broadcasts the
-  current ``E Dᵀ V`` and ``H`` (round 1: Lemma-1 partials ``G1``, ``WᵀW``
-  come back), the new ``H`` (round 2: the Lemma-2 inner sums come back;
-  ``V`` updates on the coordinator, which is the only place ``D`` is
-  needed), then the refreshed ``E Dᵀ V`` plus the Lemma-3 normal matrix
-  (round 3: shards update their rows of ``W`` locally and return the two
-  convergence-criterion scalars).  Every payload is O(R·Rc) per message —
-  independent of K and of the slice heights.
-* **finalize** — one gather of the factor rows and ``Qk = Ak Zk Pkᵀ``.
+* **unsharded** (``config.shards`` unset) — one cell holding every slice,
+  on the in-process serial runner.  Stage 1 and stage 2 run in
+  :func:`~repro.decomposition.dpar2.compress_tensor` and the cell receives
+  ``Ak`` by reference; no ``stats["sharding"]`` block and no
+  ``repro_shard_*`` metrics are produced.
+* **sharded** (``config.shards = N``) — the cells spread over N shard
+  workers.  Each shard stage-1 compresses its slices through the one
+  stage-1 router (:func:`~repro.decomposition.dpar2._stage1_svds`) and
+  returns only the small right factors ``(σk, Ck)``; the coordinator runs
+  stage 2 on their ``J×KR`` concatenation.  The tall ``Ak`` never leave
+  the worker that computed them.
+
+Each sweep is three rounds.  The coordinator broadcasts the current
+``E Dᵀ V`` and ``H`` (round 1: the polar SVDs run, the Lemma-1 partials
+``G1``, ``WᵀW`` come back), the new ``H`` (round 2: the Lemma-2 inner sums
+come back; ``V`` updates on the coordinator, which is the only place ``D``
+is needed), then the refreshed ``E Dᵀ V`` plus the Lemma-3 normal matrix
+(round 3: cells update their rows of ``W`` locally and return their
+convergence-criterion partials).  Every payload is O(R·Rc) per message —
+independent of K and of the slice heights.  A final gather returns the
+factor rows and ``Qk = Ak Zk Pkᵀ``.
+
+:func:`~repro.decomposition.constrained.constrained_dpar2` runs the same
+loop with two hooks: a proximal ``µI`` / ``µ V_prev`` term in the Lemma-2
+solve, and a non-negative projection of each cell's ``W`` rows.
 
 **Determinism contract.**  The K slices are grouped into a fixed set of
 reduction *cells* (``config.shard_cells``, clamped to K) by Algorithm-4
@@ -29,33 +43,125 @@ Lemma-3 row solves) runs per cell, and the cell layout depends only on the
 row counts and the cell count.  Floating-point addition is not
 associative, so this is what buys the contract: **final factors are
 bitwise-identical for any shard count and any shard backend** (serial /
-thread / process).  The single-process path is untouched and remains its
-own bitwise baseline; sharded results differ from it only by the
-per-cell accumulation order.  See ``docs/distributed.md``.
+thread / process).  The unsharded one-cell plan is its own bitwise family;
+sharded results differ from it only by the per-cell accumulation order.
+See ``docs/distributed.md``.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import ExitStack
 
 import numpy as np
 
 from repro.decomposition.convergence import ConvergenceMonitor
 from repro.decomposition.cp_als import normalize_columns
-from repro.decomposition.dpar2 import CompressedTensor
+from repro.decomposition.dpar2 import (
+    _BATCH_MAX_ROWS,
+    CompressedTensor,
+    _stage1_svds,
+    _stage2,
+    compress_tensor,
+)
 from repro.decomposition.initialization import initialize_factors
 from repro.decomposition.result import IterationRecord, Parafac2Result
-from repro.linalg.kernels import CellSweepWorkspace, batched_randomized_svd
+from repro.linalg.array_module import get_xp
+from repro.linalg.kernels import CellSweepWorkspace, batched_stacked_matmul
 from repro.linalg.pinv import solve_gram
-from repro.linalg.randomized_svd import RandomizedSVDResult, randomized_svd
+from repro.linalg.randomized_svd import RandomizedSVDResult
 from repro.obs import trace
 from repro.obs.metrics import get_registry
+from repro.parallel.backends import get_backend
 from repro.parallel.sharding import ShardPlan, get_shard_runner, plan_shards
+from repro.sparse.csr import CsrMatrix
+from repro.sparse.ops import slice_squared_norm
 from repro.tensor.irregular import IrregularTensor
 from repro.util.config import DecompositionConfig
-from repro.util.rng import as_generator, spawn_generators
+from repro.util.rng import spawn_generators
 
-__all__ = ["Dpar2Shard", "sharded_dpar2", "sharded_stage1"]
+__all__ = ["Dpar2Shard", "project_nonnegative", "sharded_dpar2", "sharded_stage1"]
+
+
+def project_nonnegative(matrix: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto the non-negative orthant."""
+    return np.clip(matrix, 0.0, None)
+
+
+# --------------------------------------------------------------------- #
+# exact-error ablation kernels (per cell)
+# --------------------------------------------------------------------- #
+
+
+def _slice_AtX(Ak: np.ndarray, Xk) -> np.ndarray:
+    """``Akᵀ Xk`` for a dense or CSR slice (the exact-error hoist kernel)."""
+    if isinstance(Xk, CsrMatrix):
+        return Xk.rmatmul_dense(Ak)
+    return Ak.T @ Xk
+
+
+def _exact_error(
+    slice_norms_sq: np.ndarray,
+    AtX: np.ndarray,
+    polar: np.ndarray,
+    VtV: np.ndarray,
+    H: np.ndarray,
+    V: np.ndarray,
+    W: np.ndarray,
+) -> float:
+    """A cell's partial of the true ``Σk ‖Xk − Qk H Sk Vᵀ‖²`` (ablation path).
+
+    Uses the hoisted per-slice constants: ``‖Xk‖²`` and ``Akᵀ Xk`` (so
+    ``Qkᵀ Xk = (Zk Pkᵀ)ᵀ (Akᵀ Xk)`` without re-materializing ``Qk`` or
+    re-reading the raw slices), with all the cell's cross terms evaluated
+    as batched matmuls.  Like the compressed criterion, the reductions
+    accumulate in float64: the cross term is ``‖X‖²``-scale, and float32
+    rounding there would swamp the per-sweep change the stopping rule
+    watches.
+    """
+    proj = np.swapaxes(polar, 1, 2) @ AtX @ V  # Kc x R x R: Qkᵀ Xk V
+    HS = H[None, :, :] * W[:, None, :]  # Kc x R x R
+    if proj.dtype != np.float64:
+        proj = proj.astype(np.float64)
+        HS = HS.astype(np.float64)
+        VtV = VtV.astype(np.float64)
+    cross = float(np.einsum("kij,kij->", proj, HS, optimize=True))
+    model = float(np.einsum("kli,klj,ij->", HS, HS, VtV, optimize=True))
+    return float(slice_norms_sq.sum()) - 2.0 * cross + model
+
+
+def _exact_error_streaming(
+    slices,
+    slice_norms_sq: np.ndarray,
+    A,
+    polar: np.ndarray,
+    VtV: np.ndarray,
+    H: np.ndarray,
+    V: np.ndarray,
+    W: np.ndarray,
+) -> float:
+    """:func:`_exact_error` with O(max Ik · J) working memory.
+
+    Used when the hoisted ``Akᵀ Xk`` stack would not fit (memmap-backed
+    slices, or ``Ik ≈ Rc`` where the stack rivals the data): the cell's
+    slices are re-read one at a time each sweep.
+    """
+    VtV64 = VtV.astype(np.float64, copy=False)
+    total = 0.0
+    for pos, Xk in enumerate(slices):
+        if isinstance(Xk, CsrMatrix) and not isinstance(Xk.data, np.memmap):
+            # This evaluator runs every sweep; caching the transpose of an
+            # in-RAM CSR slice pays the counting sort once instead of per
+            # sweep.  Memmap-backed slices stay ephemeral — pinning an
+            # in-RAM copy is exactly what out-of-core must not do.
+            Xk.transpose()
+        AtXk = _slice_AtX(A[pos], Xk)
+        M_left = (H * W[pos]).astype(np.float64, copy=False)
+        proj = ((polar[pos].T @ AtXk) @ V).astype(np.float64, copy=False)
+        cross = float(np.sum(proj * M_left))
+        model_sq = float(np.sum((M_left.T @ M_left) * VtV64))
+        total += float(slice_norms_sq[pos]) - 2.0 * cross + model_sq
+    return total
 
 
 # --------------------------------------------------------------------- #
@@ -69,9 +175,13 @@ class Dpar2Shard:
     The shard runner's factory: built from one init payload holding the
     shard's cells (``[(cell_id, [slice indices...]), ...]``), either the
     raw slices plus per-slice generators (stage 1 runs here) or the
-    precomputed ``Ak`` factors, and the stage-1 hyper-parameters.  All
-    methods are invoked through :class:`~repro.parallel.sharding.ShardRunner`
-    broadcasts and return per-cell partials keyed by cell id.
+    precomputed ``Ak`` factors, and the run's settings: stage-1
+    hyper-parameters, the execution ``engine`` for stage 1 and the polar
+    SVDs, the array module ``xp``, and the ``exact_convergence`` /
+    ``nonnegative_weights`` flags (the exact-error ablation also keeps the
+    raw slices).  All methods are invoked through
+    :class:`~repro.parallel.sharding.ShardRunner` broadcasts and return
+    per-cell partials keyed by cell id.
     """
 
     def __init__(self, init: dict) -> None:
@@ -85,32 +195,40 @@ class Dpar2Shard:
         self.slices: dict | None = init.get("slices")
         self.generators: dict | None = init.get("generators")
         self.A: dict = dict(init.get("A") or {})
+        self.engine = init.get("engine") or get_backend("serial")
+        self.xp = get_xp(init.get("xp"))
+        self.exact_convergence = bool(init.get("exact_convergence", False))
+        self.nonnegative_weights = bool(init.get("nonnegative_weights", False))
         self._ws: dict[int, CellSweepWorkspace] = {}
-        self._polar: dict[int, np.ndarray] = {}
+        self._exact: dict[int, tuple] = {}
         self._dtype = np.dtype(np.float64)
 
     # ------------------------------- stage 1 -------------------------- #
 
     def startup(self) -> dict:
-        """Stage-1 compress the shard's slices, one batched call per cell.
+        """Stage-1 compress the shard's slices, one router call per cell.
 
         Returns ``{k: (σk, Ck)}`` — or ``{k: (Uk, σk, Ck)}`` when built
         with ``return_U`` (the streaming gather) — for the coordinator's
         stage 2.  ``Ak = Uk`` stays here for the sweeps and the final
-        ``Qk`` materialization.  Running the batched kernel per cell (not
-        per shard) keeps each slice's bucketing fixed, so stage-1 results
-        are invariant to the shard count.
+        ``Qk`` materialization.  Each cell goes through
+        :func:`~repro.decomposition.dpar2._stage1_svds` on its own, so
+        memory-mapped slices stream one at a time, dense and CSR slices
+        keep their stacked route, and each slice's bucketing is fixed by
+        its cell — stage-1 results are invariant to the shard count.
         """
         out: dict[int, tuple] = {}
-        if self.slices is None:
+        if self.generators is None:
             return out
         for _, indices in self.cells:
-            results = batched_randomized_svd(
+            results = _stage1_svds(
                 [self.slices[k] for k in indices],
+                [self.generators[k] for k in indices],
                 self.rank,
                 oversampling=self.oversampling,
                 power_iterations=self.power_iterations,
-                generators=[self.generators[k] for k in indices],
+                engine=self.engine,
+                xp=get_xp("numpy"),
             )
             for k, svd in zip(indices, results):
                 self.A[k] = svd.U
@@ -119,7 +237,8 @@ class Dpar2Shard:
                     if self.return_U
                     else (svd.singular_values, svd.V)
                 )
-        self.slices = None  # raw data is never needed again
+        if not self.exact_convergence:
+            self.slices = None  # raw data is never needed again
         self.generators = None
         return out
 
@@ -133,22 +252,48 @@ class Dpar2Shard:
         out = {}
         for cell_id, indices in self.cells:
             ws = CellSweepWorkspace(
-                len(indices), target_rank, len(E), self._dtype
+                len(indices), target_rank, len(E), self._dtype, xp=self.xp
             )
             out[cell_id] = ws.bind(E, F_cells[cell_id], W_cells[cell_id])
             self._ws[cell_id] = ws
+            if self.exact_convergence:
+                self._bind_exact(cell_id, indices, ws)
         return out
+
+    def _bind_exact(self, cell_id: int, indices: list[int], ws) -> None:
+        """Hoist ``‖Xk‖²`` and, when it fits, ``Akᵀ Xk`` for the ablation.
+
+        ``Akᵀ Xk`` never changes across sweeps (``Qkᵀ Xk = (Zk Pkᵀ)ᵀ
+        (Akᵀ Xk)``), so the raw slices are read once per call instead of
+        once per sweep.  The hoist is only valid when the ``Kc×Rc×J`` stack
+        actually fits: memmap-backed slices are out of core precisely
+        because the data exceeds RAM, and for short slices (``Ik ≈ Rc``)
+        the stack is as large as the data itself — both keep the per-sweep
+        streaming evaluation instead.
+        """
+        slices = [self.slices[k] for k in indices]
+        norms = np.array([slice_squared_norm(Xk) for Xk in slices])
+        in_ram = not any(
+            isinstance(Xk, np.memmap)
+            or (isinstance(Xk, CsrMatrix) and isinstance(Xk.data, np.memmap))
+            for Xk in slices
+        )
+        stack_bytes = len(indices) * ws.Rc * slices[0].shape[1] * self._dtype.itemsize
+        AtX = None
+        if in_ram and stack_bytes <= sum(Xk.nbytes for Xk in slices):
+            AtX = np.stack(
+                [_slice_AtX(self.A[k], Xk) for k, Xk in zip(indices, slices)]
+            )  # Kc x Rc x J
+        self._exact[cell_id] = (norms, AtX)
 
     def sweep_phase1(self, EDtV: np.ndarray, H: np.ndarray) -> dict:
         """Polar SVDs + Lemma-1 partials: ``{cell: (G1, WᵀW)}``."""
         out = {}
         for cell_id, _ in self.cells:
             ws = self._ws[cell_id]
-            small = ws.compute_small(EDtV, H)
-            Z, _, Pt = np.linalg.svd(small, full_matrices=False)
-            polar = np.matmul(Z, Pt)
-            self._polar[cell_id] = polar
-            ws.compute_T(polar)
+            ws.compute_small(EDtV, H)
+            ws.compute_polar(self.engine)
+            ws.compute_T()
             out[cell_id] = (ws.mttkrp_H(EDtV), ws.gram_W())
         return out
 
@@ -163,45 +308,60 @@ class Dpar2Shard:
         self,
         EDtV: np.ndarray,
         gram: np.ndarray,
-        VtD: np.ndarray,
+        VtD: np.ndarray | None,
         VtV: np.ndarray,
         H: np.ndarray,
+        V: np.ndarray | None = None,
     ) -> dict:
-        """Update the shard's ``W`` rows locally; return criterion scalars.
+        """Update the shard's ``W`` rows locally; return criterion partials.
 
         The normal matrix ``(VᵀV ∗ HᵀH)`` is identical for every row of
         ``W``, so each cell solves its own rows — per-cell solves keep the
-        result shard-count-invariant.  The returned ``{cell: (cross,
+        result shard-count-invariant — and projects them when
+        ``nonnegative_weights`` is set.  The returned ``{cell: (cross,
         model)}`` float64 partials complete the compressed convergence
-        criterion on the coordinator.
-        """
-        out = {}
-        for cell_id, _ in self.cells:
-            ws = self._ws[cell_id]
-            G3 = ws.mttkrp_W(EDtV, H)
-            ws.W = solve_gram(gram, G3).astype(self._dtype, copy=False)
-            out[cell_id] = ws.criterion_partials(VtD, VtV, H)
-        return out
-
-    # ------------------------------- gather --------------------------- #
-
-    def finalize(self, target_rank: int) -> dict:
-        """One-time gather: ``{cell: (W rows, [Qk = Ak Zk Pkᵀ, ...])}``.
-
-        With zero sweeps there is no polar factor; ``Qk`` is then ``Ak``
-        truncated to the target rank, exactly like the single-process
-        path.
+        criterion on the coordinator.  Under ``exact_convergence`` the
+        coordinator sends ``V`` instead of ``VᵀD``, and each cell returns
+        its partial of the true reconstruction error.
         """
         out = {}
         for cell_id, indices in self.cells:
             ws = self._ws[cell_id]
-            polar = self._polar.get(cell_id)
-            if polar is None:
-                polar = np.tile(
-                    np.eye(ws.Rc, target_rank, dtype=self._dtype),
-                    (len(indices), 1, 1),
+            W = solve_gram(gram, ws.mttkrp_W(EDtV, H)).astype(self._dtype, copy=False)
+            ws.W = project_nonnegative(W) if self.nonnegative_weights else W
+            if not self.exact_convergence:
+                out[cell_id] = ws.criterion_partials(VtD, VtV, H)
+                continue
+            norms, AtX = self._exact[cell_id]
+            polar = ws.polar_host()
+            if AtX is not None:
+                out[cell_id] = _exact_error(norms, AtX, polar, VtV, H, V, ws.W)
+            else:
+                out[cell_id] = _exact_error_streaming(
+                    [self.slices[k] for k in indices], norms,
+                    [self.A[k] for k in indices], polar, VtV, H, V, ws.W,
                 )
-            Q = [self.A[k] @ polar[pos] for pos, k in enumerate(indices)]
+        return out
+
+    # ------------------------------- gather --------------------------- #
+
+    def finalize(self) -> dict:
+        """One-time gather: ``{cell: (W rows, [Qk = Ak Zk Pkᵀ, ...])}``.
+
+        One stacked matmul per row-count bucket, with the tall-slice
+        fallback of :func:`~repro.linalg.kernels.batched_stacked_matmul`.
+        With zero sweeps there is no polar factor; ``Qk`` is then ``Ak``
+        truncated to the target rank.
+        """
+        out = {}
+        for cell_id, indices in self.cells:
+            ws = self._ws[cell_id]
+            Q = batched_stacked_matmul(
+                [self.A[k] for k in indices],
+                ws.polar_host(),
+                max_stack_rows=_BATCH_MAX_ROWS,
+                xp=self.xp,
+            )
             out[cell_id] = (ws.W, Q)
         return out
 
@@ -250,8 +410,13 @@ def _shard_payloads(
     generators=None,
     A=None,
     return_U: bool = False,
+    **settings,
 ) -> list[dict]:
-    """One init payload per shard, carrying only that shard's slices."""
+    """One init payload per shard, carrying only that shard's slices.
+
+    ``settings`` (``engine``, ``xp``, the ablation and constraint flags)
+    go to every shard unchanged.
+    """
     payloads = []
     for shard in range(plan.n_shards):
         cells = [
@@ -265,9 +430,11 @@ def _shard_payloads(
             "oversampling": oversampling,
             "power_iterations": power_iterations,
             "return_U": return_U,
+            **settings,
         }
         if slices is not None:
             payload["slices"] = {k: slices[k] for k in owned}
+        if generators is not None:
             payload["generators"] = {k: generators[k] for k in owned}
         if A is not None:
             payload["A"] = {k: A[k] for k in owned}
@@ -292,13 +459,14 @@ def sharded_stage1(
     Used by :meth:`StreamingDpar2.absorb_many
     <repro.decomposition.streaming.StreamingDpar2.absorb_many>`: the full
     per-slice factors (including ``Uk``) come back because the streaming
-    state keeps them.  Per-slice results are bitwise-identical to the
-    serial batched path for dense slices (each slice draws its own
-    generator and the stacked LAPACK kernels are composition-invariant),
-    and invariant to the shard count for any slice type because the cell
-    layout is fixed by row counts alone.  When ``fault_stats_out`` is
-    given, the runner's recovery counters are merged into it (restart
-    counts accumulate across calls).
+    state keeps them.  Each cell takes the one stage-1 router, so
+    per-slice results are bitwise-identical to the serial batched path for
+    dense slices (each slice draws its own generator and the stacked
+    LAPACK kernels are composition-invariant), and invariant to the shard
+    count for any slice type because the cell layout is fixed by row
+    counts alone.  When ``fault_stats_out`` is given, the runner's
+    recovery counters are merged into it (restart counts accumulate
+    across calls).
     """
     matrices = list(matrices)
     plan = plan_shards(
@@ -337,35 +505,61 @@ def sharded_dpar2(
     config: DecompositionConfig,
     *,
     compressed: CompressedTensor | None = None,
-    target_rank: int | None = None,
+    use_greedy_partition: bool = True,
+    exact_convergence: bool = False,
+    nonnegative_weights: bool = False,
+    smooth_v: float = 0.0,
+    method: str = "dpar2",
+    xp=None,
 ) -> Parafac2Result:
-    """Fit DPar2 through the shard coordinator (``config.shards`` workers).
+    """Fit DPar2 through the cell coordinator — the one sweep loop.
 
-    Called by :func:`repro.decomposition.dpar2.dpar2` when
-    ``config.shards`` is set; ``tensor`` is already dtype-normalized.  The
-    result matches the single-process solver in structure and adds a
-    ``stats["sharding"]`` record: the chosen cell layout, the shard
+    Called by :func:`~repro.decomposition.dpar2.dpar2` and
+    :func:`~repro.decomposition.constrained.constrained_dpar2`.  With
+    ``config.shards`` unset the plan is one cell on the in-process serial
+    runner and stage 1 runs in :func:`compress_tensor`
+    (``use_greedy_partition`` is its Algorithm-4 ablation).  With
+    ``config.shards`` set, stage 1 runs in the shards and the result adds
+    a ``stats["sharding"]`` record: the chosen cell layout, the shard
     imbalance ratio, the measured allreduce bytes per sweep, and the
     transport's recovery counters (``worker_restarts`` plus a ``faults``
     block with replayed calls and per-event stderr excerpts).
+
+    ``exact_convergence`` is the exact-error ablation;
+    ``nonnegative_weights`` and ``smooth_v`` are the constraint hooks of
+    :func:`~repro.decomposition.constrained.constrained_dpar2`, whose
+    ``method`` name the result carries.  ``xp`` overrides the array module
+    ``config.compute_backend`` names (any
+    :class:`~repro.linalg.array_module.ArrayModule` instance).
     """
-    if config.shards is None:
-        raise ValueError("sharded_dpar2 requires config.shards to be set")
-    R = (
-        min(config.rank, tensor.n_columns, min(tensor.row_counts))
-        if target_rank is None
-        else target_rank
-    )
+    xp = get_xp(config.compute_backend if xp is None else xp)
+    if not isinstance(tensor, IrregularTensor):
+        tensor = IrregularTensor(tensor, dtype=config.numpy_dtype)
+    elif tensor.dtype != config.numpy_dtype:
+        tensor = tensor.astype(config.numpy_dtype)
+    if not xp.is_numpy and any(
+        isinstance(Xk, np.memmap) for Xk in tensor.slices
+    ):
+        raise ValueError(
+            "out-of-core (memory-mapped) tensors cannot run on compute "
+            f"backend {xp.name!r}: streaming from disk and device residency "
+            "are mutually exclusive; use compute_backend='numpy'"
+        )
+    R = min(config.rank, tensor.n_columns, min(tensor.row_counts))
     if compressed is not None and compressed.rank < R:
         raise ValueError(
             f"precomputed compression has rank {compressed.rank} < target {R}"
         )
     K = tensor.n_slices
-    plan = plan_shards(tensor.row_counts, config.shards, config.shard_cells)
+    sharded = config.shards is not None
+    if sharded:
+        plan = plan_shards(tensor.row_counts, config.shards, config.shard_cells)
+        shard_backend = config.shard_backend
+    else:
+        plan = plan_shards(tensor.row_counts, 1, 1)
+        shard_backend = "serial"
+    engine = get_backend(config.backend, config.n_threads)
 
-    run_span = trace.span(
-        "dpar2.run", backend="sharded", shards=plan.n_shards, rank=R
-    )
     registry = get_registry()
     m_sweeps = registry.counter(
         "repro_decompose_sweeps_total", "Compressed ALS sweeps completed."
@@ -377,55 +571,75 @@ def sharded_dpar2(
         "repro_decompose_fitness_delta",
         "Sweep-over-sweep decrease in squared reconstruction error.",
     )
-    m_allreduce = registry.counter(
-        "repro_shard_allreduce_bytes_total",
-        "Bytes moved through the sweep-phase allreduce rounds.",
+    m_allreduce = (
+        registry.counter(
+            "repro_shard_allreduce_bytes_total",
+            "Bytes moved through the sweep-phase allreduce rounds.",
+        )
+        if sharded
+        else None
     )
     prev_error: float | None = None
 
-    preprocess_start = time.perf_counter()
-    if compressed is None:
-        generators = spawn_generators(config.random_state, K)
-        payloads = _shard_payloads(
-            plan,
-            rank=R,
-            oversampling=config.oversampling,
-            power_iterations=config.power_iterations,
-            slices=tensor.slices,
-            generators=generators,
+    with ExitStack() as stack:
+        stack.enter_context(
+            trace.span(
+                "dpar2.run", backend=config.backend, compute_backend=xp.name,
+                shards=plan.n_shards if sharded else None, rank=R,
+            )
         )
-    else:
-        payloads = _shard_payloads(
-            plan,
-            rank=compressed.rank,
-            oversampling=config.oversampling,
-            power_iterations=config.power_iterations,
-            A=compressed.A,
-        )
-
-    with run_span, get_shard_runner(
-        config.shard_backend, Dpar2Shard, payloads
-    ) as runner:
         with trace.span("dpar2.compress", slices=K):
-            stage1 = _merge_cells(runner.start())
-
-            if compressed is None:
-                # Stage 2 on the gathered small factors, in slice order —
-                # identical assembly to compress_tensor.
-                M = np.empty((tensor.n_columns, K * R), dtype=tensor.dtype)
-                for k in range(K):
-                    sv, Vk = stage1[k]
-                    np.multiply(Vk, sv, out=M[:, k * R : (k + 1) * R])
-                stage2 = randomized_svd(
-                    M,
+            preprocess_start = time.perf_counter()
+            if compressed is None and not sharded:
+                compressed = compress_tensor(
+                    tensor,
                     R,
                     oversampling=config.oversampling,
                     power_iterations=config.power_iterations,
-                    random_state=as_generator(config.random_state),
+                    random_state=config.random_state,
+                    use_greedy_partition=use_greedy_partition,
+                    backend=engine,
+                    compute_backend=xp,
                 )
-                D = stage2.U
-                E = stage2.singular_values
-                F = stage2.V.reshape(K, R, stage2.V.shape[1])
+            payloads = _shard_payloads(
+                plan,
+                rank=R if compressed is None else compressed.rank,
+                oversampling=config.oversampling,
+                power_iterations=config.power_iterations,
+                slices=(
+                    tensor.slices
+                    if compressed is None or exact_convergence
+                    else None
+                ),
+                generators=(
+                    spawn_generators(config.random_state, K)
+                    if compressed is None
+                    else None
+                ),
+                A=None if compressed is None else compressed.A,
+                engine=engine,
+                xp=xp,
+                exact_convergence=exact_convergence,
+                nonnegative_weights=nonnegative_weights,
+            )
+            runner = stack.enter_context(
+                get_shard_runner(shard_backend, Dpar2Shard, payloads)
+            )
+            stage1 = _merge_cells(runner.start())
+
+            if compressed is None:
+                # Stage 2 on the gathered small factors, in slice order.
+                D, E, F, preprocess_seconds = _stage2(
+                    [stage1[k] for k in range(K)],
+                    tensor.n_columns,
+                    R,
+                    dtype=tensor.dtype,
+                    oversampling=config.oversampling,
+                    power_iterations=config.power_iterations,
+                    random_state=config.random_state,
+                    xp=xp,
+                    start=preprocess_start,
+                )
                 itemsize = np.dtype(tensor.dtype).itemsize
                 preprocessed_bytes = (
                     sum(rows * R for rows in tensor.row_counts) * itemsize
@@ -433,14 +647,9 @@ def sharded_dpar2(
                 )
             else:
                 D, E, F = compressed.D, compressed.E, compressed.F_blocks
+                preprocess_seconds = compressed.seconds
                 preprocessed_bytes = compressed.nbytes
-            preprocess_seconds = (
-                time.perf_counter() - preprocess_start
-                if compressed is None
-                else compressed.seconds
-            )
         dtype = D.dtype
-        Rc = D.shape[1]
 
         init = initialize_factors(tensor.n_columns, K, R, config.random_state)
         H = init.H.astype(dtype, copy=False)
@@ -476,12 +685,18 @@ def sharded_dpar2(
                 sweep_start = time.perf_counter()
                 bytes_at_sweep_start = runner.bytes_transferred
 
-                # Round 1: Lemma 1 — update H on the coordinator.
+                # Round 1: polar SVDs and Lemma 1 — update H on the
+                # coordinator.
                 with trace.span("dpar2.sweep_phase1"):
                     EDtV = np.multiply(D.T @ V, E[:, None])
                     phase1 = _merge_cells(runner.call("sweep_phase1", EDtV, H))
                     G1 = _sum_cell_arrays(phase1, item=0)
                     WtW = _sum_cell_arrays(phase1, item=1)
+                    # The three Lemma solves run in float64 even on the
+                    # float32 pipeline (solve_gram promotes its inputs):
+                    # the Hadamard-of-Grams normal matrix squares the
+                    # factor condition numbers, and a float32 Cholesky
+                    # there fails noticeably more often.
                     H = solve_gram(WtW * VtV, G1)
                     H, _ = normalize_columns(H)
                     H = H.astype(dtype, copy=False)
@@ -494,31 +709,43 @@ def sharded_dpar2(
                         _merge_cells(runner.call("sweep_phase2", H))
                     )
                     G2 = DE @ inner
-                    V = solve_gram(WtW * HtH, G2)
+                    gram2 = WtW * HtH
+                    if smooth_v:
+                        # Proximal/ridge update toward the previous V.
+                        gram2 = gram2 + smooth_v * np.eye(R)
+                        G2 = G2 + smooth_v * V
+                    V = solve_gram(gram2, G2)
                     V, _ = normalize_columns(V)
                     V = V.astype(dtype, copy=False)
 
-                # Round 3: Lemma 3 — shards update their W rows; the
-                # criterion scalars come back with the same message.
+                # Round 3: Lemma 3 — cells update their W rows; the
+                # criterion partials come back with the same message.
                 with trace.span("dpar2.sweep_phase3"):
                     VtV = V.T @ V
                     EDtV = np.multiply(D.T @ V, E[:, None])
-                    VtD = V.astype(np.float64, copy=False).T @ D.astype(
-                        np.float64, copy=False
-                    )
                     gram3 = VtV * HtH
-                    phase3 = _merge_cells(
-                        runner.call("sweep_phase3", EDtV, gram3, VtD, VtV, H)
-                    )
-                    cross = _sum_cell_scalars(phase3, item=0)
-                    model = _sum_cell_scalars(phase3, item=1)
-                    error_sq = max(data_term - 2.0 * cross + model, 0.0)
+                    if exact_convergence:
+                        phase3 = _merge_cells(
+                            runner.call("sweep_phase3", EDtV, gram3, None, VtV, H, V)
+                        )
+                        error_sq = max(_sum_cell_scalars(phase3), 0.0)
+                    else:
+                        VtD = V.astype(np.float64, copy=False).T @ D.astype(
+                            np.float64, copy=False
+                        )
+                        phase3 = _merge_cells(
+                            runner.call("sweep_phase3", EDtV, gram3, VtD, VtV, H)
+                        )
+                        cross = _sum_cell_scalars(phase3, item=0)
+                        model = _sum_cell_scalars(phase3, item=1)
+                        error_sq = max(data_term - 2.0 * cross + model, 0.0)
 
                 sweep_seconds = time.perf_counter() - sweep_start
                 history.append(IterationRecord(iteration, error_sq, sweep_seconds))
                 m_sweeps.inc()
                 m_sweep_seconds.observe(sweep_seconds)
-                m_allreduce.inc(runner.bytes_transferred - bytes_at_sweep_start)
+                if m_allreduce is not None:
+                    m_allreduce.inc(runner.bytes_transferred - bytes_at_sweep_start)
                 if prev_error is not None:
                     m_fitness_delta.set(prev_error - float(error_sq))
                 prev_error = float(error_sq)
@@ -530,7 +757,7 @@ def sharded_dpar2(
         sweep_bytes = runner.bytes_transferred - bytes_before_sweeps
 
         # One-time gather of the factor rows and Qk blocks.
-        gathered = _merge_cells(runner.call("finalize", R))
+        gathered = _merge_cells(runner.call("finalize"))
         fault_stats = runner.fault_stats
 
     W_out = np.empty((K, R), dtype=dtype)
@@ -541,9 +768,10 @@ def sharded_dpar2(
         for pos, k in enumerate(indices):
             Q[k] = Q_cell[pos]
 
-    n_sweeps = max(len(history), 1)
-    stats = {
-        "sharding": {
+    stats: dict = {}
+    if sharded:
+        n_sweeps = max(len(history), 1)
+        stats["sharding"] = {
             **plan.describe(),
             "backend": config.shard_backend,
             "requested_shards": config.shards,
@@ -555,14 +783,13 @@ def sharded_dpar2(
             "worker_restarts": fault_stats["worker_restarts"],
             "faults": fault_stats,
         }
-    }
 
     return Parafac2Result(
         Q=Q,
         H=H,
         S=W_out,
         V=V,
-        method="dpar2",
+        method=method,
         n_iterations=iteration,
         converged=converged,
         preprocess_seconds=preprocess_seconds,

@@ -13,7 +13,8 @@ dense BLAS/LAPACK kernels numpy exposes:
 * :mod:`repro.linalg.kernels` — batched/stacked kernels for the DPar2 hot
   paths: :func:`batched_randomized_svd` (bucketed stage-1 compression),
   :func:`batched_stacked_matmul`, and the allocation-free
-  :class:`SweepWorkspace`.
+  :class:`~repro.linalg.kernels.CellSweepWorkspace` behind the DPar2
+  sweep loop.
 * :mod:`repro.linalg.array_module` — the ``xp`` dispatch layer that lets
   every kernel above run on numpy (default, bitwise-stable), PyTorch
   (CPU/CUDA), or CuPy: :func:`get_xp` resolves a backend name into an
@@ -29,13 +30,9 @@ from repro.linalg.array_module import (
 )
 from repro.linalg.gram import gram_svd
 from repro.linalg.kernels import (
-    DeviceSweepWorkspace,
-    SweepWorkspace,
-    acquire_sweep_workspace,
     batched_randomized_svd,
     batched_stacked_matmul,
     bucket_by_rows,
-    release_sweep_workspace,
 )
 from repro.linalg.pinv import pseudoinverse, solve_gram
 from repro.linalg.qr import orthonormal_columns
@@ -46,12 +43,9 @@ __all__ = [
     "ArrayModule",
     "BackendUnavailableError",
     "COMPUTE_BACKEND_NAMES",
-    "DeviceSweepWorkspace",
     "RandomizedSVDResult",
-    "SweepWorkspace",
     "backend_available",
     "get_xp",
-    "acquire_sweep_workspace",
     "batched_randomized_svd",
     "batched_stacked_matmul",
     "bucket_by_rows",
@@ -59,7 +53,6 @@ __all__ = [
     "orthonormal_columns",
     "pseudoinverse",
     "randomized_svd",
-    "release_sweep_workspace",
     "solve_gram",
     "truncated_svd",
 ]

@@ -20,20 +20,17 @@ hardware-bound:
   matmul per row-count bucket — the final ``Qk = Ak Zk Pkᵀ``
   materialization.
 
-* :class:`SweepWorkspace` owns every per-sweep temporary of the compressed
-  ALS iteration (``small``, ``T``, ``TE``, ``HS``, Gram and MTTKRP buffers)
-  and the ``np.einsum`` contraction paths, computed once per
-  ``(K, J, R, Rc, dtype)`` shape.  Steady-state sweeps write into the
-  preallocated buffers with ``out=`` and re-use Gram matrices across the
-  Lemma 1–3 updates, so the Python-visible allocation per sweep is near
-  zero.  Workspaces are recycled through a small module cache
-  (:func:`acquire_sweep_workspace` / :func:`release_sweep_workspace`) so
-  consecutive ``dpar2`` calls on same-shaped problems pay the setup once.
+* :class:`CellSweepWorkspace` runs the compressed ALS sweep (Lemmas 1–3,
+  the polar SVDs and the Gram-form criterion) over one cell of slices —
+  the kernel set of the one DPar2 sweep loop.  On numpy its ``np.einsum``
+  contraction paths are resolved once per cell geometry and every
+  temporary is preallocated and written with ``out=``, so the
+  Python-visible allocation per sweep is near zero.
 
 Accumulation dtype: workspace buffers follow the pipeline dtype (float32 or
-float64), but the convergence-criterion terms (``TE``, ``HS``, ``VtD`` and
-the scalar reductions) are always held/accumulated in float64 — a float32
-run halves memory traffic on the big contractions without destabilising the
+float64), but the convergence-criterion terms (``TE``, ``HS`` and the
+scalar reductions) are always held/accumulated in float64 — a float32 run
+halves memory traffic on the big contractions without destabilising the
 stopping rule.
 
 Compute backends: every kernel takes an optional ``xp``
@@ -41,14 +38,11 @@ Compute backends: every kernel takes an optional ``xp``
 The default numpy module dispatches to the identical numpy calls, so the
 bitwise guarantees above are untouched; torch/CuPy modules run the same
 stacked pipeline on their batched primitives, with each bucket crossing
-the host↔device boundary once (see :class:`DeviceSweepWorkspace` for the
-sweep side).
+the host↔device boundary once (and the sweep's ``F(k)`` stack staying
+resident in :class:`CellSweepWorkspace`).
 """
 
 from __future__ import annotations
-
-import threading
-from collections import OrderedDict
 
 import numpy as np
 
@@ -59,13 +53,9 @@ from repro.sparse.stacked import StackedCsr
 
 __all__ = [
     "CellSweepWorkspace",
-    "DeviceSweepWorkspace",
-    "SweepWorkspace",
-    "acquire_sweep_workspace",
     "batched_randomized_svd",
     "batched_stacked_matmul",
     "bucket_by_rows",
-    "release_sweep_workspace",
 ]
 
 
@@ -327,7 +317,7 @@ def batched_stacked_matmul(
 
 
 # --------------------------------------------------------------------- #
-# sweep workspace: precompiled contractions + preallocated temporaries
+# cell sweep workspace: the compressed ALS sweep over one cell of slices
 # --------------------------------------------------------------------- #
 
 #: einsum subscripts of the five sweep contractions and the two
@@ -341,228 +331,51 @@ _CROSS = "kij,kil,lj->"
 _MODEL = "kli,klj,ij->"
 
 
-class SweepWorkspace:
-    """Preallocated buffers and contraction paths for one sweep geometry.
+def _polar(stack: np.ndarray) -> np.ndarray:
+    """Polar factors ``Zk Pkᵀ`` of a stack of ``Rc×R`` matrices.
 
-    A geometry is ``(K, J, R, Rc, dtype)``: ``K`` slices, ``J`` columns,
-    target rank ``R``, and compression rank ``Rc >= R`` (``Rc > R`` when a
-    higher-rank precomputed compression is reused).  The workspace is bound
-    to a concrete compression with :meth:`bind` before sweeping; buffers are
-    overwritten freely, so a workspace must serve one ``dpar2`` call at a
-    time — use :func:`acquire_sweep_workspace` to check instances out of the
-    shared cache.
-
-    Contraction paths are resolved once with ``np.einsum_path`` (the same
-    greedy optimizer ``optimize=True`` uses at call time), so sweeps skip
-    per-call path search while contracting in the identical order — float64
-    results stay bitwise-identical to un-cached ``np.einsum`` calls.
+    The thin SVD keeps this correct when ``Rc > R`` — a precomputed
+    compression of higher rank than the target (its extra directions are
+    simply truncated).
     """
-
-    def __init__(self, K: int, J: int, R: int, Rc: int | None = None, dtype=np.float64) -> None:
-        Rc = R if Rc is None else Rc
-        if Rc < R:
-            raise ValueError(f"compression rank {Rc} below target rank {R}")
-        dt = np.dtype(dtype)
-        if dt not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise ValueError(f"dtype must be float32 or float64, got {dt}")
-        self.K, self.J, self.R, self.Rc = K, J, R, Rc
-        self.dtype = dt
-        self.key = (K, J, R, Rc, dt.str)
-
-        # Working-dtype sweep buffers.
-        self.EDtV = np.empty((Rc, R), dt)  # E Dᵀ V
-        self.small = np.empty((K, Rc, R), dt)  # F(k) E Dᵀ V Sk Hᵀ
-        self.T = np.empty((K, R, Rc), dt)  # Pk Zkᵀ F(k)
-        self.WtW = np.empty((R, R), dt)
-        self.VtV = np.empty((R, R), dt)
-        self.HtH = np.empty((R, R), dt)
-        self.gram = np.empty((R, R), dt)  # Hadamard product fed to solve_gram
-        self.G1 = np.empty((R, R), dt)
-        self.inner = np.empty((Rc, R), dt)
-        self.G2 = np.empty((J, R), dt)
-        self.G3 = np.empty((K, R), dt)
-        self.DE = np.empty((J, Rc), dt)  # D diag(E), constant per bind
-
-        # Convergence criterion accumulates in float64 regardless of dtype.
-        self.TE = np.empty((K, R, Rc), np.float64)
-        self.HS = np.empty((K, R, R), np.float64)
-        self.VtD = np.empty((R, Rc), np.float64)
-
-        F = np.empty((K, Rc, Rc), dt)  # shape proxy for path search only
-        self.path_small = np.einsum_path(
-            _SMALL, F, self.EDtV, self.G3, self.gram, optimize=True
-        )[0]
-        self.path_T = np.einsum_path(_T, self.small, F, optimize=True)[0]
-        self.path_G1 = np.einsum_path(
-            _G1, self.G3, self.T, self.EDtV, optimize=True
-        )[0]
-        self.path_inner = np.einsum_path(
-            _INNER, self.G3, self.T, self.gram, optimize=True
-        )[0]
-        self.path_G3 = np.einsum_path(
-            _G3, self.gram, self.T, self.EDtV, optimize=True
-        )[0]
-        self.path_cross = np.einsum_path(
-            _CROSS, self.TE, self.HS, self.VtD, optimize=True
-        )[0]
-        self.path_model = np.einsum_path(
-            _MODEL, self.HS, self.HS, self.VtD[:, : self.R], optimize=True
-        )[0]
-
-        # Bound per call, not per geometry.
-        self.D: np.ndarray | None = None
-        self.E: np.ndarray | None = None
-        self.F: np.ndarray | None = None
-        self.data_term: float = 0.0
-
-    #: numpy workspaces hold host arrays; the device counterpart overrides.
-    is_device = False
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes held by the preallocated buffers (cache accounting)."""
-        return sum(
-            buf.nbytes
-            for buf in vars(self).values()
-            if isinstance(buf, np.ndarray)
-        )
-
-    # ------------------------------------------------------------------ #
-    # host/device residency (identity here; real on DeviceSweepWorkspace)
-    # ------------------------------------------------------------------ #
-
-    def host(self, array):
-        """Workspace-native array → host ndarray (no-op for numpy)."""
-        return array
-
-    def dev(self, array):
-        """Host ndarray → workspace-native array (no-op for numpy)."""
-        return array
-
-    # ------------------------------------------------------------------ #
-    # binding to a concrete compression
-    # ------------------------------------------------------------------ #
-
-    def bind(self, D: np.ndarray, E: np.ndarray, F: np.ndarray) -> "SweepWorkspace":
-        """Attach the compressed factors ``D, E, {F(k)}`` for this call.
-
-        Precomputes the per-call constants: ``D diag(E)`` (the left factor
-        of every Lemma-2 MTTKRP) and the criterion's constant data term
-        ``Σk ‖F(k) E‖²`` (accumulated in float64).
-        """
-        self.D, self.E, self.F = D, E, F
-        np.multiply(D, E, out=self.DE)
-        if F.dtype == np.float64:
-            FE = F * E
-            self.data_term = float(np.sum(FE * FE))
-        else:
-            FE = F.astype(np.float64) * E.astype(np.float64)
-            self.data_term = float(np.sum(FE * FE))
-        return self
-
-    def unbind(self) -> None:
-        """Drop references to the bound compression (cache hygiene)."""
-        self.D = self.E = self.F = None
-        self.data_term = 0.0
-
-    # ------------------------------------------------------------------ #
-    # sweep kernels (Section III-C, Lemmas 1-3)
-    # ------------------------------------------------------------------ #
-
-    def update_EDtV(self, V: np.ndarray) -> np.ndarray:
-        """``E Dᵀ V`` into the persistent buffer."""
-        np.matmul(self.D.T, V, out=self.EDtV)
-        np.multiply(self.EDtV, self.E[:, None], out=self.EDtV)
-        return self.EDtV
-
-    def compute_small(self, W: np.ndarray, H: np.ndarray) -> np.ndarray:
-        """``small_k = F(k) (E Dᵀ V) Sk Hᵀ`` stacked over ``k``."""
-        return np.einsum(
-            _SMALL, self.F, self.EDtV, W, H, optimize=self.path_small, out=self.small
-        )
-
-    def compute_T(self, polar: np.ndarray) -> np.ndarray:
-        """``Tk = (Zk Pkᵀ)ᵀ F(k)`` stacked over ``k``."""
-        return np.einsum(_T, polar, self.F, optimize=self.path_T, out=self.T)
-
-    def gram_W(self, W: np.ndarray) -> np.ndarray:
-        return np.matmul(W.T, W, out=self.WtW)
-
-    def gram_V(self, V: np.ndarray) -> np.ndarray:
-        return np.matmul(V.T, V, out=self.VtV)
-
-    def gram_H(self, H: np.ndarray) -> np.ndarray:
-        return np.matmul(H.T, H, out=self.HtH)
-
-    def hadamard_gram(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """``left ∗ right`` into the shared normal-matrix buffer."""
-        return np.multiply(left, right, out=self.gram)
-
-    def mttkrp_H(self, W: np.ndarray) -> np.ndarray:
-        """Lemma 1's ``G1 = Σk Tk (E Dᵀ V) diag(Sk)`` (transposed layout)."""
-        return np.einsum(
-            _G1, W, self.T, self.EDtV, optimize=self.path_G1, out=self.G1
-        )
-
-    def mttkrp_V(self, W: np.ndarray, H: np.ndarray) -> np.ndarray:
-        """Lemma 2's ``G2 = D E (Σk Tkᵀ H diag(Sk))``."""
-        np.einsum(_INNER, W, self.T, H, optimize=self.path_inner, out=self.inner)
-        return np.matmul(self.DE, self.inner, out=self.G2)
-
-    def mttkrp_W(self, H: np.ndarray) -> np.ndarray:
-        """Lemma 3's ``G3`` with rows ``diag(Hᵀ Tk E Dᵀ V)``."""
-        return np.einsum(
-            _G3, H, self.T, self.EDtV, optimize=self.path_G3, out=self.G3
-        )
-
-    # ------------------------------------------------------------------ #
-    # compressed convergence criterion (Section III-E)
-    # ------------------------------------------------------------------ #
-
-    def compressed_error(self, H: np.ndarray, V: np.ndarray, W: np.ndarray) -> float:
-        """``Σk ‖Tk E Dᵀ − H Sk Vᵀ‖²`` via the Gram trick, in float64.
-
-        Reads the current ``Tk`` buffer and the ``VᵀV`` Gram already
-        computed by the Lemma-3 update (same ``V``), sharing it instead of
-        recomputing.  ``TE``/``HS``/``VtD`` live in float64 buffers, so a
-        float32 pipeline still accumulates the criterion in float64 (numpy
-        upcasts the mixed-dtype contraction operands).
-        """
-        np.matmul(V.T, self.D, out=self.VtD)
-        np.multiply(self.T, self.E, out=self.TE)
-        np.multiply(H[None, :, :], W[:, None, :], out=self.HS)
-        cross = float(
-            np.einsum(_CROSS, self.TE, self.HS, self.VtD, optimize=self.path_cross)
-        )
-        model = float(
-            np.einsum(_MODEL, self.HS, self.HS, self.VtV, optimize=self.path_model)
-        )
-        return max(self.data_term - 2.0 * cross + model, 0.0)
+    Z, _, Pt = np.linalg.svd(stack, full_matrices=False)
+    return Z @ Pt
 
 
 class CellSweepWorkspace:
-    """Shard-local sweep kernels for one reduction *cell* of slices.
+    """The compressed ALS sweep kernels for one reduction *cell* of slices.
 
-    The sharded DPar2 coordinator (:mod:`repro.decomposition.sharded`)
-    partitions the K slices into a fixed set of cells; each cell computes
-    its own slice-local contractions with this workspace and ships back
-    only ``O(R²)`` partial reductions.  The cell — not the shard — is the
-    unit of floating-point accumulation: a cell's partials are a pure
-    function of its slices, and the coordinator sums them in cell order,
-    so the final factors are bitwise-invariant to how cells are assigned
-    to shards (see ``docs/distributed.md``).
+    The DPar2 coordinator (:mod:`repro.decomposition.sharded`) partitions
+    the K slices into a fixed set of cells — one cell when the run is not
+    sharded; each cell computes its own slice-local contractions with this
+    workspace and ships back only ``O(R²)`` partial reductions.  The cell
+    — not the shard — is the unit of floating-point accumulation: a cell's
+    partials are a pure function of its slices, and the coordinator sums
+    them in cell order, so the final factors are bitwise-invariant to how
+    cells are assigned to shards (see ``docs/distributed.md``).
 
     Geometry is ``(Kc, R, Rc, dtype)`` — the cell's slice count, target
-    rank, and compression rank.  Contraction paths are resolved once per
-    cell with ``np.einsum_path`` exactly like :class:`SweepWorkspace`;
-    because a cell's membership never changes, each slice always computes
-    under its own cell's path, whatever the shard count.  The convergence
-    criterion partials (``TE``/``HS`` and the scalar reductions)
-    accumulate in float64 regardless of the working dtype, mirroring the
-    single-process workspace.
+    rank, and compression rank ``Rc >= R`` (``Rc > R`` when a higher-rank
+    precomputed compression is reused).  On the numpy module every
+    temporary is preallocated and written with ``out=``, and contraction
+    paths are resolved once with ``np.einsum_path`` (the same greedy
+    optimizer ``optimize=True`` uses at call time), so sweeps skip
+    per-call path search while contracting in the identical order.  The
+    convergence-criterion partials (``TE``/``HS`` and the scalar
+    reductions) accumulate in float64 regardless of the working dtype.
+
+    On a device ``xp`` (torch/CuPy) ``F(k)``, the polar factors and the
+    ``O(Kc R² Rc)`` contractions stay resident while every method takes
+    and returns host arrays; there are no ``out=`` buffers — the device
+    allocators recycle memory themselves, and ``torch.einsum`` has no
+    ``out=`` anyway.  The cell's ``W`` rows always live on the host, where
+    the Lemma-3 solve writes them.
     """
 
-    def __init__(self, Kc: int, R: int, Rc: int | None = None, dtype=np.float64) -> None:
+    def __init__(
+        self, Kc: int, R: int, Rc: int | None = None, dtype=np.float64,
+        *, xp: "ArrayModule | str | None" = None,
+    ) -> None:
         Rc = R if Rc is None else Rc
         if Rc < R:
             raise ValueError(f"compression rank {Rc} below target rank {R}")
@@ -573,10 +386,22 @@ class CellSweepWorkspace:
             raise ValueError(f"dtype must be float32 or float64, got {dt}")
         self.Kc, self.R, self.Rc = Kc, R, Rc
         self.dtype = dt
+        self.xp = get_xp(xp)
 
-        # Working-dtype buffers (per-cell partials of the SweepWorkspace set).
-        self.small = np.empty((Kc, Rc, R), dt)
-        self.T = np.empty((Kc, R, Rc), dt)
+        # Bound per solve, not per geometry.
+        self.E = self.F = None
+        self.W: np.ndarray | None = None  # this cell's (Kc, R) rows of W
+        self.polar = None  # this sweep's Zk Pkᵀ stack
+        self.data_term: float = 0.0
+
+        self.small = self.T = self.G1 = self.WtW = None
+        self.inner = self.G3 = self.TE = self.HS = None
+        self._paths: dict[str, list] = {}
+        if not self.xp.is_numpy:
+            return
+        # Working-dtype buffers.
+        self.small = np.empty((Kc, Rc, R), dt)  # F(k) E Dᵀ V Sk Hᵀ
+        self.T = np.empty((Kc, R, Rc), dt)  # Pk Zkᵀ F(k)
         self.G1 = np.empty((R, R), dt)
         self.WtW = np.empty((R, R), dt)
         self.inner = np.empty((Rc, R), dt)
@@ -589,27 +414,27 @@ class CellSweepWorkspace:
         EDtV = np.empty((Rc, R), dt)
         square = np.empty((R, R), dt)
         VtD = np.empty((R, Rc), np.float64)
-        self.path_small = np.einsum_path(
-            _SMALL, F, EDtV, self.G3, square, optimize=True
-        )[0]
-        self.path_T = np.einsum_path(_T, self.small, F, optimize=True)[0]
-        self.path_G1 = np.einsum_path(_G1, self.G3, self.T, EDtV, optimize=True)[0]
-        self.path_inner = np.einsum_path(
-            _INNER, self.G3, self.T, square, optimize=True
-        )[0]
-        self.path_G3 = np.einsum_path(_G3, square, self.T, EDtV, optimize=True)[0]
-        self.path_cross = np.einsum_path(
-            _CROSS, self.TE, self.HS, VtD, optimize=True
-        )[0]
-        self.path_model = np.einsum_path(
-            _MODEL, self.HS, self.HS, VtD[:, :R], optimize=True
-        )[0]
+        for subscripts, operands in (
+            (_SMALL, (F, EDtV, self.G3, square)),
+            (_T, (self.small, F)),
+            (_G1, (self.G3, self.T, EDtV)),
+            (_INNER, (self.G3, self.T, square)),
+            (_G3, (square, self.T, EDtV)),
+            (_CROSS, (self.TE, self.HS, VtD)),
+            (_MODEL, (self.HS, self.HS, VtD[:, :R])),
+        ):
+            self._paths[subscripts] = np.einsum_path(
+                subscripts, *operands, optimize=True
+            )[0]
 
-        # Bound per solve, not per geometry.
-        self.E: np.ndarray | None = None
-        self.F: np.ndarray | None = None
-        self.W: np.ndarray | None = None  # this cell's (Kc, R) rows of W
-        self.data_term: float = 0.0
+    def _einsum(self, subscripts: str, *operands, out=None):
+        """One sweep contraction: cached path and ``out=`` buffer on numpy."""
+        if self.xp.is_numpy:
+            return np.einsum(
+                subscripts, *operands, optimize=self._paths[subscripts], out=out
+            )
+        xp = self.xp
+        return xp.einsum(subscripts, *(xp.asarray(op) for op in operands))
 
     def bind(self, E: np.ndarray, F: np.ndarray, W: np.ndarray) -> float:
         """Attach the cell's compressed blocks and its rows of ``W``.
@@ -624,283 +449,96 @@ class CellSweepWorkspace:
             )
         if W.shape != (self.Kc, self.R):
             raise ValueError(f"W must be ({self.Kc}, {self.R}), got {W.shape}")
-        self.E, self.F = E, F
+        self.E, self.F = self.xp.asarray(E), self.xp.asarray(F)
         self.W = np.ascontiguousarray(W, dtype=self.dtype)
         FE = F.astype(np.float64) * E.astype(np.float64)
         self.data_term = float(np.sum(FE * FE))
         return self.data_term
 
-    def compute_small(self, EDtV: np.ndarray, H: np.ndarray) -> np.ndarray:
+    def compute_small(self, EDtV: np.ndarray, H: np.ndarray):
         """``small_k = F(k) (E Dᵀ V) Sk Hᵀ`` over the cell's slices."""
-        return np.einsum(
-            _SMALL, self.F, EDtV, self.W, H,
-            optimize=self.path_small, out=self.small,
+        self.small = self._einsum(
+            _SMALL, self.F, EDtV, self.W, H, out=self.small
         )
+        return self.small
 
-    def compute_T(self, polar: np.ndarray) -> np.ndarray:
+    def compute_polar(self, engine):
+        """The per-slice ``R×R`` SVDs (Alg. 3, lines 8–10): ``Zk Pkᵀ``.
+
+        A device module runs the whole stack as one batched launch.  On
+        numpy, a stack holding at least four matrices per worker of the
+        ``engine`` (an :class:`~repro.parallel.backends.ExecutionBackend`)
+        is chunked evenly across them — the "uniform allocation" of
+        Section III-F — and smaller stacks go through one LAPACK call,
+        because dispatch would cost more than the work.  LAPACK solves each
+        matrix on its own, so the chunking never changes a bit.
+        """
+        if not self.xp.is_numpy:
+            Z, _, Pt = self.xp.svd(self.small, full_matrices=False)
+            self.polar = self.xp.matmul(Z, Pt)
+        elif engine.n_workers <= 1 or self.Kc < 4 * engine.n_workers:
+            self.polar = _polar(self.small)
+        else:
+            chunks = np.array_split(self.small, engine.n_workers)
+            self.polar = np.concatenate(engine.map(_polar, chunks))
+        return self.polar
+
+    def polar_host(self) -> np.ndarray:
+        """This sweep's ``Zk Pkᵀ`` on the host.
+
+        Before the first sweep there is no polar factor; the stack is then
+        the rectangular identity, so ``Qk = Ak`` truncated to the target
+        rank.
+        """
+        if self.polar is None:
+            return np.tile(np.eye(self.Rc, self.R, dtype=self.dtype), (self.Kc, 1, 1))
+        return self.xp.to_numpy(self.polar)
+
+    def compute_T(self):
         """``Tk = (Zk Pkᵀ)ᵀ F(k)`` over the cell's slices."""
-        return np.einsum(_T, polar, self.F, optimize=self.path_T, out=self.T)
+        self.T = self._einsum(_T, self.polar, self.F, out=self.T)
+        return self.T
 
     def mttkrp_H(self, EDtV: np.ndarray) -> np.ndarray:
         """The cell's partial of Lemma 1's ``G1`` (uses current ``W``)."""
-        return np.einsum(
-            _G1, self.W, self.T, EDtV, optimize=self.path_G1, out=self.G1
-        )
+        self.G1 = self._einsum(_G1, self.W, self.T, EDtV, out=self.G1)
+        return self.xp.to_numpy(self.G1)
 
     def gram_W(self) -> np.ndarray:
         """``Wcᵀ Wc`` — the cell's partial of the ``WᵀW`` Gram."""
-        return np.matmul(self.W.T, self.W, out=self.WtW)
+        self.WtW = np.matmul(self.W.T, self.W, out=self.WtW)
+        return self.WtW
 
     def mttkrp_V_inner(self, H: np.ndarray) -> np.ndarray:
         """The cell's partial of Lemma 2's inner sum ``Σk Tkᵀ H diag(Sk)``."""
-        return np.einsum(
-            _INNER, self.W, self.T, H, optimize=self.path_inner, out=self.inner
-        )
+        self.inner = self._einsum(_INNER, self.W, self.T, H, out=self.inner)
+        return self.xp.to_numpy(self.inner)
 
     def mttkrp_W(self, EDtV: np.ndarray, H: np.ndarray) -> np.ndarray:
         """Lemma 3's ``G3`` rows for the cell's slices."""
-        return np.einsum(
-            _G3, H, self.T, EDtV, optimize=self.path_G3, out=self.G3
-        )
+        self.G3 = self._einsum(_G3, H, self.T, EDtV, out=self.G3)
+        return self.xp.to_numpy(self.G3)
 
     def criterion_partials(
         self, VtD: np.ndarray, VtV: np.ndarray, H: np.ndarray
     ) -> tuple[float, float]:
         """The cell's float64 ``(cross, model)`` criterion partials.
 
-        Reads the ``Tk`` buffer of this sweep and the cell's updated ``W``
-        rows; mirrors :meth:`SweepWorkspace.compressed_error` term for
-        term, minus the constant data term handled at :meth:`bind`.
+        ``Σk ‖Tk E Dᵀ − H Sk Vᵀ‖²`` by the Gram trick (Section III-E) reads
+        this sweep's ``Tk`` and the cell's updated ``W`` rows; the constant
+        data term is handled at :meth:`bind`.
         """
-        np.multiply(self.T, self.E, out=self.TE)
-        np.multiply(H[None, :, :], self.W[:, None, :], out=self.HS)
-        cross = float(
-            np.einsum(_CROSS, self.TE, self.HS, VtD, optimize=self.path_cross)
-        )
-        model = float(
-            np.einsum(_MODEL, self.HS, self.HS, VtV, optimize=self.path_model)
-        )
+        if self.xp.is_numpy:
+            TE = np.multiply(self.T, self.E, out=self.TE)
+            HS = np.multiply(H[None, :, :], self.W[:, None, :], out=self.HS)
+        else:
+            xp = self.xp
+            TE = xp.astype(self.T, np.float64) * xp.astype(self.E, np.float64)
+            HS = xp.asarray(
+                H.astype(np.float64)[None, :, :]
+                * self.W.astype(np.float64)[:, None, :]
+            )
+            VtV = VtV.astype(np.float64)
+        cross = self.xp.to_float(self._einsum(_CROSS, TE, HS, VtD))
+        model = self.xp.to_float(self._einsum(_MODEL, HS, HS, VtV))
         return cross, model
-
-
-class DeviceSweepWorkspace:
-    """The :class:`SweepWorkspace` contract on a device array module.
-
-    Same geometry, same method surface, but the ``O(K R² Rc)`` sweep
-    contractions run through ``xp`` (torch/CuPy) while the tiny ``R×R``
-    Lemma solves stay on the host — callers convert with :meth:`host` /
-    :meth:`dev`, which are identity functions on the numpy workspace, so
-    :func:`~repro.decomposition.dpar2._iterate` is written once for both.
-
-    Differences from the numpy workspace, deliberately:
-
-    * No preallocated ``out=`` buffers — torch and CuPy route allocations
-      through caching device allocators, so steady-state sweeps reuse
-      memory without the explicit buffer plumbing (and ``torch.einsum``
-      has no ``out=`` anyway).
-    * Not cached by :func:`release_sweep_workspace`: there is nothing
-      host-side worth parking, and pinning device memory across calls
-      would fight the allocator.
-    * The convergence criterion still accumulates in float64 on the
-      device; ``bind`` pre-casts the constant factors once.
-    """
-
-    is_device = True
-
-    def __init__(
-        self, K: int, J: int, R: int, Rc: int | None = None,
-        dtype=np.float64, *, xp: ArrayModule,
-    ) -> None:
-        Rc = R if Rc is None else Rc
-        if Rc < R:
-            raise ValueError(f"compression rank {Rc} below target rank {R}")
-        dt = np.dtype(dtype)
-        if dt not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise ValueError(f"dtype must be float32 or float64, got {dt}")
-        self.K, self.J, self.R, self.Rc = K, J, R, Rc
-        self.dtype = dt
-        self.xp = xp
-        self.key = (K, J, R, Rc, dt.str, xp.name)
-
-        self.D = self.E = self.F = None
-        self.DE = self.EDtV = self.small = self.T = None
-        self.WtW = self.VtV = self.HtH = self.gram = None
-        self._D64 = self._E64 = None
-        self.data_term: float = 0.0
-
-    # ------------------------------------------------------------------ #
-    # residency helpers
-    # ------------------------------------------------------------------ #
-
-    def host(self, array):
-        """Device array → host ndarray (one small transfer)."""
-        return self.xp.to_numpy(array)
-
-    def dev(self, array):
-        """Host ndarray → device array."""
-        return self.xp.asarray(array)
-
-    # ------------------------------------------------------------------ #
-    # binding to a concrete compression
-    # ------------------------------------------------------------------ #
-
-    def bind(self, D: np.ndarray, E: np.ndarray, F: np.ndarray) -> "DeviceSweepWorkspace":
-        """Ship ``D, E, {F(k)}`` to the device once for this call."""
-        xp = self.xp
-        self.D, self.E, self.F = xp.asarray(D), xp.asarray(E), xp.asarray(F)
-        self.DE = self.D * self.E  # J x Rc, broadcasts over columns
-        # Criterion constants, pre-cast to float64 device copies.
-        self._D64 = xp.astype(self.D, np.float64)
-        self._E64 = xp.astype(self.E, np.float64)
-        FE = np.asarray(F, dtype=np.float64) * np.asarray(E, dtype=np.float64)
-        self.data_term = float(np.sum(FE * FE))
-        return self
-
-    def unbind(self) -> None:
-        """Drop device references (frees allocator blocks for reuse)."""
-        self.D = self.E = self.F = None
-        self.DE = self.EDtV = self.small = self.T = None
-        self.WtW = self.VtV = self.HtH = self.gram = None
-        self._D64 = self._E64 = None
-        self.data_term = 0.0
-
-    # ------------------------------------------------------------------ #
-    # sweep kernels (Section III-C, Lemmas 1-3)
-    # ------------------------------------------------------------------ #
-
-    def update_EDtV(self, V: np.ndarray):
-        xp = self.xp
-        V_d = xp.asarray(V)
-        self.EDtV = xp.matmul(xp.transpose(self.D), V_d) * self.E[:, None]
-        return self.EDtV
-
-    def compute_small(self, W: np.ndarray, H: np.ndarray):
-        xp = self.xp
-        self.small = xp.einsum(
-            _SMALL, self.F, self.EDtV, xp.asarray(W), xp.asarray(H)
-        )
-        return self.small
-
-    def compute_T(self, polar):
-        self.T = self.xp.einsum(_T, polar, self.F)
-        return self.T
-
-    def gram_W(self, W: np.ndarray):
-        W_d = self.xp.asarray(W)
-        self.WtW = self.xp.matmul(self.xp.transpose(W_d), W_d)
-        return self.WtW
-
-    def gram_V(self, V: np.ndarray):
-        V_d = self.xp.asarray(V)
-        self.VtV = self.xp.matmul(self.xp.transpose(V_d), V_d)
-        return self.VtV
-
-    def gram_H(self, H: np.ndarray):
-        H_d = self.xp.asarray(H)
-        self.HtH = self.xp.matmul(self.xp.transpose(H_d), H_d)
-        return self.HtH
-
-    def hadamard_gram(self, left, right):
-        self.gram = left * right
-        return self.gram
-
-    def mttkrp_H(self, W: np.ndarray):
-        return self.xp.einsum(_G1, self.xp.asarray(W), self.T, self.EDtV)
-
-    def mttkrp_V(self, W: np.ndarray, H: np.ndarray):
-        inner = self.xp.einsum(
-            _INNER, self.xp.asarray(W), self.T, self.xp.asarray(H)
-        )
-        return self.xp.matmul(self.DE, inner)
-
-    def mttkrp_W(self, H: np.ndarray):
-        return self.xp.einsum(_G3, self.xp.asarray(H), self.T, self.EDtV)
-
-    # ------------------------------------------------------------------ #
-    # compressed convergence criterion (Section III-E)
-    # ------------------------------------------------------------------ #
-
-    def compressed_error(self, H: np.ndarray, V: np.ndarray, W: np.ndarray) -> float:
-        """``Σk ‖Tk E Dᵀ − H Sk Vᵀ‖²`` via the Gram trick, in float64.
-
-        All three contractions run on the device in float64 (matching the
-        numpy workspace's accumulation dtype) and only the two scalars
-        cross back — extracting them synchronizes the stream.
-        """
-        xp = self.xp
-        V64 = xp.astype(xp.asarray(V), np.float64)
-        VtD = xp.matmul(xp.transpose(V64), self._D64)
-        TE = xp.astype(self.T, np.float64) * self._E64
-        HS_host = (
-            np.asarray(H, dtype=np.float64)[None, :, :]
-            * np.asarray(W, dtype=np.float64)[:, None, :]
-        )
-        HS = xp.asarray(HS_host)
-        cross = xp.to_float(xp.einsum(_CROSS, TE, HS, VtD))
-        model = xp.to_float(
-            xp.einsum(_MODEL, HS, HS, xp.matmul(xp.transpose(V64), V64))
-        )
-        return max(self.data_term - 2.0 * cross + model, 0.0)
-
-
-# --------------------------------------------------------------------- #
-# workspace cache
-# --------------------------------------------------------------------- #
-
-_CACHE_CAPACITY = 8
-#: Workspaces bigger than this are never cached, and the cache as a whole
-#: evicts oldest-first past it — buffers scale with K, and parking a
-#: 100k-slice geometry's buffers for the process lifetime is not a cache,
-#: it is a leak.
-_CACHE_MAX_BYTES = 64 * 2**20
-_workspace_cache: "OrderedDict[tuple, SweepWorkspace]" = OrderedDict()
-_cache_lock = threading.Lock()
-
-
-def acquire_sweep_workspace(
-    K: int, J: int, R: int, Rc: int | None = None, dtype=np.float64,
-    xp: "ArrayModule | str | None" = None,
-) -> "SweepWorkspace | DeviceSweepWorkspace":
-    """Check a workspace for this geometry out of the module cache.
-
-    The instance is *removed* from the cache while in use, so concurrent
-    ``dpar2`` calls on the same geometry each get a private workspace.
-    Return it with :func:`release_sweep_workspace` when the call finishes.
-
-    A non-numpy ``xp`` yields a fresh :class:`DeviceSweepWorkspace` — the
-    cache only parks host buffer sets; device allocations are recycled by
-    the backend's own caching allocator.
-    """
-    xp = get_xp(xp)
-    if not xp.is_numpy:
-        return DeviceSweepWorkspace(K, J, R, Rc, dtype, xp=xp)
-    key = (K, J, R, R if Rc is None else Rc, np.dtype(dtype).str)
-    with _cache_lock:
-        ws = _workspace_cache.pop(key, None)
-    return ws if ws is not None else SweepWorkspace(K, J, R, Rc, dtype)
-
-
-def release_sweep_workspace(ws: "SweepWorkspace | DeviceSweepWorkspace") -> None:
-    """Return a workspace to the cache.
-
-    Oldest geometries are evicted past the entry cap, and the cache is
-    bounded in total bytes — a workspace too large to fit is simply
-    dropped (its next acquisition pays the allocation again rather than
-    the process pinning K-scaled buffers forever).  Device workspaces are
-    never cached: unbinding hands their memory back to the allocator.
-    """
-    ws.unbind()
-    if ws.is_device:
-        return
-    size = ws.nbytes
-    if size > _CACHE_MAX_BYTES:
-        return
-    with _cache_lock:
-        _workspace_cache[ws.key] = ws
-        _workspace_cache.move_to_end(ws.key)
-        while len(_workspace_cache) > _CACHE_CAPACITY:
-            _workspace_cache.popitem(last=False)
-        total = sum(cached.nbytes for cached in _workspace_cache.values())
-        while total > _CACHE_MAX_BYTES and len(_workspace_cache) > 1:
-            _, evicted = _workspace_cache.popitem(last=False)
-            total -= evicted.nbytes

@@ -235,7 +235,8 @@ class ShardRunner:
     order.  ``bytes_sent`` / ``bytes_received`` accumulate the ndarray
     payload of every ``call`` (startup and shutdown excluded — they are
     one-time set-up and gather, not the per-sweep allreduce being
-    measured).
+    measured).  Only the process transport has a real RPC, so only it
+    records per-call latency (``repro_shard_call_seconds``).
     """
 
     def __init__(self, factory: Callable, payloads: Sequence) -> None:
@@ -246,11 +247,6 @@ class ShardRunner:
         self.n_shards = len(self._payloads)
         self.bytes_sent = 0
         self.bytes_received = 0
-        self._m_call_seconds = get_registry().histogram(
-            "repro_shard_call_seconds",
-            "Per-shard latency of one broadcast method call.",
-            labels={"backend": getattr(self, "name", "unknown")},
-        )
 
     @property
     def bytes_transferred(self) -> int:
@@ -295,7 +291,11 @@ class ShardRunner:
 
 
 class SerialShardRunner(ShardRunner):
-    """All shards in the calling thread — debugging and overhead baseline."""
+    """All shards in the calling thread.
+
+    The transport of every unsharded DPar2 run (one cell, one shard), and
+    the debugging and overhead baseline of the sharded ones.
+    """
 
     name = "serial"
 
@@ -309,12 +309,10 @@ class SerialShardRunner(ShardRunner):
         return [state.startup() for state in self._states]
 
     def _dispatch(self, method, args_per_shard):
-        out = []
-        for state, args in zip(self._states, args_per_shard):
-            t0 = time.perf_counter()
-            out.append(getattr(state, method)(*args))
-            self._m_call_seconds.observe(time.perf_counter() - t0)
-        return out
+        return [
+            getattr(state, method)(*args)
+            for state, args in zip(self._states, args_per_shard)
+        ]
 
     def close(self) -> None:
         self._states = None
@@ -345,14 +343,12 @@ class ThreadShardRunner(ShardRunner):
 
     def _dispatch(self, method, args_per_shard):
         pool = self._ensure_pool()
-
-        def _timed(pair):
-            t0 = time.perf_counter()
-            result = getattr(pair[0], method)(*pair[1])
-            self._m_call_seconds.observe(time.perf_counter() - t0)
-            return result
-
-        return list(pool.map(_timed, zip(self._states, args_per_shard)))
+        return list(
+            pool.map(
+                lambda pair: getattr(pair[0], method)(*pair[1]),
+                zip(self._states, args_per_shard),
+            )
+        )
 
     def close(self) -> None:
         if self._pool is not None:
@@ -510,6 +506,11 @@ class ProcessShardRunner(ShardRunner):
         self._replayed_calls = 0
         self._fault_events: list[dict] = []
         registry = get_registry()
+        self._m_call_seconds = registry.histogram(
+            "repro_shard_call_seconds",
+            "Per-shard latency of one broadcast method call.",
+            labels={"backend": self.name},
+        )
         self._m_heartbeat_misses = registry.counter(
             "repro_shard_heartbeat_misses_total",
             "Heartbeat polls that elapsed without a worker reply.",

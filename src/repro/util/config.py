@@ -59,12 +59,12 @@ class DecompositionConfig:
         naming an absent backend fail with an install hint at solve time,
         not at construction.
     shards:
-        ``None`` (default) runs the classic single-process DPar2 path,
-        byte-for-byte unchanged.  An integer ``N >= 1`` routes the solve
-        through the shard coordinator (:mod:`repro.parallel.sharding`):
-        stage-1 compression and the per-slice sweep contractions run
-        shard-local and only O(R^2) Gram statistics cross shard
-        boundaries each sweep.  Final factors are bitwise-identical for
+        ``None`` (default) runs DPar2 in process: the sweep loop of
+        :mod:`repro.decomposition.sharded` on a one-cell plan.  An
+        integer ``N >= 1`` spreads the cells over N shard workers
+        (:mod:`repro.parallel.sharding`): stage-1 compression and the
+        per-slice sweep contractions run shard-local and only O(R^2)
+        Gram statistics cross shard boundaries each sweep.  Final factors are bitwise-identical for
         any shard count (see ``docs/distributed.md``); the sharded path
         requires the numpy compute backend.
     shard_backend:

@@ -24,12 +24,11 @@ from repro.linalg.array_module import (
     backend_available,
     get_xp,
 )
+from repro.decomposition.sharded import sharded_dpar2
 from repro.linalg.kernels import (
-    DeviceSweepWorkspace,
-    acquire_sweep_workspace,
+    CellSweepWorkspace,
     batched_randomized_svd,
     batched_stacked_matmul,
-    release_sweep_workspace,
 )
 from repro.linalg.randomized_svd import randomized_svd
 from repro.tensor.random import low_rank_irregular_tensor, random_irregular_tensor
@@ -174,12 +173,6 @@ class TestKernelRoutingNumpy:
             assert np.array_equal(ref.singular_values, out.singular_values)
             assert np.array_equal(ref.V, out.V)
 
-    def test_acquire_workspace_numpy_ignores_xp_for_cache(self):
-        ws = acquire_sweep_workspace(4, 10, 3, xp="numpy")
-        assert not ws.is_device
-        assert ws.host(ws.WtW) is ws.WtW
-        release_sweep_workspace(ws)
-
     def test_native_slices_length_mismatch_rejected(self):
         tensor = random_irregular_tensor([8, 8], n_columns=6, random_state=0)
         with pytest.raises(ValueError, match="native_slices"):
@@ -197,7 +190,7 @@ class _LoopbackModule(NumpyModule):
     Every operation still delegates to numpy (values match the reference
     to roundoff), but ``is_numpy`` is False — so the kernels take their
     device-routing branches: forced batching, on-"device" bucket stacking
-    from ``native_slices``, :class:`DeviceSweepWorkspace` sweeps.  This
+    from ``native_slices``, device :class:`CellSweepWorkspace` sweeps.  This
     keeps the whole device code path under test even where torch is not
     installed.
     """
@@ -251,10 +244,7 @@ class TestLoopbackDevicePath:
             np.testing.assert_array_equal(A_out, A_ref)
 
     def test_full_sweep_loop_through_device_workspace(self):
-        """_iterate on a DeviceSweepWorkspace tracks the numpy workspace."""
-        from repro.decomposition.dpar2 import _iterate
-        from repro.parallel.backends import get_backend
-
+        """The one sweep loop on a device cell workspace tracks numpy."""
         xp = _LoopbackModule()
         tensor = low_rank_irregular_tensor(
             [40, 60, 35, 50, 45], n_columns=24, rank=4, noise=0.02, random_state=1
@@ -264,22 +254,16 @@ class TestLoopbackDevicePath:
             backend="serial",
         )
         ref = dpar2(tensor, config)
-        compressed = compress_tensor(
-            tensor, 4, random_state=7, backend="serial", compute_backend=xp
-        )
-        out = _iterate(
-            tensor, config, compressed, get_backend("serial"), 4, False, xp
-        )
+        out = sharded_dpar2(tensor, config, xp=xp)
         assert abs(out.fitness(tensor) - ref.fitness(tensor)) < 1e-10
+        assert len(out.history) == len(ref.history) == 8
         for r, o in zip(ref.history, out.history):
             np.testing.assert_allclose(
                 o.criterion, r.criterion, rtol=1e-8, atol=1e-10
             )
+        assert "sharding" not in out.stats
 
     def test_exact_convergence_ablation_on_device_path(self):
-        from repro.decomposition.dpar2 import _iterate
-        from repro.parallel.backends import get_backend
-
         xp = _LoopbackModule()
         tensor = low_rank_irregular_tensor(
             [30, 45, 38], n_columns=20, rank=3, noise=0.0, random_state=2
@@ -289,12 +273,8 @@ class TestLoopbackDevicePath:
             backend="serial",
         )
         ref = dpar2(tensor, config, exact_convergence=True)
-        compressed = compress_tensor(
-            tensor, 3, random_state=0, backend="serial", compute_backend=xp
-        )
-        out = _iterate(
-            tensor, config, compressed, get_backend("serial"), 3, True, xp
-        )
+        out = sharded_dpar2(tensor, config, exact_convergence=True, xp=xp)
+        assert len(out.history) == len(ref.history) == 4
         for r, o in zip(ref.history, out.history):
             np.testing.assert_allclose(o.criterion, r.criterion, rtol=1e-8)
 
@@ -316,14 +296,6 @@ class TestLoopbackDevicePath:
                 tensor, 3, stage1_batching="per-slice",
                 compute_backend=_LoopbackModule(),
             )
-
-    def test_device_workspace_not_cached_on_release(self):
-        xp = _LoopbackModule()
-        first = acquire_sweep_workspace(4, 10, 3, xp=xp)
-        assert isinstance(first, DeviceSweepWorkspace)
-        release_sweep_workspace(first)
-        second = acquire_sweep_workspace(4, 10, 3, xp=xp)
-        assert second is not first  # numpy geometries recycle; device never
 
 
 @torch_only
@@ -471,20 +443,22 @@ class TestTorchParity:
         assert all(Q.dtype == np.float32 for Q in result.Q)
 
     def test_device_workspace_checked_out_for_torch(self):
+        """A torch cell workspace keeps F resident and returns host arrays."""
         xp = get_xp("torch")
-        ws = acquire_sweep_workspace(4, 10, 3, xp=xp)
-        assert isinstance(ws, DeviceSweepWorkspace) and ws.is_device
+        ws = CellSweepWorkspace(4, 3, 3, xp=xp)
+        assert ws.small is None  # no host out= buffers on a device module
         rng = np.random.default_rng(0)
-        ws.bind(
-            rng.standard_normal((10, 3)),
-            np.abs(rng.standard_normal(3)),
-            rng.standard_normal((4, 3, 3)),
-        )
-        V = rng.standard_normal((10, 3))
-        EDtV = ws.host(ws.update_EDtV(V))
-        assert EDtV.shape == (3, 3)
-        release_sweep_workspace(ws)
-        assert ws.D is None  # unbound, not cached
+        E = np.abs(rng.standard_normal(3))
+        F = rng.standard_normal((4, 3, 3))
+        ws.bind(E, F, rng.standard_normal((4, 3)))
+        assert xp.is_native(ws.F)
+        EDtV, H = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
+        ws.compute_small(EDtV, H)
+        ws.compute_polar(engine=None)
+        ws.compute_T()
+        G1 = ws.mttkrp_H(EDtV)
+        assert isinstance(G1, np.ndarray) and G1.shape == (3, 3)
+        assert ws.polar_host().shape == (4, 3, 3)
 
     def test_streaming_absorb_many_runs_on_torch(self):
         from repro.decomposition.streaming import StreamingDpar2

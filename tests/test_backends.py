@@ -7,9 +7,10 @@ in ``tests/test_sharding.py``.
 import numpy as np
 import pytest
 
-from repro.decomposition.dpar2 import _batched_polar, compress_tensor, dpar2
+from repro.decomposition.dpar2 import compress_tensor, dpar2
 from repro.decomposition.parafac2_als import parafac2_als
 from repro.decomposition.spartan import spartan
+from repro.linalg.kernels import CellSweepWorkspace
 from repro.parallel.backends import (
     BACKEND_NAMES,
     BACKENDS,
@@ -159,10 +160,23 @@ class TestBackendEquivalence:
             assert np.array_equal(Qa, Qb)
 
     def test_batched_polar_identical(self):
+        """The cell's polar SVDs chunked over two threads match one call."""
         rng = np.random.default_rng(0)
-        stack = rng.standard_normal((16, 3, 3))
-        reference = _batched_polar(stack, 1, backend="serial")
-        assert np.array_equal(reference, _batched_polar(stack, 2, backend="thread"))
+        ws = CellSweepWorkspace(16, 3)
+        ws.small[...] = rng.standard_normal((16, 3, 3))
+        reference = ws.compute_polar(get_backend("serial")).copy()
+        engine = get_backend("thread", 2)
+        chunks = []
+        real_map = engine.map
+
+        def counting_map(func, items):
+            chunks.append(len(items))
+            return real_map(func, items)
+
+        engine.map = counting_map
+        chunked = ws.compute_polar(engine)
+        assert chunks == [2]  # the stack really went to both workers
+        assert np.array_equal(reference, chunked)
 
     @pytest.mark.parametrize("solver", [parafac2_als, spartan])
     def test_baselines_identical_across_backends(self, tiny_tensor, solver):

@@ -29,9 +29,51 @@ class TestUnconstrainedEquivalence:
         constrained = constrained_dpar2(
             structured_tensor, config, compressed=compressed
         )
-        np.testing.assert_allclose(constrained.V, plain.V, atol=1e-10)
-        np.testing.assert_allclose(constrained.H, plain.H, atol=1e-10)
-        np.testing.assert_allclose(constrained.S, plain.S, atol=1e-10)
+        assert np.array_equal(constrained.V, plain.V)
+        assert np.array_equal(constrained.H, plain.H)
+        assert np.array_equal(constrained.S, plain.S)
+
+    def test_bitwise_equal_to_dpar2_without_compression(self, structured_tensor):
+        config = DecompositionConfig(rank=4, max_iterations=8,
+                                     tolerance=0.0, random_state=0)
+        plain = dpar2(structured_tensor, config)
+        constrained = constrained_dpar2(structured_tensor, config)
+        assert constrained.method == "constrained_dpar2"
+        for Qa, Qb in zip(constrained.Q, plain.Q):
+            assert np.array_equal(Qa, Qb)
+        assert np.array_equal(constrained.V, plain.V)
+        assert np.array_equal(constrained.H, plain.H)
+        assert np.array_equal(constrained.S, plain.S)
+        assert [r.criterion for r in constrained.history] == [
+            r.criterion for r in plain.history
+        ]
+
+
+class TestConfigHonoured:
+    def test_float32_config_gives_float32_factors(self, structured_tensor):
+        config = DecompositionConfig(rank=4, max_iterations=5,
+                                     random_state=0, dtype="float32")
+        result = constrained_dpar2(
+            structured_tensor, config, nonnegative_weights=True, smooth_v=0.1
+        )
+        assert result.V.dtype == np.float32
+        assert result.S.dtype == np.float32
+        assert all(Qk.dtype == np.float32 for Qk in result.Q)
+        assert np.all(result.S >= 0.0)
+
+    def test_shards_run_through_the_coordinator(self, structured_tensor):
+        config = DecompositionConfig(rank=4, max_iterations=5, random_state=0,
+                                     shards=2, shard_backend="serial")
+        result = constrained_dpar2(
+            structured_tensor, config, nonnegative_weights=True
+        )
+        assert result.stats["sharding"]["shards"] == 2
+        assert np.all(result.S >= 0.0)
+        invariant = constrained_dpar2(
+            structured_tensor, config.with_(shards=1), nonnegative_weights=True
+        )
+        assert np.array_equal(result.S, invariant.S)
+        assert np.array_equal(result.V, invariant.V)
 
 
 class TestNonnegativeWeights:
@@ -71,7 +113,7 @@ class TestSmoothV:
         a = constrained_dpar2(structured_tensor, config,
                               compressed=compressed, smooth_v=0.0)
         b = dpar2(structured_tensor, config, compressed=compressed)
-        np.testing.assert_allclose(a.V, b.V, atol=1e-10)
+        assert np.array_equal(a.V, b.V)
 
     def test_smoothing_damps_updates(self, structured_tensor):
         """Stronger smoothing keeps V closer to its initialization after

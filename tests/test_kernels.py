@@ -1,6 +1,6 @@
 """Batched kernels, sweep workspace, and the dtype-configurable pipeline.
 
-The contract under test (ISSUE 2): batching, workspace reuse, and dtype
+The contract under test: batching, workspace reuse, and dtype
 threading are pure performance features — float64 results must be *bitwise*
 identical to the per-slice/per-call reference paths, and float32 results
 must track float64 to tolerance.
@@ -13,12 +13,10 @@ import pytest
 
 from repro.decomposition.dpar2 import compress_tensor, dpar2
 from repro.linalg.kernels import (
-    SweepWorkspace,
-    acquire_sweep_workspace,
+    CellSweepWorkspace,
     batched_randomized_svd,
     batched_stacked_matmul,
     bucket_by_rows,
-    release_sweep_workspace,
 )
 from repro.linalg.randomized_svd import randomized_svd
 from repro.tensor.irregular import IrregularTensor
@@ -101,7 +99,7 @@ class TestBatchedStackedMatmul:
 
 class TestSweepWorkspace:
     def test_dpar2_results_stable_across_consecutive_calls(self):
-        """Workspace reuse (cache hit on the 2nd call) must not leak state."""
+        """A second call on the same problem must not see the first's state."""
         tensor = low_rank_irregular_tensor(
             [30, 45, 38], n_columns=20, rank=3, noise=0.0, random_state=2
         )
@@ -131,27 +129,9 @@ class TestSweepWorkspace:
         assert np.array_equal(ref_a.V, again_a.V)
         assert np.array_equal(ref_b.V, again_b.V)
 
-    def test_acquire_checks_out_exclusive_instances(self):
-        ws1 = acquire_sweep_workspace(4, 10, 3)
-        ws2 = acquire_sweep_workspace(4, 10, 3)
-        assert ws1 is not ws2
-        release_sweep_workspace(ws1)
-        release_sweep_workspace(ws2)
-        assert acquire_sweep_workspace(4, 10, 3) is ws2
-        release_sweep_workspace(ws2)
-
-    def test_oversized_workspaces_are_not_cached(self, monkeypatch):
-        from repro.linalg import kernels
-
-        monkeypatch.setattr(kernels, "_CACHE_MAX_BYTES", 1024)
-        ws = acquire_sweep_workspace(50, 30, 4)
-        assert ws.nbytes > 1024
-        release_sweep_workspace(ws)
-        assert acquire_sweep_workspace(50, 30, 4) is not ws
-
     def test_rejects_compression_rank_below_target(self):
         with pytest.raises(ValueError, match="below target"):
-            SweepWorkspace(4, 10, 5, Rc=3)
+            CellSweepWorkspace(4, 5, Rc=3)
 
     def test_steady_state_sweeps_do_not_grow_memory(self):
         """tracemalloc: extra sweeps beyond the 2nd must not accrete heap.

@@ -117,12 +117,12 @@ class TestDeterminism:
 
     def test_sharded_span_tree_invariant_to_shard_count(self, tensor, tmp_path):
         shapes = {}
-        for shards in (2, 3):
+        for shards in (None, 2, 3):
             config = _config(shards=shards, shard_backend="serial")
             _traced_run(tensor, config, tmp_path / f"s{shards}.jsonl")
             spans = trace.load_spans(tmp_path / f"s{shards}.jsonl")
             shapes[shards] = trace.tree_shape(spans)
-        assert shapes[2] == shapes[3]
+        assert shapes[None] == shapes[2] == shapes[3]
         names = {name for _, _, name in shapes[2]}
         assert "dpar2.sweep_phase1" in names
 

@@ -3,8 +3,8 @@
 The load-bearing contract is **shard-count invariance**: for a fixed
 ``shard_cells`` the final factors must be bitwise-identical for any shard
 count and any shard backend.  The sharded path is *not* required to be
-bitwise-equal to the single-process solver (cell-order accumulation
-differs) — that path stays untouched and is its own baseline.
+bitwise-equal to the unsharded one-cell plan (cell-order accumulation
+differs) — that plan is its own baseline.
 """
 
 import multiprocessing
@@ -16,6 +16,7 @@ from repro.decomposition.dpar2 import compress_tensor, dpar2
 from repro.decomposition.sharded import sharded_stage1
 from repro.decomposition.streaming import StreamingDpar2
 from repro.linalg.kernels import batched_randomized_svd
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.parallel.sharding import (
     ProcessShardRunner,
     ShardPlan,
@@ -261,6 +262,37 @@ class TestShardCountInvariance:
         b = dpar2(dense_tensor, config(1, shard_cells=64))
         assert_same_factors(a, b)
 
+    def test_exact_convergence_invariant_to_shard_count(self, dense_tensor):
+        runs = {
+            shards: dpar2(
+                dense_tensor, config(shards, tolerance=0.0), exact_convergence=True
+            )
+            for shards in (None, 2, 3)
+        }
+        history = {
+            shards: [record.criterion for record in result.history]
+            for shards, result in runs.items()
+        }
+        assert len(history[2]) == 6
+        assert history[2] == history[3]
+        assert_same_factors(runs[2], runs[3])
+        np.testing.assert_allclose(history[2], history[None], rtol=1e-9)
+
+    def test_memmap_cells_stream_stage1_per_slice(
+        self, tmp_path, batched_stage1_calls
+    ):
+        # Equal heights: one stacked call per cell would copy the whole
+        # cell into RAM, which is what out-of-core must not do.
+        rng = np.random.default_rng(5)
+        tensor = IrregularTensor([rng.standard_normal((24, 16)) for _ in range(12)])
+        mapped = IrregularTensor.from_store(tensor.to_store(tmp_path / "store"))
+        cfg = config(2, rank=4)
+        out_of_core = dpar2(mapped, cfg)
+        assert batched_stage1_calls == []
+        in_ram = dpar2(tensor, cfg)
+        assert batched_stage1_calls  # in-RAM cells keep the stacked route
+        assert_same_factors(out_of_core, in_ram)
+
     def test_memmap_slices_through_process_runner(self, tmp_path):
         rng = np.random.default_rng(5)
         mm = []
@@ -351,6 +383,23 @@ class TestShardingStats:
         result = dpar2(dense_tensor, config(None))
         assert "sharding" not in result.stats
 
+    def test_unsharded_run_registers_no_shard_metrics(self, dense_tensor):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            dpar2(dense_tensor, config(None))
+        snapshot = registry.snapshot()
+        assert "repro_decompose_sweeps_total" in snapshot
+        assert [name for name in snapshot if name.startswith("repro_shard_")] == []
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_every_run_counts_its_compression(self, dense_tensor, shards):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            dpar2(dense_tensor, config(shards))
+            dpar2(dense_tensor, config(shards))
+        assert registry.counter("repro_decompose_compressions_total").value == 2
+        assert registry.histogram("repro_decompose_compress_seconds").count == 2
+
 
 class TestConfigValidation:
     def test_negative_shards_rejected(self):
@@ -368,10 +417,6 @@ class TestConfigValidation:
     def test_shards_require_numpy_compute(self):
         with pytest.raises(ValueError, match="numpy"):
             DecompositionConfig(shards=2, compute_backend="torch")
-
-    def test_exact_convergence_rejected(self, dense_tensor):
-        with pytest.raises(ValueError, match="exact_convergence"):
-            dpar2(dense_tensor, config(2), exact_convergence=True)
 
     def test_partition_ablation_rejected(self, dense_tensor):
         with pytest.raises(ValueError, match="greedy"):
