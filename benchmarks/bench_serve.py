@@ -9,7 +9,9 @@ asyncio service in a thread, and measures over keep-alive connections:
   coalescing-free server (``max_batch=1``) and the default adaptive
   transport — a quiet adaptive server must cost ~nothing extra;
 * **HTTP throughput** under concurrent load with micro-batching enabled
-  (adaptive window) vs disabled (``max_batch=1``) — the service-side win.
+  (adaptive window) vs disabled (``max_batch=1``) — the service-side win;
+* **engine-level** per-call CPU time of one fold-in of an unseen 50-row
+  slice, taken last, after every server has stopped.
 
 Every response is asserted against direct QueryEngine answers along the
 way, so this script doubles as the end-to-end serving smoke: train →
@@ -25,7 +27,8 @@ baseline (p99 latency above ``--max-regression`` times the baseline, rps
 below baseline divided by it) or when a machine-independent invariant
 breaks: batched throughput must be at least unbatched throughput, the
 idle-path adaptive p50 must stay within 10% of the coalescing-free p50,
-and concurrent load must actually coalesce kernel calls.  Schema v2
+and concurrent load must actually coalesce kernel calls.  The fold-in
+timing is recorded, not gated.  Schema v4; baselines from v2 on compare
 (schema v1 records predate keep-alive and the adaptive window; the
 workload check refuses them).  See docs/benchmarks.md for the field
 reference and baseline re-record procedure.
@@ -56,9 +59,16 @@ from repro.serve.store import FactorStore  # noqa: E402
 from repro.tensor.random import low_rank_irregular_tensor  # noqa: E402
 from repro.util.config import DecompositionConfig  # noqa: E402
 
-#: v3 adds the ``metrics`` registry snapshot of the adaptive server; the
-#: gate math is unchanged, so v2 baselines still check cleanly.
-SCHEMA_VERSION = 3
+#: v3 adds the ``metrics`` registry snapshot of the adaptive server, v4
+#: the ``fold_in`` timing; the gate math is unchanged, so v2 baselines
+#: still check cleanly.
+SCHEMA_VERSION = 4
+
+#: Rows of the unseen slice the fold-in timing projects.
+FOLD_IN_ROWS = 50
+
+#: Timed fold-in calls; their median is recorded.
+FOLD_IN_CALLS = 400
 
 _JSON_HEADERS = {"Content-Type": "application/json"}
 
@@ -135,6 +145,30 @@ def bench_engine(engine: QueryEngine, *, batch: int, repeats: int) -> dict:
         "unbatched_qps": batch / unbatched_best,
         "batched_qps": batch / batched_best,
         "kernel_speedup": unbatched_best / batched_best,
+    }
+
+
+def bench_fold_in(engine: QueryEngine, *, seed: int) -> dict:
+    """Median per-call CPU time of ``fold_in_many`` on one unseen slice.
+
+    CPU time, not wall time, so a busy neighbour on the runner does not
+    inflate it; no server thread is running while it is taken.
+    """
+    rng = np.random.default_rng(seed + 1)
+    X = rng.random((FOLD_IN_ROWS, engine.n_columns))
+    reference = engine.fold_in_many([X], seeds=[seed])[0]  # also warms up
+    samples = []
+    for _ in range(FOLD_IN_CALLS):
+        start = time.process_time()
+        fold = engine.fold_in_many([X], seeds=[seed])[0]
+        samples.append((time.process_time() - start) * 1e6)
+    _assert(np.array_equal(fold.weights, reference.weights),
+            "repeated fold-in of one slice changed its answer")
+    return {
+        "rows": FOLD_IN_ROWS,
+        "sweeps": engine.fold_in_sweeps,
+        "calls": FOLD_IN_CALLS,
+        "cpu_us_median": statistics.median(samples),
     }
 
 
@@ -473,6 +507,12 @@ def main(argv=None) -> int:
               f"{batched['kernel_batches']} kernel calls for "
               f"{batched['batched_requests']} requests)")
 
+        # Timed last, so no fold-in work runs ahead of the gated HTTP axes.
+        fold_in = bench_fold_in(engine, seed=args.seed)
+        print(f"fold-in : {fold_in['cpu_us_median']:,.0f} us CPU per call "
+              f"({fold_in['rows']} rows, {fold_in['sweeps']} sweeps, "
+              f"median of {fold_in['calls']})")
+
     record = {
         "schema_version": SCHEMA_VERSION,
         "platform": platform.platform(),
@@ -484,6 +524,7 @@ def main(argv=None) -> int:
             "repeats": args.repeats, "seed": args.seed,
         },
         "engine": kernel,
+        "fold_in": fold_in,
         "latency_unbatched": latency_unbatched,
         "latency_adaptive": latency_adaptive,
         "http_unbatched": unbatched,

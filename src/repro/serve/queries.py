@@ -13,7 +13,9 @@ API over a frozen :class:`~repro.decomposition.result.Parafac2Result`:
 * **Fold-in** — project an *unseen* slice onto the frozen model: stage-1
   sketch via the existing randomized-SVD kernels, then a few alternating
   ``(Qk, Sk)`` updates against frozen ``H``/``V`` — ``H`` and ``V`` are
-  never touched, so serving stays read-only.
+  never touched, so serving stays read-only.  With ``H`` and ``V`` frozen,
+  Lemma 3's normal matrix is a constant of the engine, factored once; a
+  sweep over a slice of at least ``R`` rows costs ``O(R³)``.
 * **Anomaly scores** — per-slice relative reconstruction error, for the
   training tensor (Gram trick, no reconstruction materialized) or for an
   unseen slice (fold-in residual).
@@ -156,11 +158,17 @@ class QueryEngine:
     """Derived, cached query state over one immutable model snapshot.
 
     Construction precomputes everything queries share — row-normalized
-    factor matrices per mode, the float64 ``H``/``V`` working copies, and
-    the Gram matrices the fold-in solves need — so per-request work is one
-    contraction plus top-``k`` selection.  Engines are cheap to hold per
-    registry version (the service keeps an LRU of them) and safe to share
-    across concurrent requests: all state is read-only after ``__init__``.
+    factor matrices per mode, the float64 ``H``/``V`` working copies,
+    ``VᵀV``, and Lemma 3's normal matrix ``(HᵀH) ∗ (VᵀV)`` with its
+    inverse — so a similarity request is one contraction plus top-``k``
+    selection, and a fold-in sweep over a slice of at least ``R`` rows is
+    one ``R×R`` SVD, a few ``R×R`` products and one product with the
+    cached inverse.  The inverse comes from a Cholesky factor, or is the
+    pseudoinverse when that fails (a rank-deficient model); the fallback
+    counts once per engine in ``repro_decompose_pinv_fallbacks_total``.
+    Engines are cheap to hold per registry version (the service keeps an
+    LRU of them) and safe to share across concurrent requests: all state
+    is read-only after ``__init__``.
 
     Parameters
     ----------
@@ -211,7 +219,11 @@ class QueryEngine:
         self._H64 = _as_float64(result.H)
         self._V64 = _as_float64(result.V)
         self._VtV = self._V64.T @ self._V64
-        self._HtH = self._H64.T @ self._H64
+        # Lemma 3's normal matrix with H and V frozen: every fold-in sweep
+        # of a slice with at least R rows solves against it (QkᵀQk = I),
+        # so it is factored here, once per engine.
+        self._normal = (self._H64.T @ self._H64) * self._VtV
+        self._normal_inv = solve_gram(self._normal, np.eye(self.rank))
 
         # Host<->device traffic tally (mutated under queries; plain int
         # bumps, so worst case under races is an undercounted stat, never a
@@ -545,40 +557,37 @@ class QueryEngine:
           ``Zk Σ Pkᵀ = svd(G V Sk Hᵀ)`` — the same Lemma the DPar2 sweep
           uses, restricted to one slice with ``H, V`` frozen.
         * Weight step: the Lemma-3 normal equations
-          ``(Hᵀ QkᵀQk H ∘ VᵀV) w = diag(Hᵀ (Qkᵀ Xk) V)``, with
-          ``Qkᵀ Xk = (Zk Pkᵀ)ᵀ G``.  ``QkᵀQk`` deviates from identity only
-          when the slice has fewer rows than the model rank, but carrying
-          it keeps that degenerate case correct too.
+          ``(Hᵀ QkᵀQk H ∘ VᵀV) w = g``, ``g = diag(Hᵀ (Qkᵀ Xk) V)``, with
+          ``Qkᵀ Xk = (Zk Pkᵀ)ᵀ G``.  When the sketch keeps ``R``
+          components, ``Zk Pkᵀ`` is square and orthogonal, so
+          ``QkᵀQk = I`` and the system is the engine's cached normal
+          matrix: the solve is one product with its inverse.  A slice
+          with fewer rows than the model rank has ``QkᵀQk ≠ I``; its
+          sweeps rebuild the system and go through ``solve_gram``.
+
+        The residual is ``‖Xk‖² − 2 w·g + wᵀ N w``, with ``N`` the last
+        sweep's normal matrix — ``O(R²)``, nothing reconstructed.
         """
-        H, VtV = self._H64, self._VtV
+        H = self._H64
         A = np.asarray(svd.U, dtype=np.float64)
         G = svd.singular_values[:, None].astype(np.float64) * np.asarray(
             svd.V, dtype=np.float64
         ).T  # R_eff x J
         GV = G @ self._V64  # R_eff x R
+        square = A.shape[1] == self.rank
+        normal = self._normal
         w = np.ones(self.rank, dtype=np.float64)
         Zp = None
         for _ in range(sweeps):
             Z, _, Pt = np.linalg.svd((GV * w) @ H.T, full_matrices=False)
-            Zp = Z @ Pt  # R_eff x R (columns orthonormal when R_eff >= R)
-            C = Zp.T @ GV  # R x R: Qkᵀ Xk V
-            g = np.einsum("ir,ir->r", H, C)
-            QtQ = Zp.T @ Zp
-            gram = (H.T @ (QtQ @ H)) * VtV
-            w = solve_gram(gram, g[None, :])[0]
-        HS = H * w
-        C = Zp.T @ GV
-        cross = float(np.einsum("ir,ir->", C, HS))
-        QtQ = Zp.T @ Zp
-        model_sq = float(np.einsum("ij,ij->", HS.T @ (QtQ @ HS), VtV))
-        norm_sq = float(slice_squared_norm(Xk))
-        residual_sq = max(norm_sq - 2.0 * cross + model_sq, 0.0)
-        return FoldInResult(
-            weights=w,
-            residual_squared=residual_sq,
-            norm_squared=norm_sq,
-            Q=(A @ Zp) if return_q else None,
-        )
+            Zp = Z @ Pt  # R_eff x R
+            g = np.einsum("ir,ir->r", H, Zp.T @ GV)
+            if square:
+                w = self._normal_inv @ g
+            else:
+                normal = (H.T @ (Zp.T @ Zp @ H)) * self._VtV
+                w = solve_gram(normal, g[None, :])[0]
+        return self._fold_in_result(Xk, w, g, normal, (A @ Zp) if return_q else None)
 
     def _refine_fold_in_device(
         self, Xk, svd, sweeps: int, return_q: bool
@@ -586,10 +595,11 @@ class QueryEngine:
         """Device mirror of :meth:`_refine_fold_in` (see there for the math).
 
         The ``J``-sized ``G V`` contraction and the per-sweep Procrustes
-        products run on the resident factors; only the ``R×R`` Lemma-3
-        system comes back each sweep (``solve_gram`` stays on the host —
-        it's the deterministic reference solve and the system is tiny), so
-        a sweep moves a few hundred bytes, never a factor.
+        products run on the resident factors; only the ``R``-vector ``g``
+        comes back each sweep, and the weight solve runs on the host
+        against the cached normal matrix.  A slice with fewer rows than
+        the model rank also downloads its ``R×R`` system each sweep, for
+        ``solve_gram`` — the deterministic reference solve.
         """
         xp = self._xp
         G = svd.singular_values[:, None].astype(np.float64) * np.asarray(
@@ -597,6 +607,8 @@ class QueryEngine:
         ).T  # R_eff x J, host
         GV = xp.matmul(self._up(G), self._V64_native)  # R_eff x R, device
         H, Ht = self._H64_native, self._Ht_native
+        square = G.shape[0] == self.rank
+        normal = self._normal
         w = np.ones(self.rank, dtype=np.float64)
         Zp = None
         for _ in range(sweeps):
@@ -605,35 +617,31 @@ class QueryEngine:
             Zp = xp.matmul(Z, Pt)
             C = xp.matmul(xp.transpose(Zp), GV)
             g = self._down(xp.einsum("ir,ir->r", H, C))
-            QtQ = xp.matmul(xp.transpose(Zp), Zp)
-            gram = self._down(
-                xp.einsum(
-                    "ij,ij->ij",
-                    xp.matmul(Ht, xp.matmul(QtQ, H)),
-                    self._VtV_native,
+            if square:
+                w = self._normal_inv @ g
+            else:
+                QtQ = xp.matmul(xp.transpose(Zp), Zp)
+                normal = self._down(
+                    xp.einsum(
+                        "ij,ij->ij",
+                        xp.matmul(Ht, xp.matmul(QtQ, H)),
+                        self._VtV_native,
+                    )
                 )
-            )
-            w = solve_gram(gram, g[None, :])[0]
-        HS = xp.einsum("ir,r->ir", H, self._up(w))
-        C = xp.matmul(xp.transpose(Zp), GV)
-        cross = xp.to_float(xp.einsum("ir,ir->", C, HS))
-        QtQ = xp.matmul(xp.transpose(Zp), Zp)
-        model_sq = xp.to_float(
-            xp.einsum(
-                "ij,ij->",
-                xp.matmul(xp.matmul(xp.transpose(HS), QtQ), HS),
-                self._VtV_native,
-            )
-        )
-        norm_sq = float(slice_squared_norm(Xk))
-        residual_sq = max(norm_sq - 2.0 * cross + model_sq, 0.0)
+                w = solve_gram(normal, g[None, :])[0]
         Q = None
         if return_q:
-            A = np.asarray(svd.U, dtype=np.float64)
-            Q = A @ self._down(Zp)
+            Q = np.asarray(svd.U, dtype=np.float64) @ self._down(Zp)
+        return self._fold_in_result(Xk, w, g, normal, Q)
+
+    @staticmethod
+    def _fold_in_result(Xk, w, g, normal, Q) -> FoldInResult:
+        """Package a fold-in, with its residual ``‖Xk‖² − 2 w·g + wᵀ N w``."""
+        norm_sq = float(slice_squared_norm(Xk))
+        residual_sq = norm_sq - 2.0 * float(w @ g) + float(w @ normal @ w)
         return FoldInResult(
             weights=w,
-            residual_squared=residual_sq,
+            residual_squared=max(residual_sq, 0.0),
             norm_squared=norm_sq,
             Q=Q,
         )

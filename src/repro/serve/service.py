@@ -45,13 +45,17 @@ Endpoints (all bodies JSON)::
 Malformed payloads (missing keys, wrong types, out-of-range values) are
 rejected with HTTP 400 and a JSON ``{"error": ...}`` body *before* the
 request joins a batch, so one bad request can never poison the kernel
-call it would have shared with other clients.
+call it would have shared with other clients.  Out of range includes
+work a client asks for: at most ``MAX_SIMILAR_INDICES`` indices per
+``/v1/similar`` and ``MAX_FOLD_IN_SWEEPS`` sweeps per ``/v1/fold-in``.
 
 Robustness (``docs/operations.md`` catalogues the failure modes):
 
-* **Deadlines** — ``request_timeout`` bounds every dispatch with
-  ``asyncio.wait_for``; an expired request answers 503 with a
-  ``Retry-After`` header and bumps the ``timeouts`` counter.
+* **Deadlines** — ``request_timeout`` bounds how long a request waits,
+  with ``asyncio.wait_for``; an expired request answers 503 with a
+  ``Retry-After`` header and bumps the ``timeouts`` counter.  It cannot
+  interrupt a kernel already running on the event-loop thread, which is
+  why the work one request may ask for is capped.
 * **Load shedding** — each :class:`MicroBatcher` can cap its pending
   queue (``max_queue``); submissions beyond the cap are rejected with
   503 + ``Retry-After`` *before* they buffer anything (``shed`` counter).
@@ -92,6 +96,17 @@ _MAX_HEADER_LINES = 256
 #: Default cap on request body size (bytes); oversized uploads answer 413
 #: without ever being buffered.
 DEFAULT_MAX_BODY_BYTES = 8 << 20
+
+#: Most refinement sweeps a ``/v1/fold-in`` client may ask for: eight times
+#: the engine default.  The fold kernel runs on the event-loop thread,
+#: where ``request_timeout`` cannot interrupt it, so an unbounded count
+#: would stall every client; above the cap the request answers 400.
+MAX_FOLD_IN_SWEEPS = 64
+
+#: Longest ``indices`` list one ``/v1/similar`` request may carry.  The
+#: whole list becomes one ``B×n`` score matrix on the event-loop thread;
+#: above the cap the request answers 400.
+MAX_SIMILAR_INDICES = 1024
 
 _REASONS = {
     200: "OK",
@@ -147,7 +162,10 @@ class ServiceError(Exception):
         self.retry_after = retry_after
 
 
-def _int_field(body: dict, key: str, default=None, *, minimum: int | None = None):
+def _int_field(
+    body: dict, key: str, default=None, *,
+    minimum: int | None = None, maximum: int | None = None,
+):
     """Read an optional integer field out of a JSON request body.
 
     Parameters
@@ -161,6 +179,8 @@ def _int_field(body: dict, key: str, default=None, *, minimum: int | None = None
         is returned as-is.
     minimum:
         Inclusive lower bound enforced on present values.
+    maximum:
+        Inclusive upper bound enforced on present values.
 
     Returns
     -------
@@ -171,8 +191,8 @@ def _int_field(body: dict, key: str, default=None, *, minimum: int | None = None
     ------
     ServiceError
         With status 400 when the value is not integer-like (booleans are
-        rejected — JSON ``true`` is never a valid count) or below
-        ``minimum``.
+        rejected — JSON ``true`` is never a valid count) or outside
+        ``[minimum, maximum]``.
     """
     value = body.get(key, default)
     if value is None:
@@ -185,6 +205,8 @@ def _int_field(body: dict, key: str, default=None, *, minimum: int | None = None
         raise ServiceError(400, f"{key!r} must be an integer, got {value!r}") from None
     if minimum is not None and value < minimum:
         raise ServiceError(400, f"{key!r} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ServiceError(400, f"{key!r} must be <= {maximum}, got {value}")
     return value
 
 
@@ -1197,6 +1219,12 @@ class ServeApp:
                 isinstance(i, int) and not isinstance(i, bool) for i in indices
             ):
                 raise ServiceError(400, "indices must be a list of integers")
+            if len(indices) > MAX_SIMILAR_INDICES:
+                raise ServiceError(
+                    400,
+                    f"indices holds {len(indices)} entries; "
+                    f"at most {MAX_SIMILAR_INDICES} per request",
+                )
             neighbors, scores = engine.similar(indices, k, mode=mode)
             return 200, {
                 "version": engine.version,
@@ -1277,7 +1305,10 @@ class ServeApp:
             "kind": kind,
             "slice": self._slice_for(body, engine),
             "seed": _int_field(body, "seed", 0),
-            "sweeps": _int_field(body, "sweeps", minimum=1) if kind == "fold-in" else None,
+            "sweeps": (
+                _int_field(body, "sweeps", minimum=1, maximum=MAX_FOLD_IN_SWEEPS)
+                if kind == "fold-in" else None
+            ),
             "neighbors": (
                 _int_field(body, "neighbors", minimum=1) if kind == "fold-in" else None
             ),

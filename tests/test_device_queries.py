@@ -153,6 +153,22 @@ class TestLoopbackEngineParity:
         host_engine.similar([0, 1], k=3)
         assert host_engine.transfer_stats() == ZERO_TRANSFERS
 
+    def test_fold_in_sweep_downloads_one_vector(self, loop_engine, tensor):
+        """A sweep uploads the R weights and downloads the R-vector ``g``;
+        only a slice with fewer than R rows also downloads its R×R system."""
+        R, sweeps = loop_engine.rank, 5
+        rng = np.random.default_rng(4)
+        before = loop_engine.transfer_stats()
+        loop_engine.fold_in(rng.standard_normal((30, tensor.n_columns)), sweeps=sweeps)
+        after = loop_engine.transfer_stats()
+        assert after["h2d_calls"] - before["h2d_calls"] == 1 + sweeps  # sketch + w
+        assert after["d2h_calls"] - before["d2h_calls"] == sweeps
+        assert after["d2h_bytes"] - before["d2h_bytes"] == sweeps * R * 8
+        loop_engine.fold_in(rng.standard_normal((R - 1, tensor.n_columns)), sweeps=sweeps)
+        short = loop_engine.transfer_stats()
+        assert short["d2h_calls"] - after["d2h_calls"] == 2 * sweeps
+        assert short["d2h_bytes"] - after["d2h_bytes"] == sweeps * (R + R * R) * 8
+
     def test_backend_names(self, host_engine, loop_engine):
         assert host_engine.compute_backend == "numpy"
         assert loop_engine.compute_backend == "loopback"

@@ -7,6 +7,8 @@ Covers the fault surface of :mod:`repro.serve.service`:
 * an oversized ``Content-Length`` answers 413 without the body ever being
   read;
 * a full micro-batch queue sheds with 503 + ``Retry-After``;
+* a request asking for more work than a cap allows (fold-in sweeps,
+  ``/v1/similar`` indices) answers 400 before it reaches a kernel;
 * SIGTERM triggers a graceful drain — in-flight requests are answered,
   the process exits 0 (exercised over real HTTP against a real
   ``repro serve`` subprocess);
@@ -34,6 +36,8 @@ import pytest
 from repro.decomposition.dpar2 import dpar2
 from repro.serve.service import (
     DEFAULT_MAX_BODY_BYTES,
+    MAX_FOLD_IN_SWEEPS,
+    MAX_SIMILAR_INDICES,
     MicroBatcher,
     ServiceError,
     start_server_in_thread,
@@ -163,6 +167,50 @@ class TestBodyCap:
             payload = {"index": 0, "k": 2, "pad": "x" * 100_000}
             reply = _call(handle.base_url, "POST", "/v1/similar", payload)
             assert reply["neighbors"]
+
+
+# --------------------------------------------------------------------- #
+# caps on the work one request may ask for
+# --------------------------------------------------------------------- #
+
+
+class TestWorkCaps:
+    """Kernels run on the event-loop thread, where the request deadline
+    cannot stop them, so the work one request may ask for is capped."""
+
+    def test_huge_sweeps_rejected_at_once(self, store, tensor, result):
+        slice_ = tensor.slices[0].tolist()
+        with start_server_in_thread(store) as handle:
+            start = time.monotonic()
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _call(handle.base_url, "POST", "/v1/fold-in",
+                      {"slice": slice_, "sweeps": 10**9})
+            assert err.value.code == 400
+            health = _call(handle.base_url, "GET", "/healthz")
+            assert time.monotonic() - start < 5.0
+            assert health["status"] == "ok"
+            assert health["batching"]["fold_in"]["requests"] == 0  # never batched
+            reply = _call(handle.base_url, "POST", "/v1/fold-in",
+                          {"slice": slice_, "sweeps": MAX_FOLD_IN_SWEEPS})
+            assert len(reply["weights"]) == result.rank
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _call(handle.base_url, "POST", "/v1/fold-in",
+                      {"slice": slice_, "sweeps": MAX_FOLD_IN_SWEEPS + 1})
+            assert err.value.code == 400
+            assert str(MAX_FOLD_IN_SWEEPS) in json.loads(err.value.read())["error"]
+
+    def test_similar_indices_cap_both_sides(self, store, tensor):
+        indices = [i % tensor.n_slices for i in range(MAX_SIMILAR_INDICES + 1)]
+        with start_server_in_thread(store) as handle:
+            reply = _call(
+                handle.base_url, "POST", "/v1/similar",
+                {"indices": indices[:MAX_SIMILAR_INDICES], "k": 2},
+            )
+            assert len(reply["results"]) == MAX_SIMILAR_INDICES
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _call(handle.base_url, "POST", "/v1/similar", {"indices": indices, "k": 2})
+            assert err.value.code == 400
+            assert str(MAX_SIMILAR_INDICES) in json.loads(err.value.read())["error"]
 
 
 # --------------------------------------------------------------------- #
