@@ -214,8 +214,7 @@ def run_sparse_axis(
 
     def run(tensor):
         return compress_tensor(
-            tensor, rank, random_state=seed,
-            backend="serial", stage1_batching="batched",
+            tensor, rank, random_state=seed, backend="serial",
         )
 
     sparse_stats, _ = _best_of(repeats, lambda: run(sparse_tensor))
@@ -274,8 +273,7 @@ def run_sparse_backend_axis(
 
     def run(tensor):
         return compress_tensor(
-            tensor, rank, random_state=seed,
-            backend="serial", stage1_batching="batched",
+            tensor, rank, random_state=seed, backend="serial",
             compute_backend=compute_backend,
         )
 
@@ -365,7 +363,9 @@ def run_kernel_bench(
     """Time the two hot paths on a many-small-slices synthetic tensor.
 
     Returns the record written to ``BENCH_kernels.json``: stage-1 seconds
-    per dispatch strategy, preprocess/iterate seconds and bytes for a full
+    per dispatch strategy (the per-slice reference is the stage-1 router's
+    ``use_greedy_partition=False`` route on the serial backend, one
+    randomized SVD per slice), preprocess/iterate seconds and bytes for a full
     ``dpar2`` run, the float32 pipeline's timings for comparison, the
     per-backend ``sparse_backend`` axis of :func:`run_sparse_backend_axis`,
     and (on the numpy backend) the gated sparse axis of
@@ -389,14 +389,13 @@ def run_kernel_bench(
         repeats,
         lambda: compress_tensor(
             tensor, rank, random_state=seed,
-            backend="serial", stage1_batching="per-slice",
+            backend="serial", use_greedy_partition=False,
         ),
     )
     batched_stats, _ = _best_of(
         repeats,
         lambda: compress_tensor(
-            tensor, rank, random_state=seed,
-            backend="serial", stage1_batching="batched",
+            tensor, rank, random_state=seed, backend="serial",
             compute_backend=compute_backend,
         ),
     )

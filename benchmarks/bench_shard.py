@@ -95,7 +95,7 @@ def run_shard_bench(
     ablation (log-uniform ``Ik``), large enough that BLAS work — not
     Python dispatch — dominates the timed paths.  Invariance digests run
     on the serial shard backend (transport cannot change the bytes;
-    the test suite separately pins thread/process equality), timing runs
+    the test suite separately pins serial/process equality), timing runs
     on the backends named in the record.
     """
     from repro.data.synthetic import (

@@ -118,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     decompose.add_argument(
         "--shard-backend", default="process", choices=list(SHARD_RUNNERS),
-        help="transport for shard workers (default: process; serial and "
-        "thread exist for debugging and overhead measurement)",
+        help="transport for shard workers (default: process; serial runs "
+        "every shard in process, for debugging and overhead measurement)",
     )
     decompose.add_argument(
         "--shard-cells", type=int, default=8, metavar="C",

@@ -124,7 +124,6 @@ def _stage1_svds(
     power_iterations: int,
     engine: ExecutionBackend,
     xp: ArrayModule,
-    stage1_batching: str = "auto",
     use_greedy_partition: bool = True,
 ) -> list[RandomizedSVDResult]:
     """Stage 1: one randomized SVD per slice, each with its own generator.
@@ -134,10 +133,9 @@ def _stage1_svds(
     an :class:`IrregularTensor` or a list of dense/CSR slices.  Both routes
     — the stacked kernel
     (:func:`~repro.linalg.kernels.batched_randomized_svd`) and per-slice
-    dispatch over ``engine``'s workers — give bitwise-identical results,
-    so the choice is purely about speed.  ``stage1_batching`` forces one
-    (``"batched"`` / ``"per-slice"``); ``"auto"`` batches when it cannot
-    lose:
+    dispatch over ``engine``'s workers — give bitwise-identical results on
+    dense slices, so the choice is purely about speed, and it is made from
+    the input alone; stage 1 batches when it cannot lose:
 
     * memory-mapped slices stream per slice — stacking a bucket would copy
       it into RAM and defeat out-of-core;
@@ -154,20 +152,7 @@ def _stage1_svds(
     from the per-backend device cache instead of re-uploading them.
     """
     if not xp.is_numpy:
-        if stage1_batching == "per-slice":
-            raise ValueError(
-                "stage1_batching='per-slice' is a host-dispatch ablation and "
-                f"cannot run on compute backend {xp.name!r}; "
-                "use compute_backend='numpy' for that measurement"
-            )
         batched = True
-    elif stage1_batching in ("batched", "per-slice"):
-        batched = stage1_batching == "batched"
-    elif stage1_batching != "auto":
-        raise ValueError(
-            "stage1_batching must be 'auto', 'batched', or 'per-slice'; "
-            f"got {stage1_batching!r}"
-        )
     elif any(isinstance(Xk, np.memmap) for Xk in slices):
         batched = False
     elif any(isinstance(Xk, CsrMatrix) for Xk in slices):
@@ -221,7 +206,6 @@ def compress_tensor(
     random_state=None,
     use_greedy_partition: bool = True,
     backend: "str | ExecutionBackend" = "thread",
-    stage1_batching: str = "auto",
     compute_backend: "str | ArrayModule" = "numpy",
 ) -> CompressedTensor:
     """Two-stage randomized-SVD compression (Algorithm 3, lines 2–6).
@@ -231,8 +215,8 @@ def compress_tensor(
     the whole Algorithm-1 pipeline runs as stacked 3-D LAPACK calls
     (:func:`~repro.linalg.kernels.batched_randomized_svd`) — identical
     results, no per-slice Python dispatch.  Otherwise (tall slices on
-    several workers, memory-mapped slices, or
-    ``stage1_batching="per-slice"``) each slice is dispatched over the
+    several workers, memory-mapped slices, or dense slices with
+    ``use_greedy_partition=False``) each slice is dispatched over the
     ``backend``'s workers with Algorithm 4's greedy number partitioning
     keyed on row counts (``use_greedy_partition=False`` selects the naive
     allocation, used by the partitioning ablation).  Stage 2 compresses
@@ -291,7 +275,6 @@ def compress_tensor(
         power_iterations=power_iterations,
         engine=get_backend(backend, n_threads),
         xp=xp,
-        stage1_batching=stage1_batching,
         use_greedy_partition=use_greedy_partition,
     )
 

@@ -9,7 +9,7 @@ dense BLAS/LAPACK kernels numpy exposes:
 * :func:`gram_svd` — SVD of a tall matrix via the eigendecomposition of its
   ``J×J`` Gram matrix; used by RD-ALS preprocessing where the concatenated
   matrix has ``sum(Ik)`` rows but few columns.
-* :func:`orthonormal_columns` / :func:`pseudoinverse` — shared helpers.
+* :func:`pseudoinverse` / :func:`solve_gram` — shared helpers.
 * :mod:`repro.linalg.kernels` — batched/stacked kernels for the DPar2 hot
   paths: :func:`batched_randomized_svd` (bucketed stage-1 compression),
   :func:`batched_stacked_matmul`, and the allocation-free
@@ -35,7 +35,6 @@ from repro.linalg.kernels import (
     bucket_by_rows,
 )
 from repro.linalg.pinv import pseudoinverse, solve_gram
-from repro.linalg.qr import orthonormal_columns
 from repro.linalg.randomized_svd import RandomizedSVDResult, randomized_svd
 from repro.linalg.truncated_svd import truncated_svd
 
@@ -50,7 +49,6 @@ __all__ = [
     "batched_stacked_matmul",
     "bucket_by_rows",
     "gram_svd",
-    "orthonormal_columns",
     "pseudoinverse",
     "randomized_svd",
     "solve_gram",

@@ -36,10 +36,13 @@ Conventions shared by every module:
 * RNG draws always happen on the host with numpy generators and are then
   shipped over — a fixed seed therefore feeds every backend the same
   sketch, which is what makes cross-backend parity testable at all.
-* The sparse surface (``sparse_csr`` / ``spmm`` / ``spmm_t``) mirrors the
-  dense one: host CSR arrays go up once as a backend-native handle, and
-  the two SpMM products the stage-1 sketch needs run on that handle.  The
-  numpy module wraps the very same scipy/pure-numpy kernels
+* The sparse surface (``sparse_csr`` / ``spmm``) mirrors the dense one:
+  host CSR arrays go up once as a backend-native handle, and the forward
+  SpMM runs on that handle.  Transposed products need no second kernel:
+  :class:`~repro.sparse.csr.CsrMatrix` and
+  :class:`~repro.sparse.stacked.StackedCsr` multiply through their cached
+  host transpose, whose handle also uploads once.  The numpy module wraps
+  the very same scipy/pure-numpy kernels
   :class:`~repro.sparse.stacked.StackedCsr` always used, so host results
   stay bitwise identical; torch uses ``sparse_csr_tensor`` + ``sparse.mm``
   and CuPy uses ``cupyx.scipy.sparse.csr_matrix``.
@@ -90,11 +93,6 @@ class ArrayModule(abc.ABC):
     #: functions the kernels called historically (the bitwise-exact path).
     is_numpy: ClassVar[bool] = False
 
-    @property
-    def is_device(self) -> bool:
-        """Whether arrays live off-host (host↔device transfers are real)."""
-        return self.device != "cpu"
-
     # ------------------------------------------------------------------ #
     # movement
     # ------------------------------------------------------------------ #
@@ -118,14 +116,6 @@ class ArrayModule(abc.ABC):
     # ------------------------------------------------------------------ #
     # creation
     # ------------------------------------------------------------------ #
-
-    @abc.abstractmethod
-    def empty(self, shape, dtype):
-        """Uninitialized native array."""
-
-    @abc.abstractmethod
-    def zeros(self, shape, dtype):
-        """Zero-filled native array."""
 
     @abc.abstractmethod
     def stack(self, arrays):
@@ -164,15 +154,8 @@ class ArrayModule(abc.ABC):
         """Native array at another precision (may return ``a`` unchanged)."""
 
     @abc.abstractmethod
-    def copy(self, a):
-        """Contiguous independent copy of a native array."""
-
-    @abc.abstractmethod
     def to_float(self, scalar) -> float:
         """0-d native array → Python float (synchronizes device backends)."""
-
-    def synchronize(self) -> None:
-        """Block until queued device work finishes (no-op on host)."""
 
     # ------------------------------------------------------------------ #
     # sparse (CSR) surface
@@ -184,7 +167,7 @@ class ArrayModule(abc.ABC):
 
         ``indptr``/``indices`` are int64 host arrays, ``data`` a float32 or
         float64 host array.  The handle is opaque to callers — it only ever
-        feeds :meth:`spmm` / :meth:`spmm_t` on the same module.  Device
+        feeds :meth:`spmm` on the same module.  Device
         modules upload the three arrays once per call; callers cache the
         handle (see :meth:`repro.sparse.stacked.StackedCsr.native`).
         """
@@ -193,10 +176,6 @@ class ArrayModule(abc.ABC):
     def spmm(self, sparse, dense):
         """``sparse @ dense`` for a :meth:`sparse_csr` handle and a native
         2-D dense operand; returns a native dense array."""
-
-    @abc.abstractmethod
-    def spmm_t(self, sparse, dense):
-        """``sparseᵀ @ dense`` — the projection product of the sketch."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r}, device={self.device!r})"
@@ -226,12 +205,6 @@ class NumpyModule(ArrayModule):
     def numpy_dtype(self, array) -> np.dtype:
         return np.asarray(array).dtype
 
-    def empty(self, shape, dtype):
-        return np.empty(shape, dtype=dtype)
-
-    def zeros(self, shape, dtype):
-        return np.zeros(shape, dtype=dtype)
-
     def stack(self, arrays):
         return np.stack(arrays)
 
@@ -256,9 +229,6 @@ class NumpyModule(ArrayModule):
     def astype(self, a, dtype):
         return np.asarray(a).astype(dtype, copy=False)
 
-    def copy(self, a):
-        return np.asarray(a).copy()
-
     def to_float(self, scalar) -> float:
         return float(scalar)
 
@@ -276,10 +246,6 @@ class NumpyModule(ArrayModule):
     def spmm(self, sparse, dense):
         dense = np.asarray(dense)
         return sparse.matmul_dense(dense[None])[0]
-
-    def spmm_t(self, sparse, dense):
-        dense = np.asarray(dense)
-        return sparse.t_matmul_dense(dense[None])[0]
 
 
 class TorchModule(ArrayModule):
@@ -356,16 +322,6 @@ class TorchModule(ArrayModule):
             return array.dtype
         return self._numpy_dtype_map[array.dtype]
 
-    def empty(self, shape, dtype):
-        return self._torch.empty(
-            shape, dtype=self._torch_dtype(dtype), device=self.device
-        )
-
-    def zeros(self, shape, dtype):
-        return self._torch.zeros(
-            shape, dtype=self._torch_dtype(dtype), device=self.device
-        )
-
     def stack(self, arrays):
         return self._torch.stack(list(arrays))
 
@@ -392,15 +348,8 @@ class TorchModule(ArrayModule):
     def astype(self, a, dtype):
         return a.to(self._torch_dtype(dtype))
 
-    def copy(self, a):
-        return a.contiguous().clone()
-
     def to_float(self, scalar) -> float:
         return float(scalar)
-
-    def synchronize(self) -> None:
-        if self.device == "cuda":
-            self._torch.cuda.synchronize()
 
     def _upload_component(self, array):
         tensor = self._torch.from_numpy(np.ascontiguousarray(array))
@@ -418,16 +367,6 @@ class TorchModule(ArrayModule):
 
     def spmm(self, sparse, dense):
         return self._torch.sparse.mm(sparse, dense)
-
-    def spmm_t(self, sparse, dense):
-        # ``.t()`` of a CSR tensor is its CSC view (shared arrays); CSC @
-        # dense support varies by torch release, so fall back to a one-off
-        # CSR conversion where the direct product is not implemented.
-        transposed = sparse.t()
-        try:
-            return self._torch.sparse.mm(transposed, dense)
-        except (RuntimeError, NotImplementedError):
-            return self._torch.sparse.mm(transposed.to_sparse_csr(), dense)
 
 
 class CupyModule(ArrayModule):
@@ -473,12 +412,6 @@ class CupyModule(ArrayModule):
     def numpy_dtype(self, array) -> np.dtype:
         return np.dtype(array.dtype)
 
-    def empty(self, shape, dtype):
-        return self._cupy.empty(shape, dtype=dtype)
-
-    def zeros(self, shape, dtype):
-        return self._cupy.zeros(shape, dtype=dtype)
-
     def stack(self, arrays):
         return self._cupy.stack(list(arrays))
 
@@ -503,14 +436,8 @@ class CupyModule(ArrayModule):
     def astype(self, a, dtype):
         return a.astype(dtype, copy=False)
 
-    def copy(self, a):
-        return self._cupy.ascontiguousarray(a).copy()
-
     def to_float(self, scalar) -> float:
         return float(scalar)
-
-    def synchronize(self) -> None:
-        self._cupy.cuda.get_current_stream().synchronize()
 
     def sparse_csr(self, indptr, indices, data, shape):
         from cupyx.scipy import sparse as cupy_sparse
@@ -523,9 +450,6 @@ class CupyModule(ArrayModule):
 
     def spmm(self, sparse, dense):
         return sparse @ dense
-
-    def spmm_t(self, sparse, dense):
-        return sparse.T @ dense
 
 
 #: The always-available default module, shared by every ``xp=None`` call.

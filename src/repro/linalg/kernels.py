@@ -9,12 +9,14 @@ resolution plus temporary reallocation.  This module makes them
 hardware-bound:
 
 * :func:`batched_randomized_svd` groups slices into equal-row-count buckets,
-  stacks each bucket into a ``(b, Ik, J)`` array, and runs the whole
-  Algorithm-1 pipeline — Gaussian sketch, power iterations, QR, small SVD —
-  as batched 3-D ``matmul`` / ``np.linalg.qr`` / ``np.linalg.svd`` calls.
-  numpy's stacked linalg gufuncs invoke the very same LAPACK routine per
-  sub-matrix, so the results are **bitwise identical** to the per-slice
-  loop (given the same per-slice generators).
+  stacks each bucket into a ``(b, Ik, J)`` array (or a
+  :class:`~repro.sparse.stacked.StackedCsr`), and hands it to the one
+  Algorithm-1 pipeline of :mod:`repro.linalg.randomized_svd`, whose
+  steps are then batched 3-D ``matmul`` / ``np.linalg.qr`` /
+  ``np.linalg.svd`` calls.  numpy's stacked linalg gufuncs invoke the
+  very same LAPACK routine per sub-matrix, so dense results are
+  **bitwise identical** to the per-slice loop (given the same per-slice
+  generators).
 
 * :func:`batched_stacked_matmul` applies one ``(b, Ik, R) @ (b, R, R)``
   matmul per row-count bucket — the final ``Qk = Ak Zk Pkᵀ``
@@ -47,7 +49,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.linalg.array_module import ArrayModule, get_xp
-from repro.linalg.randomized_svd import RandomizedSVDResult, randomized_svd
+from repro.linalg.randomized_svd import (
+    RandomizedSVDResult,
+    _draw_sketches,
+    _host_result,
+    _rsvd,
+    randomized_svd,
+)
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.stacked import StackedCsr
 
@@ -74,79 +82,6 @@ def bucket_by_rows(row_counts) -> list[tuple[int, list[int]]]:
     for index, rows in enumerate(row_counts):
         by_height.setdefault(int(rows), []).append(index)
     return [(h, by_height[h]) for h in sorted(by_height)]
-
-
-def _stacked_rsvd(
-    stack,
-    effective_rank: int,
-    power_iterations: int,
-    omegas,
-    xp: ArrayModule,
-):
-    """Algorithm 1 on a ``(b, m, J)`` stack — all steps batched 3-D calls.
-
-    ``stack``/``omegas`` are ``xp``-native arrays and every step dispatches
-    through ``xp``.  On the numpy module each call *is* the numpy function
-    the pre-``xp`` code used, mapping to the same LAPACK/BLAS routine per
-    2-D sub-array — so stacks reproduce the per-slice results bit for
-    bit.  Device modules run the identical pipeline on their batched
-    primitives.
-    """
-    Y = xp.matmul(stack, omegas)
-    Q, _ = xp.qr(Y)
-    for _ in range(power_iterations):
-        Z, _ = xp.qr(xp.matmul(xp.transpose(stack), Q))
-        Q, _ = xp.qr(xp.matmul(stack, Z))
-    B = xp.matmul(xp.transpose(Q), stack)
-    U_small, sigma, Vt = xp.svd(B, full_matrices=False)
-    U = xp.matmul(Q, U_small[:, :, :effective_rank])
-    return U, sigma[:, :effective_rank], Vt[:, :effective_rank, :]
-
-
-def _stacked_rsvd_sparse(
-    stacked: StackedCsr,
-    effective_rank: int,
-    power_iterations: int,
-    omegas,
-    xp: ArrayModule,
-):
-    """Algorithm 1 on a :class:`StackedCsr` bucket — SpMM sketching.
-
-    Mirrors :func:`_stacked_rsvd` step for step, with the two
-    matrix-sized products (``XΩ``-style sketches and the ``QᵀX``
-    projection) running through the bucket's batched SpMM kernels.  The
-    only dense arrays are the ``(r+p)``-column panels; cost is
-    ``O(nnz·(r+p))`` per product instead of ``O(b·m·J·(r+p))``.  The
-    Gaussian sketches are the very ones the dense path draws, so results
-    agree with a densified run to floating-point rounding (the summation
-    order inside each dot product is the only difference).
-
-    On the numpy module every call below is the historical host function —
-    same kernels, same bits.  A device module uploads the bucket's CSR
-    structure once (:meth:`StackedCsr.native
-    <repro.sparse.stacked.StackedCsr.native>`) and keeps the panels
-    resident between the SpMM, QR, and SVD steps; the caller downloads the
-    truncated factors.
-    """
-    if xp.is_numpy:
-        Y = stacked.matmul_dense(omegas)
-        Q, _ = np.linalg.qr(Y)
-        for _ in range(power_iterations):
-            Z, _ = np.linalg.qr(stacked.t_matmul_dense(Q))
-            Q, _ = np.linalg.qr(stacked.matmul_dense(Z))
-        B = np.swapaxes(stacked.t_matmul_dense(Q), 1, 2)  # (b, sketch, J)
-        U_small, sigma, Vt = np.linalg.svd(B, full_matrices=False)
-        U = np.matmul(Q, U_small[:, :, :effective_rank])
-        return U, sigma[:, :effective_rank], Vt[:, :effective_rank, :]
-    Y = stacked.matmul_dense(xp.asarray(omegas), xp=xp)
-    Q, _ = xp.qr(Y)
-    for _ in range(power_iterations):
-        Z, _ = xp.qr(stacked.t_matmul_dense(Q, xp=xp))
-        Q, _ = xp.qr(stacked.matmul_dense(Z, xp=xp))
-    B = xp.transpose(stacked.t_matmul_dense(Q, xp=xp))  # (b, sketch, J)
-    U_small, sigma, Vt = xp.svd(B, full_matrices=False)
-    U = xp.matmul(Q, U_small[:, :, :effective_rank])
-    return U, sigma[:, :effective_rank], Vt[:, :effective_rank, :]
 
 
 def batched_randomized_svd(
@@ -181,15 +116,17 @@ def batched_randomized_svd(
     Slices may also be :class:`~repro.sparse.csr.CsrMatrix` instances, on
     any backend: an all-sparse bucket is concatenated into a
     :class:`~repro.sparse.stacked.StackedCsr` and sketched through batched
-    SpMM (:func:`_stacked_rsvd_sparse`) — ``O(nnz·(r+p))`` work and only
-    the ``(r+p)``-column panels dense.  On a device backend the bucket's
-    CSR arrays upload once and the panels stay resident through the whole
-    pipeline (``torch.sparse_csr_tensor`` / ``cupyx`` CSR under the
-    module's ``spmm``); the numpy path is the historical scipy/pure-numpy
-    kernel, bit for bit.  Mixed buckets densify their sparse members
-    (stacking forces a common layout anyway).  Each slice still draws its own
-    sketch from its own generator, so the factors agree with a densified
-    run to floating-point rounding for a fixed seed.
+    SpMM — ``O(nnz·(r+p))`` work and only the ``(r+p)``-column panels
+    dense.  A lone CSR slice and a shared bucket run different host SpMM
+    kernels, so a CSR slice's factors depend on its bucket to rounding.
+    On a device backend the bucket's CSR arrays upload once and the panels
+    stay resident through the whole pipeline (``torch.sparse_csr_tensor``
+    / ``cupyx`` CSR under the module's ``spmm``); the numpy path is the
+    historical scipy/pure-numpy kernel, bit for bit.  Mixed buckets
+    densify their sparse members (stacking forces a common layout
+    anyway).  Each slice still draws its own sketch from its own
+    generator, so the factors agree with a densified run to
+    floating-point rounding for a fixed seed.
     """
     xp = get_xp(xp)
     mats = [
@@ -222,48 +159,33 @@ def batched_randomized_svd(
             )
             continue
 
-        effective_rank = min(rank, height, J)
-        sketch_size = min(effective_rank + oversampling, min(height, J))
         dtype = mats[indices[0]].dtype
-        sparse_bucket = all(isinstance(mats[k], CsrMatrix) for k in indices)
-
-        omegas = np.empty((len(indices), J, sketch_size), dtype=dtype)
-        for pos, k in enumerate(indices):
-            # Draw in float64 first (as the per-slice path does), then cast:
-            # the float32 pipeline sees the same sketch to within rounding.
-            omega = generators[k].standard_normal((J, sketch_size))
-            omegas[pos] = omega if dtype == np.float64 else omega.astype(dtype)
-
-        if sparse_bucket:
-            stacked = StackedCsr.from_matrices([mats[k] for k in indices])
-            U, sigma, Vt = _stacked_rsvd_sparse(
-                stacked, effective_rank, power_iterations, omegas, xp
-            )
+        effective_rank, omegas = _draw_sketches(
+            [generators[k] for k in indices],
+            rank,
+            (height, J),
+            dtype,
+            oversampling=oversampling,
+            power_iterations=power_iterations,
+        )
+        if all(isinstance(mats[k], CsrMatrix) for k in indices):
+            stack = StackedCsr.from_matrices([mats[k] for k in indices])
+        elif native_slices is not None and not xp.is_numpy:
+            stack = xp.stack([native_slices[k] for k in indices])
         else:
-            if native_slices is not None and not xp.is_numpy:
-                stack = xp.stack([native_slices[k] for k in indices])
-            else:
-                host = np.empty((len(indices), height, J), dtype=dtype)
-                for pos, k in enumerate(indices):
-                    Xk = mats[k]
-                    if isinstance(Xk, CsrMatrix):
-                        # Mixed bucket: the stack is dense regardless, so a
-                        # lone sparse member just materializes its rows.
-                        Xk = Xk.to_dense()
-                    host[pos] = Xk
-                stack = host if xp.is_numpy else xp.asarray(host)
-
-            U, sigma, Vt = _stacked_rsvd(
-                stack, effective_rank, power_iterations, xp.asarray(omegas), xp
-            )
+            stack = np.empty((len(indices), height, J), dtype=dtype)
+            for pos, k in enumerate(indices):
+                Xk = mats[k]
+                # Mixed bucket: the stack is dense regardless, so a lone
+                # sparse member just materializes its rows.
+                stack[pos] = Xk.to_dense() if isinstance(Xk, CsrMatrix) else Xk
         # One transfer back per bucket; slicing the host copies after.
-        U, sigma, Vt = xp.to_numpy(U), xp.to_numpy(sigma), xp.to_numpy(Vt)
+        U, sigma, Vt = (
+            xp.to_numpy(factor)
+            for factor in _rsvd(stack, omegas, effective_rank, power_iterations, xp)
+        )
         for pos, k in enumerate(indices):
-            results[k] = RandomizedSVDResult(
-                U=np.ascontiguousarray(U[pos]),
-                singular_values=sigma[pos].copy(),
-                V=np.ascontiguousarray(Vt[pos].T),
-            )
+            results[k] = _host_result(U[pos], sigma[pos], Vt[pos])
     return results  # type: ignore[return-value]
 
 

@@ -1,27 +1,10 @@
-"""Orthonormalization helpers."""
+"""Random orthonormal initialization."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.linalg.array_module import get_xp
 from repro.util.rng import as_generator
-from repro.util.validation import check_matrix
-
-
-def orthonormal_columns(matrix, *, xp=None) -> np.ndarray:
-    """Return an orthonormal basis ``Q`` for the column space of ``matrix``.
-
-    Thin wrapper over reduced QR; kept as a named function so call sites read
-    like the paper ("QR ← Y using QR factorization", Algorithm 1 line 3).
-    ``xp`` selects the compute backend (default numpy); the basis is
-    returned as a host ndarray either way.  Sign conventions may differ
-    between backends' LAPACK builds — any column sign is a valid basis.
-    """
-    xp = get_xp(xp)
-    A = check_matrix(matrix, "matrix")
-    Q, _ = xp.qr(xp.asarray(A))
-    return xp.to_numpy(Q)
 
 
 def random_orthonormal(rows: int, cols: int, random_state=None) -> np.ndarray:

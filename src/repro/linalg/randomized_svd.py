@@ -11,6 +11,16 @@ Given ``A`` of shape ``I×J`` and a target rank ``R``:
 
 Cost is ``O(I J R)`` versus ``O(I J min(I, J))`` for a full SVD — this is
 the asymmetry DPar2's compression stage exploits.
+
+Steps 2–5 exist once, in :func:`_rsvd`, for every operand the library
+feeds them: one matrix or a ``(b, m, J)`` stack of equal-shape slices
+(:func:`~repro.linalg.kernels.batched_randomized_svd`), dense, a
+:class:`~repro.sparse.csr.CsrMatrix` or a
+:class:`~repro.sparse.stacked.StackedCsr`, on numpy or a device ``xp``.
+The pipeline only asks its operand for three products — ``A·X``,
+``Aᵀ·X`` and ``Qᵀ·A`` — so the sparse operands run their SpMM kernels
+and nothing else differs.  Step 1 is :func:`_draw_sketches`, the one place
+the sketch width is validated and the Gaussian test matrices drawn.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ import numpy as np
 
 from repro.linalg.array_module import get_xp
 from repro.sparse.csr import CsrMatrix
+from repro.sparse.stacked import StackedCsr
 from repro.util.rng import as_generator
 from repro.util.validation import check_matrix, check_rank
 
@@ -68,10 +79,9 @@ def randomized_svd(
         Dense 2-D array of shape ``(I, J)`` — a host ndarray, or an
         ``xp``-native array when a non-default ``xp`` is given (native
         inputs skip host validation; the caller vouches for them) — or a
-        :class:`~repro.sparse.csr.CsrMatrix`, which runs the same pipeline
-        with the two big products done as SpMM (``O(nnz·(R+s))`` instead
-        of ``O(I·J·(R+s))``) on any backend via the module's sparse
-        surface.
+        :class:`~repro.sparse.csr.CsrMatrix`, whose two big products run as
+        SpMM (``O(nnz·(R+s))`` instead of ``O(I·J·(R+s))``) on any backend
+        via the module's sparse surface.
     rank:
         Target rank ``R``; capped implicitly by ``min(I, J)``.
     oversampling:
@@ -94,6 +104,8 @@ def randomized_svd(
     RandomizedSVDResult
         With exactly ``min(rank, I, J)`` components, in ``matrix``'s float
         dtype (float32 inputs stay float32; everything else runs float64).
+        A CSR input agrees with its densified run to floating-point
+        rounding: only the summation order inside each product differs.
 
     Notes
     -----
@@ -104,122 +116,106 @@ def randomized_svd(
     """
     xp = get_xp(xp)
     if isinstance(matrix, CsrMatrix):
-        return _sparse_randomized_svd(
-            matrix,
-            rank,
-            oversampling=oversampling,
-            power_iterations=power_iterations,
-            random_state=random_state,
-            xp=xp,
-        )
-    if xp.is_native(matrix) and not isinstance(matrix, np.ndarray):
-        A = matrix
+        A, dtype = matrix, matrix.dtype
+    elif xp.is_native(matrix) and not isinstance(matrix, np.ndarray):
+        A, dtype = matrix, xp.numpy_dtype(matrix)
     else:
         A = check_matrix(matrix, "matrix", dtype=None)
-    I, J = A.shape
-    effective_rank = min(check_rank(rank), I, J)
-    if oversampling < 0:
-        raise ValueError(f"oversampling must be >= 0, got {oversampling}")
-    if power_iterations < 0:
-        raise ValueError(f"power_iterations must be >= 0, got {power_iterations}")
-    rng = as_generator(random_state)
-
-    dtype = xp.numpy_dtype(A)
-    sketch_size = min(effective_rank + oversampling, min(I, J))
-    omega = rng.standard_normal((J, sketch_size))
-    if dtype != np.float64:
-        omega = omega.astype(dtype)
-
-    A = xp.asarray(A)
-    Y = xp.matmul(A, xp.asarray(omega))
-    Q, _ = xp.qr(Y)
-    for _ in range(power_iterations):
-        # Re-orthonormalize between the Aᵀ and A applications; without it the
-        # columns of Y align with the top singular vector and precision dies.
-        Z, _ = xp.qr(xp.matmul(xp.transpose(A), Q))
-        Q, _ = xp.qr(xp.matmul(A, Z))
-
-    B = xp.matmul(xp.transpose(Q), A)
-    U_small, sigma, Vt = xp.svd(B, full_matrices=False)
-    U = xp.matmul(Q, U_small[:, :effective_rank])
-    return RandomizedSVDResult(
-        U=xp.to_numpy(U),
-        singular_values=xp.to_numpy(sigma)[:effective_rank].copy(),
-        V=np.ascontiguousarray(xp.to_numpy(Vt)[:effective_rank].T),
+        dtype = A.dtype
+    effective_rank, omegas = _draw_sketches(
+        [as_generator(random_state)],
+        rank,
+        A.shape,
+        dtype,
+        oversampling=oversampling,
+        power_iterations=power_iterations,
     )
+    U, sigma, Vt = _rsvd(A, omegas[0], effective_rank, power_iterations, xp)
+    return _host_result(xp.to_numpy(U), xp.to_numpy(sigma), xp.to_numpy(Vt))
 
 
-def _sparse_randomized_svd(
-    A: CsrMatrix,
+def _draw_sketches(
+    generators,
     rank: int,
+    shape,
+    dtype,
     *,
     oversampling: int,
     power_iterations: int,
-    random_state,
-    xp=None,
-) -> RandomizedSVDResult:
-    """Algorithm 1 with the ``A``-sized products as SpMM.
+) -> tuple[int, np.ndarray]:
+    """Step 1 of Algorithm 1 for one or more ``(I, J)`` operands.
 
-    Identical structure and identical Gaussian sketch to the dense path
-    (the generator stream is consumed the same way), so for a fixed seed
-    the factors match the densified run to floating-point rounding — the
-    only difference is the order in which each dot product's terms are
-    summed.  Dense intermediates are the ``(R+s)``-column ``Y``/``Q``/``Z``
-    panels; the raw matrix is only ever touched through its CSR arrays.
-
-    On a non-numpy ``xp`` the CSR structure (and its cached transpose)
-    uploads once through :meth:`CsrMatrix.native
-    <repro.sparse.csr.CsrMatrix.native>` and the whole pipeline — SpMM
-    sketches, panel QRs, the small SVD — stays device-resident; only the
-    truncated factors come back.  The numpy module runs the historical
-    host code path, bit for bit.
+    Validates ``rank``, ``oversampling`` and ``power_iterations`` and
+    returns the effective rank ``min(rank, I, J)`` with a host
+    ``(len(generators), J, width)`` stack of Gaussian test matrices,
+    ``width = min(rank + oversampling, I, J)``, one drawn in float64 from
+    each generator and cast to ``dtype`` — so a slice sees the same sketch
+    whichever bucket it lands in.
     """
-    xp = get_xp(xp)
-    I, J = A.shape
-    effective_rank = min(check_rank(rank), I, J)
+    rows, cols = shape
+    effective_rank = min(check_rank(rank), rows, cols)
     if oversampling < 0:
         raise ValueError(f"oversampling must be >= 0, got {oversampling}")
     if power_iterations < 0:
         raise ValueError(f"power_iterations must be >= 0, got {power_iterations}")
-    rng = as_generator(random_state)
+    width = min(effective_rank + oversampling, rows, cols)
+    omegas = np.empty((len(generators), cols, width), dtype=dtype)
+    for pos, rng in enumerate(generators):
+        omegas[pos] = rng.standard_normal((cols, width))
+    return effective_rank, omegas
 
-    dtype = A.dtype
-    sketch_size = min(effective_rank + oversampling, min(I, J))
-    omega = rng.standard_normal((J, sketch_size))
-    if dtype != np.float64:
-        omega = omega.astype(dtype)
 
-    if not xp.is_numpy:
-        # Same pipeline on the device: the transpose product runs through
-        # the host-cached CSC-as-CSR structure, so every backend uses its
-        # plain forward SpMM kernel (see StackedCsr.t_matmul_dense).
-        handle = A.native(xp)
-        handle_t = A.transpose().native(xp)
-        Y = xp.spmm(handle, xp.asarray(omega))
-        Q, _ = xp.qr(Y)
-        for _ in range(power_iterations):
-            Z, _ = xp.qr(xp.spmm(handle_t, Q))
-            Q, _ = xp.qr(xp.spmm(handle, Z))
-        B = xp.transpose(xp.spmm(handle_t, Q))  # (sketch, J) = Qᵀ A
-        U_small, sigma, Vt = xp.svd(B, full_matrices=False)
-        U = xp.matmul(Q, U_small[:, :effective_rank])
-        return RandomizedSVDResult(
-            U=xp.to_numpy(U),
-            singular_values=xp.to_numpy(sigma)[:effective_rank].copy(),
-            V=np.ascontiguousarray(xp.to_numpy(Vt)[:effective_rank].T),
-        )
+def _rsvd(A, omega, rank: int, power_iterations: int, xp):
+    """Steps 2–5 of Algorithm 1 on a matrix or a ``(b, m, J)`` stack.
 
-    Y = A.matmul_dense(omega)
-    Q, _ = np.linalg.qr(Y)
+    ``A`` is dense (host or ``xp``-native), a
+    :class:`~repro.sparse.csr.CsrMatrix` or a
+    :class:`~repro.sparse.stacked.StackedCsr`; ``omega`` is its host
+    sketch (``(J, width)``, or ``(b, J, width)`` for a stack).  Every step
+    is one ``xp`` call on the whole operand: numpy's stacked linalg
+    gufuncs run the same LAPACK routine per 2-D sub-array, so a stack
+    reproduces the per-matrix results bit for bit, and on the numpy
+    module each call *is* the numpy function the historical code used.
+    A sparse operand's products stay on its own kernels — host SpMM on
+    numpy, ``xp.spmm`` over its cached native handle on a device — and
+    the transposed products read its cached transpose.  Returns the
+    ``xp``-native ``(U, σ, Vᵀ)`` truncated to ``rank``.
+    """
+    if isinstance(A, (CsrMatrix, StackedCsr)):
+        def product(X):
+            return A.matmul_dense(X, xp=xp)
+
+        def t_product(X):
+            return A.t_matmul_dense(X, xp=xp)
+
+        def project(Q):
+            return xp.transpose(t_product(Q))
+    else:
+        A = xp.asarray(A)
+
+        def product(X):
+            return xp.matmul(A, X)
+
+        def t_product(X):
+            return xp.matmul(xp.transpose(A), X)
+
+        def project(Q):
+            return xp.matmul(xp.transpose(Q), A)
+
+    Q, _ = xp.qr(product(xp.asarray(omega)))
     for _ in range(power_iterations):
-        Z, _ = np.linalg.qr(A.t_matmul_dense(Q))
-        Q, _ = np.linalg.qr(A.matmul_dense(Z))
+        # Re-orthonormalize between the Aᵀ and A applications; without it the
+        # columns of Y align with the top singular vector and precision dies.
+        Z, _ = xp.qr(t_product(Q))
+        Q, _ = xp.qr(product(Z))
+    U_small, sigma, Vt = xp.svd(project(Q), full_matrices=False)
+    return xp.matmul(Q, U_small[..., :rank]), sigma[..., :rank], Vt[..., :rank, :]
 
-    B = A.t_matmul_dense(Q).T  # (sketch, J) = Qᵀ A
-    U_small, sigma, Vt = np.linalg.svd(B, full_matrices=False)
-    U = Q @ U_small[:, :effective_rank]
+
+def _host_result(U: np.ndarray, sigma: np.ndarray, Vt: np.ndarray) -> RandomizedSVDResult:
+    """Truncated host factors of one matrix as a :class:`RandomizedSVDResult`."""
     return RandomizedSVDResult(
-        U=U,
-        singular_values=sigma[:effective_rank].copy(),
-        V=np.ascontiguousarray(Vt[:effective_rank].T),
+        U=np.ascontiguousarray(U),
+        singular_values=sigma.copy(),
+        V=np.ascontiguousarray(Vt.T),
     )

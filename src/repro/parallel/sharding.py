@@ -13,10 +13,11 @@ carry other shardable solvers later:
   of floating-point accumulation downstream, and their membership depends
   only on the weights and the cell count — never on the shard count —
   which is what makes sharded results shard-count-invariant.
-* :class:`SerialShardRunner` / :class:`ThreadShardRunner` /
-  :class:`ProcessShardRunner` — the three transports, one per
-  ``shard_backend`` name.  All expose the same ``start`` / ``call`` /
-  ``close`` surface and produce byte-identical results.  The process
+* :class:`SerialShardRunner` / :class:`ProcessShardRunner` — the two
+  transports, one per ``shard_backend`` name.  Both expose the same
+  ``start`` / ``call`` / ``close`` surface and produce byte-identical
+  results.  In-process parallelism is the execution backend's
+  (``backend="thread"`` with ``n_threads``), not a transport's.  The process
   runner forks its workers, so each inherits its init payload (dense,
   CSR or memmap slices, or precomputed ``Ak``) as a copy-on-write
   snapshot of the parent's pages: bulk slice data is neither copied nor
@@ -52,7 +53,6 @@ __all__ = [
     "SerialShardRunner",
     "ShardPlan",
     "ShardWorkerError",
-    "ThreadShardRunner",
     "get_shard_runner",
     "payload_nbytes",
     "plan_shards",
@@ -318,45 +318,6 @@ class SerialShardRunner(ShardRunner):
         self._states = None
 
 
-class ThreadShardRunner(ShardRunner):
-    """One worker thread per shard; BLAS/LAPACK release the GIL."""
-
-    name = "thread"
-
-    def __init__(self, factory: Callable, payloads: Sequence) -> None:
-        super().__init__(factory, payloads)
-        self._states: list | None = None
-        self._pool = None
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(max_workers=self.n_shards)
-        return self._pool
-
-    def start(self) -> list:
-        pool = self._ensure_pool()
-        self._states = list(pool.map(self._factory, self._payloads))
-        self._payloads = [None] * self.n_shards
-        return list(pool.map(lambda state: state.startup(), self._states))
-
-    def _dispatch(self, method, args_per_shard):
-        pool = self._ensure_pool()
-        return list(
-            pool.map(
-                lambda pair: getattr(pair[0], method)(*pair[1]),
-                zip(self._states, args_per_shard),
-            )
-        )
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        self._states = None
-
-
 def _shard_worker_main(
     conn: connection.Connection,
     factory: Callable,
@@ -443,7 +404,7 @@ class ProcessShardRunner(ShardRunner):
     reads even though the parent holds the only physical copy.  Per-call
     messages are small (O(R²) Grams) and go over a duplex pipe via
     pickle.  Platforms without ``fork`` are refused at construction;
-    use the ``serial`` or ``thread`` transport there.
+    use the ``serial`` transport there.
 
     Each worker brings the BLAS thread pool it inherited, so keep
     shards × BLAS threads at or below the core count: on a 2-vCPU VM, six
@@ -486,8 +447,8 @@ class ProcessShardRunner(ShardRunner):
         except ValueError:
             raise ValueError(
                 "the process shard transport needs the 'fork' start method, "
-                "which this platform lacks; use the 'serial' or 'thread' "
-                "shard transport instead"
+                "which this platform lacks; use the 'serial' shard "
+                "transport instead"
             ) from None
         super().__init__(factory, payloads)
         if call_timeout is None:
@@ -784,7 +745,6 @@ class ProcessShardRunner(ShardRunner):
 #: Name → runner class, mirroring ``repro.parallel.backends.BACKENDS``.
 SHARD_RUNNERS: dict[str, type[ShardRunner]] = {
     SerialShardRunner.name: SerialShardRunner,
-    ThreadShardRunner.name: ThreadShardRunner,
     ProcessShardRunner.name: ProcessShardRunner,
 }
 

@@ -16,9 +16,10 @@ API over a frozen :class:`~repro.decomposition.result.Parafac2Result`:
   never touched, so serving stays read-only.  With ``H`` and ``V`` frozen,
   Lemma 3's normal matrix is a constant of the engine, factored once; a
   sweep over a slice of at least ``R`` rows costs ``O(R³)``.
-* **Anomaly scores** — per-slice relative reconstruction error, for the
-  training tensor (Gram trick, no reconstruction materialized) or for an
-  unseen slice (fold-in residual).
+* **Anomaly score of an unseen slice** — its fold-in residual, relative
+  to the slice's norm.  Training slices are scored by the one scorer,
+  :func:`repro.analysis.anomaly.slice_anomaly_scores`, which needs the
+  training tensor the engine does not hold.
 
 Determinism contract: on the numpy backend every query kernel is invariant
 to batch composition — the similarity scores are computed with a
@@ -185,7 +186,7 @@ class QueryEngine:
     compute_backend:
         Array library for the bulk kernels.  ``"numpy"`` (default) is the
         bitwise-stable path.  Device backends upload the cached factors
-        once here and keep similarity, reconstruction, fold-in and anomaly
+        once here and keep similarity, reconstruction and fold-in
         contractions device-resident; answers stay batch-invariant and
         deterministically tie-broken per backend (ranking runs on the host
         over downloaded scores), and host↔device traffic is tallied in
@@ -265,17 +266,6 @@ class QueryEngine:
         self._transfers["d2h_calls"] += 1
         self._transfers["d2h_bytes"] += out.nbytes
         return out
-
-    def _up_csr(self, matrix: CsrMatrix):
-        """Device handle for a CSR slice; counts the first (caching) upload."""
-        cached = matrix.has_native(self._xp)
-        handle = matrix.native(self._xp)
-        if not cached:
-            self._transfers["h2d_calls"] += 1
-            self._transfers["h2d_bytes"] += (
-                matrix.indptr.nbytes + matrix.indices.nbytes + matrix.data.nbytes
-            )
-        return handle
 
     # ------------------------------------------------------------------ #
     # metadata
@@ -647,87 +637,8 @@ class QueryEngine:
         )
 
     # ------------------------------------------------------------------ #
-    # anomaly scores
+    # anomaly score of an unseen slice
     # ------------------------------------------------------------------ #
-
-    def anomaly_scores(self, tensor) -> np.ndarray:
-        """Per-slice relative reconstruction error against training data.
-
-        ``score_k = ‖Xk − X̂k‖ / ‖Xk‖`` via the Gram expansion — nothing is
-        reconstructed, so a whole tensor scores in ``O(Σ Ik R J)``.  Zero
-        slices score 0.
-        """
-        result = self.result
-        if tensor.n_slices != self.n_slices:
-            raise ValueError(
-                f"tensor has {tensor.n_slices} slices, model has {self.n_slices}"
-            )
-        if tensor.n_columns != self.n_columns:
-            raise ValueError(
-                f"tensor has J={tensor.n_columns}, model has J={self.n_columns}"
-            )
-        if not self._xp.is_numpy:
-            return self._anomaly_scores_device(tensor)
-        scores = np.empty(self.n_slices)
-        for k, Xk in enumerate(tensor):
-            norm_sq = float(slice_squared_norm(Xk))
-            if norm_sq == 0.0:
-                scores[k] = 0.0
-                continue
-            HS = self._H64 * np.asarray(result.S[k], dtype=np.float64)
-            Qk = np.asarray(result.Q[k], dtype=np.float64)
-            if isinstance(Xk, CsrMatrix):
-                QtX = Xk.rmatmul_dense(Qk)
-            else:
-                QtX = Qk.T @ np.asarray(Xk, dtype=np.float64)
-            cross = float(np.einsum("ij,ij->", (QtX @ self._V64), HS))
-            # Qkᵀ Qk ≠ I when a streaming model zero-padded a slice whose
-            # own rank ran below R — carry it, like the fold-in path does.
-            model_sq = float(
-                np.einsum("ij,ij->", HS.T @ (Qk.T @ Qk) @ HS, self._VtV)
-            )
-            residual_sq = max(norm_sq - 2.0 * cross + model_sq, 0.0)
-            scores[k] = np.sqrt(residual_sq / norm_sq)
-        return scores
-
-    def _anomaly_scores_device(self, tensor) -> np.ndarray:
-        """Gram-trick scoring with the slice-sized products on the device.
-
-        Dense slices move up whole (``Qk`` too); CSR slices run their
-        ``Qkᵀ Xk`` as a forward SpMM through the cached host transpose
-        (see :meth:`~repro.sparse.stacked.StackedCsr.t_matmul_dense` for
-        why), with the structure upload cached per slice across calls.
-        The ``R×R`` reductions come home and finish in float64 on the
-        host, exactly like the numpy path.
-        """
-        xp = self._xp
-        result = self.result
-        scores = np.empty(self.n_slices)
-        for k, Xk in enumerate(tensor):
-            norm_sq = float(slice_squared_norm(Xk))
-            if norm_sq == 0.0:
-                scores[k] = 0.0
-                continue
-            HS = self._H64 * np.asarray(result.S[k], dtype=np.float64)
-            Qk = self._up(np.asarray(result.Q[k]), dtype=np.float64)
-            if isinstance(Xk, CsrMatrix):
-                Xk64 = Xk.astype(np.float64)
-                # W = Xkᵀ Qk (J × R); then (Qkᵀ Xk) V = Wᵀ V.
-                W = xp.spmm(self._up_csr(Xk64.transpose()), Qk)
-                QtX_V = xp.matmul(xp.transpose(W), self._V64_native)
-            else:
-                Xn = self._up(np.asarray(Xk), dtype=np.float64)
-                QtX_V = xp.matmul(
-                    xp.matmul(xp.transpose(Qk), Xn), self._V64_native
-                )
-            cross = float(np.einsum("ij,ij->", self._down(QtX_V), HS))
-            QtQ = self._down(xp.matmul(xp.transpose(Qk), Qk))
-            model_sq = float(
-                np.einsum("ij,ij->", HS.T @ QtQ @ HS, self._VtV)
-            )
-            residual_sq = max(norm_sq - 2.0 * cross + model_sq, 0.0)
-            scores[k] = np.sqrt(residual_sq / norm_sq)
-        return scores
 
     def anomaly_score(self, slice_matrix, *, seed: int = 0) -> float:
         """Anomaly score of one *unseen* slice: its fold-in residual."""

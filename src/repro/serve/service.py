@@ -47,7 +47,8 @@ rejected with HTTP 400 and a JSON ``{"error": ...}`` body *before* the
 request joins a batch, so one bad request can never poison the kernel
 call it would have shared with other clients.  Out of range includes
 work a client asks for: at most ``MAX_SIMILAR_INDICES`` indices per
-``/v1/similar`` and ``MAX_FOLD_IN_SWEEPS`` sweeps per ``/v1/fold-in``.
+``/v1/similar``, ``MAX_FOLD_IN_SWEEPS`` sweeps per ``/v1/fold-in``, and
+no more ``rows`` per ``/v1/reconstruct`` than the slice has.
 
 Robustness (``docs/operations.md`` catalogues the failure modes):
 
@@ -1254,11 +1255,18 @@ class ServeApp:
         if k is None:
             raise ServiceError(400, "reconstruct query needs 'slice' (an index)")
         rows = body.get("rows")
-        if rows is not None and (
-            not isinstance(rows, list)
-            or not all(isinstance(r, int) and not isinstance(r, bool) for r in rows)
-        ):
-            raise ServiceError(400, "rows must be a list of integers")
+        if rows is not None:
+            if not isinstance(rows, list):
+                raise ServiceError(400, "rows must be a list of integers")
+            # The kernel and the JSON encode run on the event-loop thread,
+            # so a request may ask for at most as many rows as the slice
+            # has (omitting ``rows`` already returns all of them).
+            if 0 <= k < engine.n_slices and len(rows) > (height := len(engine.result.Q[k])):
+                raise ServiceError(
+                    400, f"rows has {len(rows)} entries; slice {k} has {height} rows"
+                )
+            if not all(isinstance(r, int) and not isinstance(r, bool) for r in rows):
+                raise ServiceError(400, "rows must be a list of integers")
         values = engine.reconstruct(k, rows=rows)
         return 200, {
             "version": engine.version,

@@ -3,7 +3,11 @@
 The kernels here are the substrate of the sparse-slice fast path: stage-1
 compression sketches ``Y = Xk Ω`` through :meth:`CsrMatrix.matmul_dense`
 (and its transpose through :meth:`CsrMatrix.t_matmul_dense`), so they must
-be dispatch-light and allocation-tight.  Two design rules follow:
+be dispatch-light and allocation-tight.  Both products take the ``xp=``
+keyword :class:`~repro.sparse.stacked.StackedCsr` takes: a device module
+multiplies through the cached native handle (:meth:`CsrMatrix.native`)
+instead of the host kernels below.  Two design rules follow for the
+host kernels:
 
 * **No per-entry scatter.**  Per-row reductions run through
   :func:`row_segment_sum` — one ``np.add.reduceat`` over the contiguous
@@ -138,10 +142,6 @@ class CsrMatrix:
             )
         return handle
 
-    def has_native(self, xp) -> bool:
-        """Whether :meth:`native` already holds ``xp``'s handle (no upload)."""
-        return xp.name in self._native
-
     def astype(self, dtype) -> "CsrMatrix":
         """This matrix with values cast to ``dtype`` (self when it matches).
 
@@ -184,8 +184,16 @@ class CsrMatrix:
         out = np.zeros(self.shape[0], dtype=np.result_type(self.data, x))
         return row_segment_sum(products, self.indptr, out)
 
-    def matmul_dense(self, dense) -> np.ndarray:
-        """``A @ B`` for a dense matrix ``B`` (the SpMM workhorse)."""
+    def matmul_dense(self, dense, *, xp=None) -> np.ndarray:
+        """``A @ B`` for a dense matrix ``B`` (the SpMM workhorse).
+
+        With a non-numpy ``xp`` the product is one ``xp.spmm`` over the
+        cached :meth:`native` handle, and operand and result are
+        ``xp``-native — the signature :class:`~repro.sparse.stacked.StackedCsr`
+        shares, so Algorithm 1 runs either operand the same way.
+        """
+        if xp is not None and not xp.is_numpy:
+            return xp.spmm(self.native(xp), xp.asarray(dense))
         B = np.asarray(dense)
         if B.ndim != 2 or B.shape[0] != self.shape[1]:
             raise ValueError(
@@ -197,15 +205,20 @@ class CsrMatrix:
         )
         return row_segment_sum(contrib, self.indptr, out)
 
-    def t_matmul_dense(self, dense) -> np.ndarray:
+    def t_matmul_dense(self, dense, *, xp=None) -> np.ndarray:
         """``Aᵀ @ B`` — SpMM through the CSC view (no scatter).
 
-        Uses a cached transpose when one exists (a prior :meth:`transpose`
-        call) but never creates one: a one-shot product must not pin an
-        in-RAM copy of the matrix for its lifetime — for memory-mapped
-        slices that would silently defeat out-of-core streaming.  The
-        ephemeral build is ``O(nnz)``, small next to the product itself.
+        On the host this uses a cached transpose when one exists (a prior
+        :meth:`transpose` call) but never creates one: a one-shot product
+        must not pin an in-RAM copy of the matrix for its lifetime — for
+        memory-mapped slices that would silently defeat out-of-core
+        streaming.  The ephemeral build is ``O(nnz)``, small next to the
+        product itself.  A non-numpy ``xp`` multiplies through the cached
+        :meth:`transpose`, whose handle then uploads once, so every
+        backend runs only its forward ``spmm`` kernel.
         """
+        if xp is not None and not xp.is_numpy:
+            return self.transpose().matmul_dense(dense, xp=xp)
         return (self._transpose_cache or self._build_transpose()).matmul_dense(
             dense
         )

@@ -69,9 +69,9 @@ class DecompositionConfig:
         requires the numpy compute backend.
     shard_backend:
         Transport for shard workers: ``"process"`` (default — forked
-        worker processes that inherit their slices), ``"thread"``, or
-        ``"serial"`` (in-process, for debugging and overhead measurement).
-        All three produce bitwise-identical factors.
+        worker processes that inherit their slices) or ``"serial"``
+        (in-process, for debugging and overhead measurement).  Both
+        produce bitwise-identical factors.
     shard_cells:
         Number of fixed reduction cells the K slices are grouped into
         (clamped to K).  Cells — not shards — are the unit of floating
@@ -195,11 +195,14 @@ class DecompositionConfig:
         """Rebuild a config from :meth:`to_dict` output (re-validates).
 
         Artifacts recorded with the retired ``"process"`` execution backend
-        load as ``"thread"``: factors never depended on the execution
-        backend, so nothing a reader uses changes.
+        load as ``"thread"``, and those recorded with the retired
+        ``"thread"`` shard transport load as ``"serial"``: factors never
+        depended on either, so nothing a reader uses changes.
         """
         if payload.get("backend") == "process":
             payload = {**payload, "backend": "thread"}
+        if payload.get("shard_backend") == "thread":
+            payload = {**payload, "shard_backend": "serial"}
         return cls(**payload)
 
     @property

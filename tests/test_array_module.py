@@ -137,13 +137,15 @@ class TestNumpyModule:
         assert np.array_equal(self.xp.matmul(a, b), a @ b)
         stacked = self.xp.stack([a, a])
         assert stacked.shape == (2, 3, 4)
-        dup = self.xp.copy(a.T)
-        assert dup.flags["C_CONTIGUOUS"] and np.array_equal(dup, a.T)
+        narrowed = self.xp.astype(a.T, np.float32)
+        assert narrowed.dtype == np.float32
+        assert np.array_equal(narrowed, a.T.astype(np.float32))
+        assert self.xp.astype(a, np.float64) is a
 
     def test_scalar_and_creation(self):
         assert self.xp.to_float(np.float64(2.5)) == 2.5
-        assert self.xp.zeros((2, 2), np.float32).dtype == np.float32
-        assert self.xp.empty((1, 3), np.float64).shape == (1, 3)
+        made = self.xp.asarray([[1.0, 2.0]], dtype=np.float32)
+        assert made.dtype == np.float32 and made.shape == (1, 2)
 
     def test_einsum_matches_numpy(self):
         rng = np.random.default_rng(2)
@@ -288,14 +290,6 @@ class TestLoopbackDevicePath:
             compress_tensor(mapped, 3, compute_backend=_LoopbackModule())
         with pytest.raises(ValueError, match="memory-mapped"):
             mapped.to_backend(_LoopbackModule())
-
-    def test_per_slice_ablation_rejected_on_device(self):
-        tensor = random_irregular_tensor([10, 12], n_columns=6, random_state=0)
-        with pytest.raises(ValueError, match="per-slice"):
-            compress_tensor(
-                tensor, 3, stage1_batching="per-slice",
-                compute_backend=_LoopbackModule(),
-            )
 
 
 @torch_only
@@ -488,13 +482,6 @@ class TestTorchGuards:
         with pytest.raises(ValueError, match="out-of-core"):
             dpar2(mapped, DecompositionConfig(rank=3, compute_backend="torch"))
 
-    def test_per_slice_ablation_rejected_on_device(self):
-        tensor = random_irregular_tensor([10, 12], n_columns=6, random_state=0)
-        with pytest.raises(ValueError, match="per-slice"):
-            compress_tensor(
-                tensor, 3, stage1_batching="per-slice", compute_backend="torch"
-            )
-
 
 @cuda_only
 class TestCudaSmoke:
@@ -510,4 +497,3 @@ class TestCudaSmoke:
         ref = dpar2(tensor, config)
         out = dpar2(tensor, config.with_(compute_backend="torch-cuda"))
         assert abs(out.fitness(tensor) - ref.fitness(tensor)) < 1e-8
-        get_xp("torch-cuda").synchronize()

@@ -119,26 +119,6 @@ class TestBackendEquivalence:
         assert np.array_equal(reference.E, other.E)
         assert np.array_equal(reference.F_blocks, other.F_blocks)
 
-    def test_csr_per_slice_compression_identical(self):
-        """The per-slice stage-1 route on CSR slices: threads read the
-        slices in place and match the serial loop to the bit."""
-        tensor = low_rank_irregular_tensor(
-            [18, 26, 18, 22], n_columns=12, rank=3, noise=0.02, random_state=7
-        ).sparsify(1.0)  # force every slice to CSR
-        assert tensor.has_sparse_slices
-        reference = compress_tensor(
-            tensor, 3, random_state=5, backend="serial",
-            stage1_batching="per-slice",
-        )
-        threaded = compress_tensor(
-            tensor, 3, random_state=5, backend="thread", n_threads=2,
-            stage1_batching="per-slice",
-        )
-        for Ak, Bk in zip(reference.A, threaded.A):
-            assert np.array_equal(Ak, Bk)
-        assert np.array_equal(reference.D, threaded.D)
-        assert np.array_equal(reference.F_blocks, threaded.F_blocks)
-
     def test_dpar2_identical(self, tiny_tensor):
         def run(name):
             return dpar2(

@@ -94,11 +94,6 @@ def _parity_suite(reference, engine, tensor, sparse_tensor, atol):
     g1 = engine.fold_in(csr, seed=2)
     np.testing.assert_allclose(g1.weights, g0.weights, atol=atol)
 
-    np.testing.assert_allclose(
-        engine.anomaly_scores(tensor), reference.anomaly_scores(tensor),
-        atol=atol,
-    )
-
     v0 = reference.similar_to(f0.weights, k=4)
     v1 = engine.similar_to(f1.weights, k=4)
     np.testing.assert_array_equal(v1[0], v0[0])
@@ -119,25 +114,6 @@ class TestLoopbackEngineParity:
         self, host_engine, loop_engine, tensor, sparse_tensor
     ):
         _parity_suite(host_engine, loop_engine, tensor, sparse_tensor, 1e-8)
-
-    def test_sparse_anomaly_scores_match(
-        self, sparse_tensor, config, loop_engine
-    ):
-        sparse_result = dpar2(
-            sparse_tensor,
-            DecompositionConfig(
-                rank=4, max_iterations=4, random_state=0, backend="serial"
-            ),
-        )
-        ref = QueryEngine(sparse_result, config=config)
-        loop = QueryEngine(
-            sparse_result, config=config, compute_backend=_LoopbackModule()
-        )
-        np.testing.assert_allclose(
-            loop.anomaly_scores(sparse_tensor),
-            ref.anomaly_scores(sparse_tensor),
-            atol=1e-8,
-        )
 
     def test_transfer_counters(self, host_engine, loop_engine, tensor):
         # Construction alone uploads the resident factors...

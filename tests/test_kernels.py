@@ -10,8 +10,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_array_module import HAS_TORCH, _LoopbackModule
 
 from repro.decomposition.dpar2 import compress_tensor, dpar2
+from repro.linalg.array_module import get_xp
 from repro.linalg.kernels import (
     CellSweepWorkspace,
     batched_randomized_svd,
@@ -19,6 +23,7 @@ from repro.linalg.kernels import (
     bucket_by_rows,
 )
 from repro.linalg.randomized_svd import randomized_svd
+from repro.sparse.ops import random_sparse
 from repro.tensor.irregular import IrregularTensor
 from repro.tensor.mmap_store import MmapSliceStore
 from repro.tensor.random import low_rank_irregular_tensor, random_irregular_tensor
@@ -60,12 +65,12 @@ class TestBatchedStage1:
         assert np.array_equal(ref.U, out.U)
 
     def test_compress_tensor_batched_equals_per_slice(self):
+        """Dense stage 1 batches by default and runs one randomized SVD per
+        slice with greedy partitioning off — the same factors either way."""
         tensor = random_irregular_tensor(RAGGED_ROWS, n_columns=16, random_state=9)
-        batched = compress_tensor(
-            tensor, 5, random_state=0, stage1_batching="batched", backend="serial"
-        )
+        batched = compress_tensor(tensor, 5, random_state=0, backend="serial")
         per_slice = compress_tensor(
-            tensor, 5, random_state=0, stage1_batching="per-slice", backend="serial"
+            tensor, 5, random_state=0, backend="serial", use_greedy_partition=False
         )
         for Ab, Ap in zip(batched.A, per_slice.A):
             assert np.array_equal(Ab, Ap)
@@ -78,6 +83,119 @@ class TestBatchedStage1:
         with pytest.raises(ValueError, match="align"):
             batched_randomized_svd(
                 tensor.slices, 3, generators=spawn_generators(0, 1)
+            )
+
+
+@st.composite
+def bucket_layouts(draw):
+    """Slice heights 1–40 in shuffled singleton and repeated buckets, J in
+    1–30, a rank on either side of min(height, J), and the sketch knobs."""
+    buckets = draw(
+        st.lists(
+            st.tuples(st.integers(1, 40), st.integers(1, 3)),
+            min_size=1, max_size=4, unique_by=lambda bucket: bucket[0],
+        )
+    )
+    heights = draw(st.permutations([h for h, n in buckets for _ in range(n)]))
+    return {
+        "heights": heights,
+        "n_columns": draw(st.integers(1, 30)),
+        "rank": draw(st.integers(1, 45)),
+        "oversampling": draw(st.integers(0, 6)),
+        "power_iterations": draw(st.integers(0, 2)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+def _layout_runs(layout, mats, xp):
+    """``(batched, per-slice loop)`` factors of one layout on one backend.
+
+    A device module stacks its buckets from native slices, as
+    ``compress_tensor`` does from the tensor's device cache.
+    """
+    kwargs = {
+        "oversampling": layout["oversampling"],
+        "power_iterations": layout["power_iterations"],
+    }
+    xp = get_xp(xp)
+    batched = batched_randomized_svd(
+        mats, layout["rank"], generators=spawn_generators(layout["seed"], len(mats)),
+        xp=xp, native_slices=None if xp.is_numpy else [xp.asarray(Xk) for Xk in mats],
+        **kwargs,
+    )
+    loop = [
+        randomized_svd(Xk, layout["rank"], random_state=g, xp=xp, **kwargs)
+        for Xk, g in zip(mats, spawn_generators(layout["seed"], len(mats)))
+    ]
+    return batched, loop
+
+
+class TestOnePipelineProperty:
+    """Algorithm 1 runs through one pipeline for a matrix and a stack, so on
+    generated bucket layouts the bucketed call must reproduce the per-slice
+    loop: bitwise on dense numpy/loopback operands, to rounding on CSR
+    (a lone slice and a shared bucket use different host SpMM kernels) and
+    on torch (whose batched products round differently)."""
+
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            "numpy",
+            "loopback",
+            pytest.param(
+                "torch",
+                marks=pytest.mark.skipif(not HAS_TORCH, reason="PyTorch not installed"),
+            ),
+        ],
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(layout=bucket_layouts(), dtype=st.sampled_from([np.float32, np.float64]))
+    def test_dense_buckets_match_per_slice_loop(self, backend, layout, dtype):
+        xp = {"numpy": None, "loopback": _LoopbackModule(), "torch": "torch"}[backend]
+        rng = np.random.default_rng(layout["seed"])
+        mats = [
+            rng.standard_normal((h, layout["n_columns"])).astype(dtype)
+            for h in layout["heights"]
+        ]
+        batched, loop = _layout_runs(layout, mats, xp)
+        for Xk, out, ref in zip(mats, batched, loop):
+            r = min(layout["rank"], *Xk.shape)
+            assert out.U.shape == (Xk.shape[0], r)
+            assert out.V.shape == (Xk.shape[1], r)
+            assert out.U.dtype == out.V.dtype == np.dtype(dtype)
+            if backend != "torch":
+                assert np.array_equal(out.U, ref.U)
+                assert np.array_equal(out.singular_values, ref.singular_values)
+                assert np.array_equal(out.V, ref.V)
+                continue
+            # The torch parity tolerances, relative to the slice's scale:
+            # singular values and the rank-r residual are well conditioned
+            # even where a near-tie at the truncation rotates U and V.
+            atol = (1e-9 if dtype == np.float64 else 2e-4) * max(
+                1.0, float(np.linalg.norm(Xk))
+            )
+            np.testing.assert_allclose(
+                out.singular_values, ref.singular_values, atol=atol
+            )
+            assert abs(
+                np.linalg.norm(Xk - out.reconstruct())
+                - np.linalg.norm(Xk - ref.reconstruct())
+            ) <= atol
+
+    @settings(max_examples=40, deadline=None)
+    @given(layout=bucket_layouts(), density=st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    def test_csr_buckets_match_per_slice_loop(self, layout, density):
+        rng = np.random.default_rng(layout["seed"])
+        mats = [
+            random_sparse((h, layout["n_columns"]), density, rng)
+            for h in layout["heights"]
+        ]
+        batched, loop = _layout_runs(layout, mats, None)
+        for Xk, out, ref in zip(mats, batched, loop):
+            assert out.U.shape == ref.U.shape and out.V.shape == ref.V.shape
+            np.testing.assert_allclose(
+                out.singular_values, ref.singular_values,
+                rtol=0, atol=1e-10 * np.sqrt(Xk.squared_norm()),
             )
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.linalg.gram import gram_svd
 from repro.linalg.pinv import pseudoinverse, solve_gram
-from repro.linalg.qr import orthonormal_columns, random_orthonormal
+from repro.linalg.qr import random_orthonormal
 from repro.linalg.truncated_svd import svd_polar_factor, truncated_svd
 from repro.obs.metrics import MetricsRegistry, use_registry
 from tests.conftest import assert_orthonormal_columns
@@ -55,18 +55,6 @@ class TestPolarFactor:
         for _ in range(20):
             other = random_orthonormal(15, 4, rng)
             assert np.trace(other.T @ A) <= best + 1e-9
-
-
-class TestOrthonormalColumns:
-    def test_spans_same_space(self, rng):
-        A = rng.standard_normal((10, 3))
-        Q = orthonormal_columns(A)
-        # Projection of A onto Q's span recovers A.
-        np.testing.assert_allclose(Q @ (Q.T @ A), A, atol=1e-10)
-
-    def test_orthonormal(self, rng):
-        Q = orthonormal_columns(rng.standard_normal((10, 4)))
-        assert_orthonormal_columns(Q)
 
 
 class TestRandomOrthonormal:

@@ -512,14 +512,6 @@ class TestFoldInProperty:
 
 
 class TestAnomaly:
-    def test_matches_analysis_module(self, engine, result, tensor):
-        """The Gram-trick scores equal the materialized-reconstruction ones."""
-        np.testing.assert_allclose(
-            engine.anomaly_scores(tensor),
-            slice_anomaly_scores(result, tensor),
-            atol=1e-10,
-        )
-
     def test_planted_anomaly_scores_highest(self, engine, tensor):
         rng = np.random.default_rng(3)
         outlier = rng.standard_normal((30, tensor.n_columns)) * 10.0
@@ -527,36 +519,6 @@ class TestAnomaly:
             engine.anomaly_score(tensor[k]) for k in range(tensor.n_slices)
         ]
         assert engine.anomaly_score(outlier) > max(normal_scores)
-
-    def test_shape_mismatch(self, engine, tensor):
-        with pytest.raises(ValueError, match="slices"):
-            engine.anomaly_scores(tensor.subset([0, 1]))
-
-    def test_non_orthonormal_q_scored_correctly(self, rng):
-        """A streaming model can zero-pad a slice whose own rank ran below
-        R, leaving Qkᵀ Qk ≠ I; the Gram-trick score must still agree with
-        the materialized residual."""
-        from repro.decomposition.result import Parafac2Result
-        from repro.tensor.irregular import IrregularTensor
-
-        R, J = 3, 6
-        Q_full, _ = np.linalg.qr(rng.standard_normal((8, R)))
-        Q_padded = np.zeros((2, R))
-        Q_padded[:, :2], _ = np.linalg.qr(rng.standard_normal((2, 2)))
-        result = Parafac2Result(
-            Q=[Q_full, Q_padded],
-            H=rng.standard_normal((R, R)),
-            S=rng.standard_normal((2, R)),
-            V=rng.standard_normal((J, R)),
-        )
-        tensor = IrregularTensor(
-            [rng.standard_normal((8, J)), rng.standard_normal((2, J))]
-        )
-        np.testing.assert_allclose(
-            QueryEngine(result).anomaly_scores(tensor),
-            slice_anomaly_scores(result, tensor),
-            atol=1e-10,
-        )
 
 
 class TestMetadata:

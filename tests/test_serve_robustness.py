@@ -8,7 +8,8 @@ Covers the fault surface of :mod:`repro.serve.service`:
   read;
 * a full micro-batch queue sheds with 503 + ``Retry-After``;
 * a request asking for more work than a cap allows (fold-in sweeps,
-  ``/v1/similar`` indices) answers 400 before it reaches a kernel;
+  ``/v1/similar`` indices, ``/v1/reconstruct`` rows beyond the slice's
+  height) answers 400 before it reaches a kernel;
 * SIGTERM triggers a graceful drain — in-flight requests are answered,
   the process exits 0 (exercised over real HTTP against a real
   ``repro serve`` subprocess);
@@ -211,6 +212,42 @@ class TestWorkCaps:
                 _call(handle.base_url, "POST", "/v1/similar", {"indices": indices, "k": 2})
             assert err.value.code == 400
             assert str(MAX_SIMILAR_INDICES) in json.loads(err.value.read())["error"]
+
+    def test_reconstruct_rows_capped_at_slice_height(self, store, tensor):
+        k = 1
+        height = tensor.slices[k].shape[0]
+        rows = [0] * height  # repeated indices count toward the bound
+        with start_server_in_thread(store) as handle:
+            reply = _call(handle.base_url, "POST", "/v1/reconstruct",
+                          {"slice": k, "rows": rows})
+            assert reply["shape"] == [height, tensor.n_columns]
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _call(handle.base_url, "POST", "/v1/reconstruct",
+                      {"slice": k, "rows": rows + [0]})
+            assert err.value.code == 400
+            assert str(height) in json.loads(err.value.read())["error"]
+
+    def test_huge_rows_rejected_at_once(self, store):
+        body = {"slice": 0, "rows": [0] * 400_000}
+        assert len(json.dumps(body)) < DEFAULT_MAX_BODY_BYTES
+        with start_server_in_thread(store) as handle:
+            codes = []
+
+            def fire():
+                try:
+                    _call(handle.base_url, "POST", "/v1/reconstruct", body)
+                except urllib.error.HTTPError as err:
+                    codes.append(err.code)
+
+            start = time.monotonic()
+            sender = threading.Thread(target=fire)
+            sender.start()
+            health = _call(handle.base_url, "GET", "/healthz")
+            health_seconds = time.monotonic() - start
+            sender.join(timeout=30)
+            assert codes == [400]
+            assert time.monotonic() - start < 5.0
+            assert health["status"] == "ok" and health_seconds < 5.0
 
 
 # --------------------------------------------------------------------- #

@@ -156,7 +156,7 @@ class _Echo:
         raise RuntimeError("worker exploded")
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 class TestShardRunners:
     def test_start_call_roundtrip(self, backend):
         payloads = [
@@ -221,7 +221,7 @@ class TestShardCountInvariance:
         for shards in (2, 4):
             assert_same_factors(ref, dpar2(tensor, config(shards, dtype=dtype)))
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_factors_invariant_across_backends(self, backend, dense_tensor):
         ref = dpar2(dense_tensor, config(2, "serial"))
         assert_same_factors(ref, dpar2(dense_tensor, config(3, backend)))
@@ -342,7 +342,7 @@ class TestProcessTransportInheritsPayload:
             raise ValueError(f"cannot find context for {method!r}")
 
         monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-        with pytest.raises(ValueError, match="'serial' or 'thread'"):
+        with pytest.raises(ValueError, match="'serial' shard transport"):
             ProcessShardRunner(_Echo, [{"tag": 0, "value": 0}])
 
 
@@ -474,7 +474,7 @@ class TestShardedStreaming:
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize(
-        "shards,backend", [(2, "serial"), (2, "thread"), (4, "process")]
+        "shards,backend", [(2, "serial"), (4, "process")]
     )
     def test_result_invariant_across_shard_counts(self, shards, backend):
         batches = self._batches()

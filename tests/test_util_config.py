@@ -85,6 +85,16 @@ class TestBackendValidation:
         assert (config.rank, config.random_state) == (4, 3)
         assert payload["backend"] == "process"  # the caller's dict is untouched
 
+    def test_recorded_thread_shard_transport_loads_as_serial(self):
+        payload = DecompositionConfig(rank=4, shards=2, random_state=3).to_dict()
+        payload["shard_backend"] = "thread"
+        config = DecompositionConfig.from_dict(payload)
+        assert config.shard_backend == "serial"
+        assert (config.rank, config.shards, config.random_state) == (4, 2, 3)
+        assert payload["shard_backend"] == "thread"  # the caller's dict is untouched
+        with pytest.raises(ValueError, match="shard_backend"):
+            DecompositionConfig(shard_backend="thread")
+
     def test_non_string_backend_rejected(self):
         with pytest.raises(TypeError, match="backend"):
             DecompositionConfig(backend=7)
