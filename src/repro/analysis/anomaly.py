@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.decomposition.result import Parafac2Result
+from repro.sparse.ops import slice_squared_norm
 from repro.tensor.irregular import IrregularTensor
 
 
@@ -23,20 +24,17 @@ def slice_anomaly_scores(
 
     A slice that does not follow the shared latent structure (a faulty
     batch, a manipulated stock, a corrupted recording) scores high.
-    Zero-norm slices score 0 by convention.
+    Zero-norm slices score 0 by convention.  The residuals come from
+    :meth:`~repro.decomposition.result.Parafac2Result.slice_residuals_squared`,
+    so nothing slice-sized is reconstructed and CSR slices are accepted.
     """
-    if tensor.n_slices != result.n_slices:
-        raise ValueError(
-            f"tensor has {tensor.n_slices} slices, model has {result.n_slices}"
-        )
-    scores = np.empty(tensor.n_slices)
-    for k, Xk in enumerate(tensor):
-        denom = np.linalg.norm(Xk)
-        if denom == 0.0:
-            scores[k] = 0.0
-            continue
-        residual = Xk - result.reconstruct_slice(k)
-        scores[k] = np.linalg.norm(residual) / denom
+    residuals = result.slice_residuals_squared(tensor)
+    norms_sq = np.array([slice_squared_norm(Xk) for Xk in tensor])
+    scores = np.zeros(tensor.n_slices)
+    nonzero = norms_sq > 0.0
+    scores[nonzero] = np.sqrt(
+        np.maximum(residuals[nonzero], 0.0) / norms_sq[nonzero]
+    )
     return scores
 
 

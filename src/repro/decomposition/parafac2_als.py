@@ -16,7 +16,11 @@ import numpy as np
 from repro.decomposition.convergence import ConvergenceMonitor
 from repro.decomposition.cp_als import cp_single_iteration
 from repro.decomposition.initialization import initialize_factors
-from repro.decomposition.result import IterationRecord, Parafac2Result
+from repro.decomposition.result import (
+    IterationRecord,
+    Parafac2Result,
+    residuals_from_projections,
+)
 from repro.parallel.backends import get_backend
 from repro.tensor.dense import DenseTensor
 from repro.tensor.irregular import IrregularTensor
@@ -42,29 +46,6 @@ def _slice_update_task(item) -> tuple[np.ndarray, np.ndarray]:
     Xk, target = item
     Qk = update_orthogonal_factor(Xk, target)
     return Qk, Qk.T @ Xk
-
-
-def reconstruction_error_squared(
-    Y_slices: list[np.ndarray],
-    slice_norms_sq: np.ndarray,
-    H: np.ndarray,
-    V: np.ndarray,
-    W: np.ndarray,
-) -> float:
-    """Exact ``Σk ‖Xk − Qk H Sk Vᵀ‖²`` given the projections ``Yk = QkᵀXk``.
-
-    Because ``Qk`` has orthonormal columns,
-    ``‖Xk − Qk M‖² = ‖Xk‖² − 2⟨Yk, M⟩ + ‖M‖²`` with ``M = H Sk Vᵀ`` —
-    exact, while only touching ``R×J`` intermediates.
-    """
-    VtV = V.T @ V
-    total = 0.0
-    for k, Yk in enumerate(Y_slices):
-        M_left = H * W[k]  # R x R, equals H @ diag(Sk)
-        cross = float(np.sum((Yk @ V) * M_left))
-        model_sq = float(np.sum((M_left.T @ M_left) * VtV))
-        total += float(slice_norms_sq[k]) - 2.0 * cross + model_sq
-    return max(total, 0.0)
 
 
 def parafac2_als(
@@ -135,8 +116,10 @@ def parafac2_als(
             (Y.unfold(1), Y.unfold(2), Y.unfold(3)), H, V, W
         )
 
-        error_sq = reconstruction_error_squared(
-            Y_slices, slice_norms_sq, H, V, W
+        P = np.stack([Yk @ V for Yk in Y_slices])  # Qkᵀ Xk V
+        error_sq = max(
+            float(residuals_from_projections(slice_norms_sq, P, H, W, V).sum()),
+            0.0,
         )
         history.append(
             IterationRecord(iteration, error_sq, time.perf_counter() - sweep_start)

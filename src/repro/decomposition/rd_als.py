@@ -29,36 +29,15 @@ from repro.decomposition.convergence import ConvergenceMonitor
 from repro.decomposition.cp_als import cp_single_iteration
 from repro.decomposition.initialization import initialize_factors
 from repro.decomposition.parafac2_als import update_orthogonal_factor
-from repro.decomposition.result import IterationRecord, Parafac2Result
+from repro.decomposition.result import (
+    IterationRecord,
+    Parafac2Result,
+    residuals_from_projections,
+)
 from repro.linalg.truncated_svd import truncated_svd
 from repro.tensor.dense import DenseTensor
 from repro.tensor.irregular import IrregularTensor
 from repro.util.config import DecompositionConfig
-
-
-def true_reconstruction_error_squared(
-    tensor: IrregularTensor,
-    slice_norms_sq: np.ndarray,
-    Q: list[np.ndarray],
-    H: np.ndarray,
-    V: np.ndarray,
-    W: np.ndarray,
-) -> float:
-    """``Σk ‖Xk − Qk H Sk Vᵀ‖²`` against the raw slices.
-
-    The dominant cost is the projection ``Qkᵀ Xk`` — ``O(Σk Ik J R)`` — which
-    is precisely the per-iteration overhead the paper attributes to RD-ALS's
-    convergence criterion.
-    """
-    VtV = V.T @ V
-    total = 0.0
-    for k, Xk in enumerate(tensor):
-        QtX = Q[k].T @ Xk  # the expensive O(Ik J R) step
-        M_left = H * W[k]
-        cross = float(np.sum((QtX @ V) * M_left))
-        model_sq = float(np.sum((M_left.T @ M_left) * VtV))
-        total += float(slice_norms_sq[k]) - 2.0 * cross + model_sq
-    return max(total, 0.0)
 
 
 def rd_als(
@@ -119,10 +98,14 @@ def rd_als(
             (Y.unfold(1), Y.unfold(2), Y.unfold(3)), H, V_tilde, W
         )
 
-        # RD-ALS's distinguishing (expensive) convergence criterion.
+        # RD-ALS's distinguishing (expensive) convergence criterion: the
+        # true error against the raw slices, whose projection Qkᵀ Xk is
+        # the O(Σk Ik J R) step the paper attributes to it.
         V_full = V_hat @ V_tilde
-        error_sq = true_reconstruction_error_squared(
-            tensor, slice_norms_sq, Q, H, V_full, W
+        P = np.stack([(Q[k].T @ Xk) @ V_full for k, Xk in enumerate(tensor)])
+        error_sq = max(
+            float(residuals_from_projections(slice_norms_sq, P, H, W, V_full).sum()),
+            0.0,
         )
         history.append(
             IterationRecord(iteration, error_sq, time.perf_counter() - sweep_start)

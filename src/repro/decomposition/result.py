@@ -5,6 +5,8 @@ A PARAFAC2 model of an irregular tensor ``{Xk}`` is
 ``H`` and ``V``, diagonal ``Sk``).  The container stores the common factors
 plus either the explicit ``Qk`` or their implicit factorized form — DPar2
 never materializes ``Qk`` internally, but exposes ``U(k)`` on demand.
+:func:`residuals_from_projections` is the one exact-residual kernel every
+solver, fitness and anomaly score shares.
 """
 
 from __future__ import annotations
@@ -16,6 +18,33 @@ import numpy as np
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.ops import slice_squared_norm
 from repro.tensor.irregular import IrregularTensor
+
+
+def residuals_from_projections(
+    norms_sq, P, H: np.ndarray, S: np.ndarray, V: np.ndarray
+) -> np.ndarray:
+    """One exact ``‖Xk − Qk H Sk Vᵀ‖²`` per slice, in float64.
+
+    For column-orthonormal ``Qk`` the residual is
+    ``‖Xk‖² − 2⟨Pk, H Sk⟩ + ⟨(H Sk)ᵀ(H Sk), VᵀV⟩`` with ``Pk = Qkᵀ Xk V``:
+    ``norms_sq`` holds the ``‖Xk‖²``, ``P`` the ``(K, R, R)`` stack of
+    ``Pk`` and ``S`` the rows ``diag(Sk)``.  Fitness, the competitors'
+    stopping criteria, DPar2's exact-convergence ablation and the slice
+    anomaly scores all go through here.
+
+    ``Pk``, ``VᵀV`` and ``H Sk`` are float64 before any reduction over
+    ``J`` or ``R`` (callers form ``Pk``'s product with ``V`` in float64):
+    the three terms are ``‖Xk‖²``-scale and cancel, and an ill-conditioned
+    ``H Sk`` amplifies float32 rounding of ``VᵀV`` past the residual
+    itself.  Even in float64 the rounding error scales with
+    ``‖Xk‖² + ‖H Sk‖²·‖V‖²``, not with the residual.  Values are not
+    clamped; a sum of them may round below zero.
+    """
+    P, H, S, V = (np.asarray(M, dtype=np.float64) for M in (P, H, S, V))
+    HS = H[None, :, :] * S[:, None, :]  # K x R x R: the H Sk
+    cross = np.einsum("kij,kij->k", P, HS)
+    model = np.einsum("kij,ij->k", np.swapaxes(HS, 1, 2) @ HS, V.T @ V)
+    return np.asarray(norms_sq, dtype=np.float64) - 2.0 * cross + model
 
 
 @dataclass
@@ -130,13 +159,12 @@ class Parafac2Result:
     # quality metrics
     # ------------------------------------------------------------------ #
 
-    def residual_squared(self, tensor: IrregularTensor) -> float:
-        """``Σk ‖Xk − X̂k‖_F²`` against the *original* data.
+    def slice_residuals_squared(self, tensor: IrregularTensor) -> np.ndarray:
+        """One ``‖Xk − X̂k‖_F²`` per slice against the *original* data.
 
-        Computed slice by slice without materializing all reconstructions at
-        once, using the expansion
-        ``‖X − X̂‖² = ‖X‖² − 2⟨X, X̂⟩ + ‖X̂‖²`` with the cross and model
-        terms reduced to ``R×R`` products.
+        Forms ``Pk = Qkᵀ Xk V`` slice by slice (CSR slices through SpMM)
+        and hands it to :func:`residuals_from_projections`; nothing
+        slice-sized is reconstructed.
         """
         if tensor.n_slices != self.n_slices:
             raise ValueError(
@@ -146,21 +174,22 @@ class Parafac2Result:
             raise ValueError(
                 f"tensor has J={tensor.n_columns}, model V has {self.V.shape[0]} rows"
             )
-        VtV = self.V.T @ self.V
-        total = 0.0
+        V64 = np.asarray(self.V, dtype=np.float64)
+        P = np.empty((self.n_slices, self.rank, self.rank))
+        norms_sq = np.empty(self.n_slices)
         for k, Xk in enumerate(tensor):
-            B = (self.H * self.S[k]) @ self.V.T  # R x J
-            # cross term <Xk, Qk B> = trace(Bᵀ Qkᵀ Xk)
             if isinstance(Xk, CsrMatrix):
                 QtX = Xk.rmatmul_dense(self.Q[k])  # R x J, via SpMM
             else:
                 QtX = self.Q[k].T @ Xk  # R x J
-            cross = float(np.sum(QtX * B))
-            HS = self.H * self.S[k]
-            model_sq = float(np.sum((HS.T @ HS) * VtV))
-            total += slice_squared_norm(Xk) - 2.0 * cross + model_sq
+            P[k] = QtX.astype(np.float64, copy=False) @ V64
+            norms_sq[k] = slice_squared_norm(Xk)
+        return residuals_from_projections(norms_sq, P, self.H, self.S, V64)
+
+    def residual_squared(self, tensor: IrregularTensor) -> float:
+        """``Σk ‖Xk − X̂k‖_F²`` against the *original* data."""
         # Rounding can push a tiny positive residual below zero.
-        return max(total, 0.0)
+        return max(float(self.slice_residuals_squared(tensor).sum()), 0.0)
 
     def fitness(self, tensor: IrregularTensor) -> float:
         """The paper's fitness: ``1 − Σ‖Xk − X̂k‖² / Σ‖Xk‖²``."""

@@ -65,7 +65,11 @@ from repro.decomposition.dpar2 import (
     compress_tensor,
 )
 from repro.decomposition.initialization import initialize_factors
-from repro.decomposition.result import IterationRecord, Parafac2Result
+from repro.decomposition.result import (
+    IterationRecord,
+    Parafac2Result,
+    residuals_from_projections,
+)
 from repro.linalg.array_module import get_xp
 from repro.linalg.kernels import CellSweepWorkspace, batched_stacked_matmul
 from repro.linalg.pinv import solve_gram
@@ -88,80 +92,11 @@ def project_nonnegative(matrix: np.ndarray) -> np.ndarray:
     return np.clip(matrix, 0.0, None)
 
 
-# --------------------------------------------------------------------- #
-# exact-error ablation kernels (per cell)
-# --------------------------------------------------------------------- #
-
-
 def _slice_AtX(Ak: np.ndarray, Xk) -> np.ndarray:
-    """``Akᵀ Xk`` for a dense or CSR slice (the exact-error hoist kernel)."""
+    """``Akᵀ Xk`` for a dense or CSR slice (the exact-error ablation)."""
     if isinstance(Xk, CsrMatrix):
         return Xk.rmatmul_dense(Ak)
     return Ak.T @ Xk
-
-
-def _exact_error(
-    slice_norms_sq: np.ndarray,
-    AtX: np.ndarray,
-    polar: np.ndarray,
-    VtV: np.ndarray,
-    H: np.ndarray,
-    V: np.ndarray,
-    W: np.ndarray,
-) -> float:
-    """A cell's partial of the true ``Σk ‖Xk − Qk H Sk Vᵀ‖²`` (ablation path).
-
-    Uses the hoisted per-slice constants: ``‖Xk‖²`` and ``Akᵀ Xk`` (so
-    ``Qkᵀ Xk = (Zk Pkᵀ)ᵀ (Akᵀ Xk)`` without re-materializing ``Qk`` or
-    re-reading the raw slices), with all the cell's cross terms evaluated
-    as batched matmuls.  Like the compressed criterion, the reductions
-    accumulate in float64: the cross term is ``‖X‖²``-scale, and float32
-    rounding there would swamp the per-sweep change the stopping rule
-    watches.
-    """
-    proj = np.swapaxes(polar, 1, 2) @ AtX @ V  # Kc x R x R: Qkᵀ Xk V
-    HS = H[None, :, :] * W[:, None, :]  # Kc x R x R
-    if proj.dtype != np.float64:
-        proj = proj.astype(np.float64)
-        HS = HS.astype(np.float64)
-        VtV = VtV.astype(np.float64)
-    cross = float(np.einsum("kij,kij->", proj, HS, optimize=True))
-    model = float(np.einsum("kli,klj,ij->", HS, HS, VtV, optimize=True))
-    return float(slice_norms_sq.sum()) - 2.0 * cross + model
-
-
-def _exact_error_streaming(
-    slices,
-    slice_norms_sq: np.ndarray,
-    A,
-    polar: np.ndarray,
-    VtV: np.ndarray,
-    H: np.ndarray,
-    V: np.ndarray,
-    W: np.ndarray,
-) -> float:
-    """:func:`_exact_error` with O(max Ik · J) working memory.
-
-    Used when the hoisted ``Akᵀ Xk`` stack would not fit (memmap-backed
-    slices, or ``Ik ≈ Rc`` where the stack rivals the data): the cell's
-    slices are re-read one at a time each sweep.
-    """
-    VtV64 = VtV.astype(np.float64, copy=False)
-    total = 0.0
-    for pos, Xk in enumerate(slices):
-        if isinstance(Xk, CsrMatrix) and not isinstance(Xk.data, np.memmap):
-            # This evaluator runs every sweep; caching the transpose of an
-            # in-RAM CSR slice pays the counting sort once instead of per
-            # sweep.  Memmap-backed slices stay ephemeral — pinning an
-            # in-RAM copy is exactly what out-of-core must not do.
-            Xk.transpose()
-        AtXk = _slice_AtX(A[pos], Xk)
-        M_left = (H * W[pos]).astype(np.float64, copy=False)
-        proj = ((polar[pos].T @ AtXk) @ V).astype(np.float64, copy=False)
-        cross = float(np.sum(proj * M_left))
-        model_sq = float(np.sum((M_left.T @ M_left) * VtV64))
-        total += float(slice_norms_sq[pos]) - 2.0 * cross + model_sq
-    return total
 
 
 # --------------------------------------------------------------------- #
@@ -268,8 +203,8 @@ class Dpar2Shard:
         once per sweep.  The hoist is only valid when the ``Kc×Rc×J`` stack
         actually fits: memmap-backed slices are out of core precisely
         because the data exceeds RAM, and for short slices (``Ik ≈ Rc``)
-        the stack is as large as the data itself — both keep the per-sweep
-        streaming evaluation instead.
+        the stack is as large as the data itself — both re-read the slices
+        every sweep instead.
         """
         slices = [self.slices[k] for k in indices]
         norms = np.array([slice_squared_norm(Xk) for Xk in slices])
@@ -284,6 +219,14 @@ class Dpar2Shard:
             AtX = np.stack(
                 [_slice_AtX(self.A[k], Xk) for k, Xk in zip(indices, slices)]
             )  # Kc x Rc x J
+        else:
+            for Xk in slices:
+                if isinstance(Xk, CsrMatrix) and not isinstance(Xk.data, np.memmap):
+                    # Re-read every sweep: caching the transpose of an
+                    # in-RAM CSR slice pays the counting sort once.
+                    # Memmap-backed slices stay ephemeral — pinning an
+                    # in-RAM copy is exactly what out-of-core must not do.
+                    Xk.transpose()
         self._exact[cell_id] = (norms, AtX)
 
     def sweep_phase1(self, EDtV: np.ndarray, H: np.ndarray) -> dict:
@@ -309,7 +252,7 @@ class Dpar2Shard:
         EDtV: np.ndarray,
         gram: np.ndarray,
         VtD: np.ndarray | None,
-        VtV: np.ndarray,
+        VtV: np.ndarray | None,
         H: np.ndarray,
         V: np.ndarray | None = None,
     ) -> dict:
@@ -320,28 +263,44 @@ class Dpar2Shard:
         result shard-count-invariant — and projects them when
         ``nonnegative_weights`` is set.  The returned ``{cell: (cross,
         model)}`` float64 partials complete the compressed convergence
-        criterion on the coordinator.  Under ``exact_convergence`` the
-        coordinator sends ``V`` instead of ``VᵀD``, and each cell returns
-        its partial of the true reconstruction error.
+        criterion on the coordinator; ``VᵀD`` and ``VᵀV`` arrive in
+        float64.  Under ``exact_convergence`` the coordinator sends ``V``
+        instead of the two Grams, and each cell returns its partial of the
+        true reconstruction error.
         """
         out = {}
         for cell_id, indices in self.cells:
             ws = self._ws[cell_id]
             W = solve_gram(gram, ws.mttkrp_W(EDtV, H)).astype(self._dtype, copy=False)
             ws.W = project_nonnegative(W) if self.nonnegative_weights else W
-            if not self.exact_convergence:
-                out[cell_id] = ws.criterion_partials(VtD, VtV, H)
-                continue
-            norms, AtX = self._exact[cell_id]
-            polar = ws.polar_host()
-            if AtX is not None:
-                out[cell_id] = _exact_error(norms, AtX, polar, VtV, H, V, ws.W)
+            if self.exact_convergence:
+                out[cell_id] = self._exact_error(cell_id, indices, ws, H, V)
             else:
-                out[cell_id] = _exact_error_streaming(
-                    [self.slices[k] for k in indices], norms,
-                    [self.A[k] for k in indices], polar, VtV, H, V, ws.W,
-                )
+                out[cell_id] = ws.criterion_partials(VtD, VtV, H)
         return out
+
+    def _exact_error(self, cell_id: int, indices: list[int], ws, H, V) -> float:
+        """A cell's partial of the true ``Σk ‖Xk − Qk H Sk Vᵀ‖²`` (ablation).
+
+        ``Qkᵀ Xk = (Zk Pkᵀ)ᵀ (Akᵀ Xk)`` without re-materializing ``Qk``:
+        ``Akᵀ Xk`` comes from the stack :meth:`_bind_exact` hoisted, or —
+        when that would not fit — from re-reading the cell's slices one at
+        a time (O(max Ik · J) working memory).  ``Pk = Qkᵀ Xk V`` then goes
+        to the one float64 residual kernel.
+        """
+        norms, AtX = self._exact[cell_id]
+        polar_t = np.swapaxes(ws.polar_host(), 1, 2)  # Kc x R x Rc
+        V64 = V.astype(np.float64, copy=False)
+        if AtX is not None:
+            P = (polar_t @ AtX).astype(np.float64, copy=False) @ V64
+        else:
+            P = np.stack([
+                (polar_t[pos] @ _slice_AtX(self.A[k], self.slices[k])).astype(
+                    np.float64, copy=False
+                ) @ V64
+                for pos, k in enumerate(indices)
+            ])
+        return float(residuals_from_projections(norms, P, H, ws.W, V64).sum())
 
     # ------------------------------- gather --------------------------- #
 
@@ -726,15 +685,18 @@ def sharded_dpar2(
                     gram3 = VtV * HtH
                     if exact_convergence:
                         phase3 = _merge_cells(
-                            runner.call("sweep_phase3", EDtV, gram3, None, VtV, H, V)
+                            runner.call("sweep_phase3", EDtV, gram3, None, None, H, V)
                         )
                         error_sq = max(_sum_cell_scalars(phase3), 0.0)
                     else:
-                        VtD = V.astype(np.float64, copy=False).T @ D.astype(
-                            np.float64, copy=False
-                        )
+                        # The criterion's Grams are float64 on the float32
+                        # pipeline too: an ill-conditioned H Sk amplifies
+                        # float32 rounding of VᵀV past the residual itself.
+                        V64 = V.astype(np.float64, copy=False)
+                        VtD = V64.T @ D.astype(np.float64, copy=False)
+                        VtV64 = VtV if V64 is V else V64.T @ V64
                         phase3 = _merge_cells(
-                            runner.call("sweep_phase3", EDtV, gram3, VtD, VtV, H)
+                            runner.call("sweep_phase3", EDtV, gram3, VtD, VtV64, H)
                         )
                         cross = _sum_cell_scalars(phase3, item=0)
                         model = _sum_cell_scalars(phase3, item=1)

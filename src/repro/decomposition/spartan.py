@@ -21,7 +21,11 @@ import numpy as np
 from repro.decomposition.convergence import ConvergenceMonitor
 from repro.decomposition.cp_als import normalize_columns, slice_mttkrp
 from repro.decomposition.initialization import initialize_factors
-from repro.decomposition.result import IterationRecord, Parafac2Result
+from repro.decomposition.result import (
+    IterationRecord,
+    Parafac2Result,
+    residuals_from_projections,
+)
 from repro.linalg.pinv import solve_gram
 from repro.parallel.backends import get_backend
 from repro.sparse.csr import CsrMatrix
@@ -29,7 +33,6 @@ from repro.sparse.ops import slice_squared_norm
 from repro.tensor.irregular import IrregularTensor
 from repro.tensor.products import hadamard
 from repro.util.config import DecompositionConfig
-from repro.util.validation import check_matrix
 
 
 def _slice_matmul(Xk, dense: np.ndarray) -> np.ndarray:
@@ -69,41 +72,23 @@ def spartan(
     ----------
     tensor:
         An :class:`IrregularTensor`, or a plain list of slices where each
-        slice is a dense array or a :class:`CsrMatrix` (all sharing ``J``).
+        slice is a dense array or a :class:`CsrMatrix` (all sharing ``J``);
+        a list is validated as an :class:`IrregularTensor` whose CSR slices
+        stay CSR.
     config:
         Shared hyper-parameters (``n_threads``/``backend`` control the
         slice-level worker pool; slices are dealt uniformly, matching
         SPARTan's own scheduling rather than DPar2's Algorithm 4).
     """
     config = (config or DecompositionConfig()).with_(**overrides)
-    if isinstance(tensor, IrregularTensor):
-        slices = list(tensor.slices)
-        n_columns = tensor.n_columns
-        input_bytes = tensor.nbytes
-    else:
-        slices = [
-            Xk if isinstance(Xk, CsrMatrix) else check_matrix(Xk, f"slices[{idx}]")
-            for idx, Xk in enumerate(tensor)
-        ]
-        if not slices:
-            raise ValueError("tensor must contain at least one slice")
-        n_columns = slices[0].shape[1]
-        for idx, Xk in enumerate(slices):
-            if Xk.shape[1] != n_columns:
-                raise ValueError(
-                    f"slice {idx} has {Xk.shape[1]} columns, expected {n_columns}"
-                )
-        input_bytes = sum(
-            Xk.data.nbytes + Xk.indices.nbytes + Xk.indptr.nbytes
-            if isinstance(Xk, CsrMatrix)
-            else Xk.nbytes
-            for Xk in slices
-        )
-    K = len(slices)
-    row_counts = [Xk.shape[0] for Xk in slices]
-    R = min(config.rank, n_columns, min(row_counts))
+    if not isinstance(tensor, IrregularTensor):
+        # density_threshold=1.0 keeps every CSR slice in CSR at any density.
+        tensor = IrregularTensor(tensor, copy=False, density_threshold=1.0)
+    slices = tensor.slices
+    K = tensor.n_slices
+    R = min(config.rank, tensor.n_columns, min(tensor.row_counts))
 
-    init = initialize_factors(n_columns, K, R, config.random_state)
+    init = initialize_factors(tensor.n_columns, K, R, config.random_state)
     H, V, W = init.H, init.V, init.W
     slice_norms_sq = np.array([slice_squared_norm(Xk) for Xk in slices])
 
@@ -135,14 +120,11 @@ def spartan(
             hadamard(V.T @ V, H.T @ H), slice_mttkrp(Y_slices, H, V, W, mode=3)
         )
 
-        VtV = V.T @ V
-        error_sq = 0.0
-        for k, Yk in enumerate(Y_slices):
-            M_left = H * W[k]
-            cross = float(np.sum((Yk @ V) * M_left))
-            model_sq = float(np.sum((M_left.T @ M_left) * VtV))
-            error_sq += float(slice_norms_sq[k]) - 2.0 * cross + model_sq
-        error_sq = max(error_sq, 0.0)
+        P = np.stack([Yk @ V for Yk in Y_slices])  # Qkᵀ Xk V
+        error_sq = max(
+            float(residuals_from_projections(slice_norms_sq, P, H, W, V).sum()),
+            0.0,
+        )
 
         history.append(
             IterationRecord(iteration, error_sq, time.perf_counter() - sweep_start)
@@ -166,6 +148,6 @@ def spartan(
         converged=converged,
         preprocess_seconds=0.0,
         iterate_seconds=iterate_seconds,
-        preprocessed_bytes=input_bytes,
+        preprocessed_bytes=tensor.nbytes,
         history=history,
     )

@@ -12,8 +12,9 @@ DPar2's compressed representation, in the spirit of SPADE [48]:
   orthogonal residual; when the residual carries significant energy the
   basis is expanded and re-truncated to rank ``R`` via an SVD of the small
   ``(R + R_new) x (KR)`` coefficient matrix — never touching old slices;
-* factor matrices are refreshed with a handful of warm-started DPar2
-  sweeps, reusing the previous ``H``, ``V``, ``W`` as initialization.
+* factor matrices are refreshed with a handful of DPar2 sweeps on the
+  compressed form.  Each refresh starts from the random initialization of
+  ``config.random_state``, not from the previous ``H``, ``V``, ``W``.
 
 The update cost per arriving slice is ``O(Ik J R + (K R) R²)`` — independent
 of the *rows* of all previously absorbed slices, which is the property a
@@ -93,7 +94,9 @@ class StreamingDpar2:
         without expanding the shared basis ``D``.  Smaller values track the
         stream more faithfully at the cost of more basis updates.
     refresh_iterations:
-        Warm-started ALS sweeps run after each ``absorb``.
+        ALS sweeps per model refresh (after an ``absorb`` with
+        ``refresh=True``, or at the next :meth:`result`).  Every refresh
+        starts from ``config.random_state``'s initialization.
     checkpoint_dir:
         When set, the stream writes atomic checkpoints (the
         :class:`~repro.serve.store.FactorStore` temp-dir-rename idiom)

@@ -284,7 +284,8 @@ class CellSweepWorkspace:
     optimizer ``optimize=True`` uses at call time), so sweeps skip
     per-call path search while contracting in the identical order.  The
     convergence-criterion partials (``TE``/``HS`` and the scalar
-    reductions) accumulate in float64 regardless of the working dtype.
+    reductions) accumulate in float64 regardless of the working dtype; on
+    numpy they are plain GEMMs and dot products, with no einsum dispatch.
 
     On a device ``xp`` (torch/CuPy) ``F(k)``, the polar factors and the
     ``O(Kc R² Rc)`` contractions stay resident while every method takes
@@ -335,15 +336,12 @@ class CellSweepWorkspace:
         F = np.empty((Kc, Rc, Rc), dt)  # shape proxies for path search only
         EDtV = np.empty((Rc, R), dt)
         square = np.empty((R, R), dt)
-        VtD = np.empty((R, Rc), np.float64)
         for subscripts, operands in (
             (_SMALL, (F, EDtV, self.G3, square)),
             (_T, (self.small, F)),
             (_G1, (self.G3, self.T, EDtV)),
             (_INNER, (self.G3, self.T, square)),
             (_G3, (square, self.T, EDtV)),
-            (_CROSS, (self.TE, self.HS, VtD)),
-            (_MODEL, (self.HS, self.HS, VtD[:, :R])),
         ):
             self._paths[subscripts] = np.einsum_path(
                 subscripts, *operands, optimize=True
@@ -453,14 +451,19 @@ class CellSweepWorkspace:
         if self.xp.is_numpy:
             TE = np.multiply(self.T, self.E, out=self.TE)
             HS = np.multiply(H[None, :, :], self.W[:, None, :], out=self.HS)
-        else:
-            xp = self.xp
-            TE = xp.astype(self.T, np.float64) * xp.astype(self.E, np.float64)
-            HS = xp.asarray(
-                H.astype(np.float64)[None, :, :]
-                * self.W.astype(np.float64)[:, None, :]
-            )
-            VtV = VtV.astype(np.float64)
-        cross = self.xp.to_float(self._einsum(_CROSS, TE, HS, VtD))
-        model = self.xp.to_float(self._einsum(_MODEL, HS, HS, VtV))
+            # _CROSS and _MODEL as one GEMM over the fused (k, i) axis and
+            # one dot product each: at these sizes einsum's per-call path
+            # dispatch costs more than the contractions themselves.
+            HS2 = HS.reshape(-1, self.R)
+            cross = float(np.vdot(HS2.T @ TE.reshape(-1, self.Rc), VtD))
+            model = float(np.vdot(HS2.T @ HS2, VtV))
+            return cross, model
+        xp = self.xp
+        TE = xp.astype(self.T, np.float64) * xp.astype(self.E, np.float64)
+        HS = xp.asarray(
+            H.astype(np.float64)[None, :, :]
+            * self.W.astype(np.float64)[:, None, :]
+        )
+        cross = xp.to_float(self._einsum(_CROSS, TE, HS, VtD))
+        model = xp.to_float(self._einsum(_MODEL, HS, HS, VtV.astype(np.float64)))
         return cross, model

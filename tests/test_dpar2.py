@@ -232,3 +232,55 @@ class TestHigherRankCompressionReuse:
         )
         for Qk, Ak in zip(result.Q, compressed.A):
             np.testing.assert_array_equal(Qk, Ak[:, :3])
+
+
+class TestFloat32Accuracy:
+    """The fma stand-in at rank 10, seed 0, in float32.
+
+    Its ``H Sk`` is ill-conditioned, which amplifies any float32 rounding
+    of ``VᵀV`` past the residual itself: with a float32 Gram the criterion
+    reads 0 after sweep 1, the run stops "converged" at sweep 14, and
+    fitness comes out 0.0043 too high.
+    """
+
+    @pytest.fixture(scope="class")
+    def fma(self):
+        from repro.data.registry import load_dataset
+
+        return load_dataset("fma", random_state=0)
+
+    @staticmethod
+    def _model64(result, k):
+        H, S, V = (np.asarray(M, np.float64) for M in (result.H, result.S, result.V))
+        return np.asarray(result.Q[k], np.float64) @ (H * S[k]) @ V.T
+
+    def test_criterion_is_exact_compressed_error(self, fma):
+        tensor = fma.astype(np.float32)
+        compressed = compress_tensor(tensor, 10, random_state=0)
+        D, E = (np.asarray(M, np.float64) for M in (compressed.D, compressed.E))
+        config = DecompositionConfig(
+            rank=10, tolerance=0.0, random_state=0, dtype="float32"
+        )
+        for sweeps in (1, 3, 8):
+            result = dpar2(
+                tensor, config.with_(max_iterations=sweeps), compressed=compressed
+            )
+            exact = sum(
+                np.sum((
+                    np.asarray(compressed.A[k], np.float64)
+                    @ (np.asarray(compressed.F_blocks[k], np.float64) * E) @ D.T
+                    - self._model64(result, k)
+                ) ** 2)
+                for k in range(tensor.n_slices)
+            )
+            assert result.history[-1].criterion == pytest.approx(exact, rel=1e-3)
+
+    def test_fitness_matches_float64_evaluation(self, fma):
+        result = dpar2(fma, DecompositionConfig(rank=10, random_state=0, dtype="float32"))
+        for data in (fma, fma.astype(np.float32)):
+            dense = [np.asarray(Xk, np.float64) for Xk in data]
+            direct = 1.0 - sum(
+                np.sum((Xk - self._model64(result, k)) ** 2)
+                for k, Xk in enumerate(dense)
+            ) / sum(np.sum(Xk * Xk) for Xk in dense)
+            assert abs(result.fitness(data) - direct) <= 1e-6

@@ -3,7 +3,8 @@
 These stress the substrates with generated inputs: products and unfoldings
 must satisfy their algebraic identities, partitioning must be a permutation
 that never loses to round-robin, SVDs must reconstruct within the
-Eckart-Young bound, and the sparse kernels must agree with dense numpy.
+Eckart-Young bound, the sparse kernels must agree with dense numpy, and
+the one exact-residual kernel must equal a dense float64 evaluation.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.decomposition.result import Parafac2Result
 from repro.linalg.randomized_svd import randomized_svd
 from repro.linalg.truncated_svd import truncated_svd
 from repro.parallel.partition import (
@@ -19,6 +21,8 @@ from repro.parallel.partition import (
     round_robin_partition,
 )
 from repro.sparse.coo import CooMatrix
+from repro.sparse.ops import dense_to_sparse
+from repro.tensor.irregular import IrregularTensor
 from repro.tensor.matricization import fold, unfold
 from repro.tensor.products import hadamard, khatri_rao, kronecker, vec
 
@@ -219,6 +223,88 @@ class TestSparseProperties:
             csr.transpose().transpose().to_dense(), csr.to_dense(),
             atol=1e-12,
         )
+
+
+@st.composite
+def parafac2_model_and_tensor(draw):
+    """A random PARAFAC2 model and an unrelated irregular tensor.
+
+    K 1–6, R 1–5, Ik from R to 4R+3, J from R to 12; dense or CSR slices
+    (CSR kept at any density); float32 or float64.  Every ``Qk`` is a
+    random column-orthonormal matrix built in float64 and then cast, so a
+    float32 ``Qk`` is orthonormal only to float32 rounding.
+    """
+    K = draw(st.integers(min_value=1, max_value=6))
+    R = draw(st.integers(min_value=1, max_value=5))
+    J = draw(st.integers(min_value=R, max_value=12))
+    rows = draw(st.lists(st.integers(min_value=R, max_value=4 * R + 3),
+                         min_size=K, max_size=K))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    sparse = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(min_value=-3, max_value=3))
+
+    dense = []
+    for n in rows:
+        Xk = (scale * rng.standard_normal((n, J))).astype(dtype)
+        if sparse:
+            Xk[rng.random((n, J)) < 0.6] = 0.0
+        dense.append(Xk)
+    slices = [dense_to_sparse(Xk) for Xk in dense] if sparse else dense
+    tensor = IrregularTensor(slices, dtype=dtype, density_threshold=1.0)
+    result = Parafac2Result(
+        Q=[np.linalg.qr(rng.standard_normal((n, R)))[0].astype(dtype)
+           for n in rows],
+        H=(scale * rng.standard_normal((R, R))).astype(dtype),
+        S=rng.standard_normal((K, R)).astype(dtype),
+        V=rng.standard_normal((J, R)).astype(dtype),
+    )
+    return result, tensor, dense
+
+
+class TestResidualKernelProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(parafac2_model_and_tensor())
+    def test_slice_residuals_match_dense_float64(self, case):
+        """``slice_residuals_squared`` equals ``‖Xk − Qk H Sk Vᵀ‖²``.
+
+        The reference is evaluated densely from float64 copies of the same
+        values.  Let ``scale_k = ‖Xk‖² + ‖H Sk‖²·‖V‖²`` (Frobenius norms),
+        a bound on every term of the identity.  float64 inputs must agree
+        within ``1e-10·scale_k``.
+
+        For float32 inputs the kernel's own arithmetic is float64 after
+        two float32 steps, and ``Qk`` is orthonormal only to rounding.
+        With unit roundoff ``u = 2⁻²⁴``, ``γ = Ik·u / (1 − Ik·u)`` and
+        ``δ = ‖QkᵀQk − I‖₂``:
+
+        * ``‖Xk‖²`` squares float32 entries: error ≤ ``u·‖Xk‖²``;
+        * ``Qkᵀ Xk`` is a float32 sum over ``Ik`` terms, so its error
+          ``E`` has ``‖E‖ ≤ γ·‖Qk‖·‖Xk‖`` with ``‖Qk‖² ≤ R(1 + δ)``; the
+          cross term moves by ``2|⟨E, H Sk Vᵀ⟩| ≤ γ·√(R(1+δ))·scale_k``;
+        * the identity assumes ``‖Qk M‖ = ‖M‖``; the reference differs by
+          ``|tr(Mᵀ(QkᵀQk − I)M)| ≤ δ·‖M‖² ≤ δ·scale_k``.
+
+        So the float32 tolerance is ``(u + γ·√(R(1+δ)) + δ + 1e-10)·scale_k``.
+        """
+        result, tensor, dense = case
+        got = result.slice_residuals_squared(tensor)
+        assert got.dtype == np.float64 and got.shape == (tensor.n_slices,)
+        H, S, V = (np.asarray(M, np.float64) for M in (result.H, result.S, result.V))
+        u = np.finfo(np.float32).eps / 2
+        for k, Xk in enumerate(dense):
+            X, Q = Xk.astype(np.float64), result.Q[k].astype(np.float64)
+            expected = float(np.sum((X - Q @ (H * S[k]) @ V.T) ** 2))
+            scale = np.sum(X * X) + np.sum((H * S[k]) ** 2) * np.sum(V * V)
+            if Xk.dtype == np.float64:
+                tol = 1e-10 * scale
+            else:
+                delta = np.linalg.norm(Q.T @ Q - np.eye(result.rank), 2)
+                n = Xk.shape[0]
+                gamma = n * u / (1 - n * u)
+                tol = (u + gamma * np.sqrt(result.rank * (1 + delta)) + delta
+                       + 1e-10) * scale
+            assert abs(got[k] - expected) <= tol, (k, got[k], expected, tol)
 
 
 class TestIndicatorProperties:

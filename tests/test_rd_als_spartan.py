@@ -110,3 +110,31 @@ class TestSpartan:
         slices = [rng.standard_normal((5, 4)), rng.standard_normal((5, 6))]
         with pytest.raises(ValueError, match="columns"):
             spartan(slices, DecompositionConfig(rank=2))
+
+    def test_nan_in_csr_slice_rejected_before_sweeping(self, rng, monkeypatch):
+        """A list input is validated as an IrregularTensor: a NaN in a CSR
+        slice is a ValueError naming the slice, raised before any sweep
+        work (not an SVD failure inside sweep 1)."""
+        import importlib
+
+        # The package re-exports the function under the module's name.
+        spartan_module = importlib.import_module("repro.decomposition.spartan")
+
+        def no_sweeps(item):
+            raise AssertionError("sweep work started on invalid input")
+
+        monkeypatch.setattr(spartan_module, "_slice_update_task", no_sweeps)
+        slices = [dense_to_sparse(rng.standard_normal((n, 6))) for n in (8, 9, 7)]
+        slices[2].data[3] = np.nan
+        with pytest.raises(ValueError, match=r"slices\[2\] contains NaN"):
+            spartan(slices, DecompositionConfig(rank=2, max_iterations=2))
+
+    def test_list_keeps_dense_csr_slices_sparse(self, rng):
+        """CSR slices given in a list stay CSR at any density."""
+        dense = [rng.standard_normal((n, 5)) for n in (6, 7)]
+        config = DecompositionConfig(rank=2, max_iterations=3, tolerance=0.0,
+                                     random_state=0)
+        sparse_result = spartan([dense_to_sparse(Xk) for Xk in dense], config)
+        dense_result = spartan(dense, config)
+        assert sparse_result.preprocessed_bytes > dense_result.preprocessed_bytes
+        np.testing.assert_allclose(sparse_result.V, dense_result.V, atol=1e-8)

@@ -223,6 +223,34 @@ class TestAnomalyScores:
         assert {10, 11, 12} <= top6
         assert len({10, 11, 12} & top3) >= 2
 
+    def test_csr_slices_score_like_their_dense_form(self):
+        """The bundled CSR dataset scores without densifying, and equals
+        the scores of its densified copy."""
+        from repro.data.registry import load_dataset
+
+        sparse = load_dataset("sparse", random_state=0)
+        assert sparse.has_sparse_slices
+        result = dpar2(sparse, DecompositionConfig(rank=10, random_state=0))
+        np.testing.assert_allclose(
+            slice_anomaly_scores(result, sparse),
+            slice_anomaly_scores(result, sparse.densified()),
+            rtol=1e-12,
+        )
+
+    def test_scores_match_dense_residual(self, planted):
+        tensor, _ = planted
+        slices = list(tensor.slices)
+        slices[1] = np.zeros_like(slices[1])
+        tensor = IrregularTensor(slices)
+        result = dpar2(tensor, DecompositionConfig(rank=3, max_iterations=5,
+                                                   random_state=0))
+        scores = slice_anomaly_scores(result, tensor)
+        assert scores[1] == 0.0  # zero-norm slices score 0
+        for k in (0, 2, 4):
+            expected = (np.linalg.norm(tensor[k] - result.reconstruct_slice(k))
+                        / np.linalg.norm(tensor[k]))
+            assert scores[k] == pytest.approx(expected, rel=1e-9)
+
     def test_slice_count_mismatch(self, planted):
         tensor, _ = planted
         result = dpar2(tensor, DecompositionConfig(rank=3, max_iterations=2,
