@@ -31,7 +31,7 @@ __all__ = ["constrained_dpar2", "project_nonnegative"]
 
 
 def constrained_dpar2(
-    tensor: IrregularTensor,
+    tensor: IrregularTensor | None,
     config: DecompositionConfig | None = None,
     *,
     nonnegative_weights: bool = False,
@@ -44,7 +44,8 @@ def constrained_dpar2(
     Parameters
     ----------
     tensor:
-        The irregular input ``{Xk}``.
+        The irregular input ``{Xk}``, or ``None`` when ``compressed`` is
+        given (as in :func:`~repro.decomposition.dpar2.dpar2`).
     config:
         Shared hyper-parameters; keyword overrides apply on top.
     nonnegative_weights:

@@ -346,7 +346,7 @@ def _stage2(
 
 
 def dpar2(
-    tensor: IrregularTensor,
+    tensor: IrregularTensor | None,
     config: DecompositionConfig | None = None,
     *,
     compressed: CompressedTensor | None = None,
@@ -359,7 +359,12 @@ def dpar2(
     Parameters
     ----------
     tensor:
-        The irregular input ``{Xk}``.
+        The irregular input ``{Xk}``, or ``None`` when ``compressed`` is
+        given: the sweeps never read the slices, so K, the row counts and
+        J then come from the compression (``row_counts``, ``n_columns``),
+        as does the working dtype.  A tensor passed together with
+        ``compressed`` must match its slice count, row counts and J, or
+        ``ValueError`` names the first mismatch before any work.
     config:
         Shared hyper-parameters; keyword overrides apply on top.
     compressed:
@@ -372,7 +377,8 @@ def dpar2(
         When True, evaluate the true reconstruction error against the raw
         slices each sweep instead of the compressed criterion — the
         convergence ablation from DESIGN.md §6.  Each cell evaluates its
-        own slices, so it runs sharded too.
+        own slices, so it runs sharded too.  It needs the slices: with
+        ``tensor=None`` it raises ``ValueError``.
 
     Returns
     -------

@@ -459,8 +459,37 @@ def sharded_stage1(
     ]
 
 
+def _check_compression_shape(
+    tensor: IrregularTensor, compressed: CompressedTensor
+) -> None:
+    """Raise ``ValueError`` at the first way ``tensor`` differs in shape.
+
+    The sweeps plan their cells from the compression's row counts and read
+    only its ``Ak`` and ``F(k)``; a tensor of another shape would give
+    factors of the wrong size (or an index error deep in a shard).
+    """
+    if tensor.n_slices != compressed.n_slices:
+        raise ValueError(
+            f"tensor has {tensor.n_slices} slices but the precomputed "
+            f"compression has {compressed.n_slices}"
+        )
+    if tensor.n_columns != compressed.n_columns:
+        raise ValueError(
+            f"tensor has {tensor.n_columns} columns but the precomputed "
+            f"compression has {compressed.n_columns}"
+        )
+    for k, (rows, compressed_rows) in enumerate(
+        zip(tensor.row_counts, compressed.row_counts)
+    ):
+        if rows != compressed_rows:
+            raise ValueError(
+                f"slice {k} has {rows} rows but the precomputed compression's "
+                f"A[{k}] has {compressed_rows}"
+            )
+
+
 def sharded_dpar2(
-    tensor: IrregularTensor,
+    tensor: IrregularTensor | None,
     config: DecompositionConfig,
     *,
     compressed: CompressedTensor | None = None,
@@ -484,6 +513,10 @@ def sharded_dpar2(
     transport's recovery counters (``worker_restarts`` plus a ``faults``
     block with replayed calls and per-event stderr excerpts).
 
+    ``tensor`` may be ``None`` when ``compressed`` is given: the sweeps
+    read only the compression, so K, the row counts and J come from it.
+    A tensor supplied next to ``compressed`` must match its shape.
+
     ``exact_convergence`` is the exact-error ablation;
     ``nonnegative_weights`` and ``smooth_v`` are the constraint hooks of
     :func:`~repro.decomposition.constrained.constrained_dpar2`, whose
@@ -492,30 +525,43 @@ def sharded_dpar2(
     :class:`~repro.linalg.array_module.ArrayModule` instance).
     """
     xp = get_xp(config.compute_backend if xp is None else xp)
-    if not isinstance(tensor, IrregularTensor):
-        tensor = IrregularTensor(tensor, dtype=config.numpy_dtype)
-    elif tensor.dtype != config.numpy_dtype:
-        tensor = tensor.astype(config.numpy_dtype)
-    if not xp.is_numpy and any(
-        isinstance(Xk, np.memmap) for Xk in tensor.slices
-    ):
-        raise ValueError(
-            "out-of-core (memory-mapped) tensors cannot run on compute "
-            f"backend {xp.name!r}: streaming from disk and device residency "
-            "are mutually exclusive; use compute_backend='numpy'"
-        )
-    R = min(config.rank, tensor.n_columns, min(tensor.row_counts))
+    if tensor is None:
+        if compressed is None:
+            raise ValueError("pass a tensor, a precomputed compression, or both")
+        if exact_convergence:
+            raise ValueError(
+                "exact_convergence evaluates the error against the raw "
+                "slices every sweep; pass the tensor with the compression"
+            )
+    else:
+        if not isinstance(tensor, IrregularTensor):
+            tensor = IrregularTensor(tensor, dtype=config.numpy_dtype)
+        if compressed is not None:
+            _check_compression_shape(tensor, compressed)
+        if tensor.dtype != config.numpy_dtype:
+            tensor = tensor.astype(config.numpy_dtype)
+        if not xp.is_numpy and any(
+            isinstance(Xk, np.memmap) for Xk in tensor.slices
+        ):
+            raise ValueError(
+                "out-of-core (memory-mapped) tensors cannot run on compute "
+                f"backend {xp.name!r}: streaming from disk and device "
+                "residency are mutually exclusive; use compute_backend='numpy'"
+            )
+    source = tensor if compressed is None else compressed
+    row_counts, J = source.row_counts, source.n_columns
+    R = min(config.rank, J, min(row_counts))
     if compressed is not None and compressed.rank < R:
         raise ValueError(
             f"precomputed compression has rank {compressed.rank} < target {R}"
         )
-    K = tensor.n_slices
+    K = len(row_counts)
     sharded = config.shards is not None
     if sharded:
-        plan = plan_shards(tensor.row_counts, config.shards, config.shard_cells)
+        plan = plan_shards(row_counts, config.shards, config.shard_cells)
         shard_backend = config.shard_backend
     else:
-        plan = plan_shards(tensor.row_counts, 1, 1)
+        plan = plan_shards(row_counts, 1, 1)
         shard_backend = "serial"
     engine = get_backend(config.backend, config.n_threads)
 
@@ -590,7 +636,7 @@ def sharded_dpar2(
                 # Stage 2 on the gathered small factors, in slice order.
                 D, E, F, preprocess_seconds = _stage2(
                     [stage1[k] for k in range(K)],
-                    tensor.n_columns,
+                    J,
                     R,
                     dtype=tensor.dtype,
                     oversampling=config.oversampling,
@@ -601,7 +647,7 @@ def sharded_dpar2(
                 )
                 itemsize = np.dtype(tensor.dtype).itemsize
                 preprocessed_bytes = (
-                    sum(rows * R for rows in tensor.row_counts) * itemsize
+                    sum(rows * R for rows in row_counts) * itemsize
                     + D.nbytes + E.nbytes + F.nbytes
                 )
             else:
@@ -610,7 +656,7 @@ def sharded_dpar2(
                 preprocessed_bytes = compressed.nbytes
         dtype = D.dtype
 
-        init = initialize_factors(tensor.n_columns, K, R, config.random_state)
+        init = initialize_factors(J, K, R, config.random_state)
         H = init.H.astype(dtype, copy=False)
         V = init.V.astype(dtype, copy=False)
         W = init.W.astype(dtype, copy=False)

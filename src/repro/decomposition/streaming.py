@@ -16,9 +16,12 @@ DPar2's compressed representation, in the spirit of SPADE [48]:
   compressed form.  Each refresh starts from the random initialization of
   ``config.random_state``, not from the previous ``H``, ``V``, ``W``.
 
-The update cost per arriving slice is ``O(Ik J R + (K R) R²)`` — independent
-of the *rows* of all previously absorbed slices, which is the property a
-streaming method needs.
+Absorbing a slice costs ``O(Ik J R + (K R) R²)`` — independent of the
+*rows* of all previously absorbed slices, which is the property a
+streaming method needs.  A refresh is ``refresh_iterations`` sweeps of
+``O(K R³)`` on the compressed state plus the ``O(Σk Ik R²)`` gather of
+every ``Qk``; it forms no dense slice (``dpar2`` takes the compression
+without a slice tensor).
 """
 
 from __future__ import annotations
@@ -413,12 +416,8 @@ class StreamingDpar2:
         D = self._D @ U[:, :R]
         E = s[:R]
         R_slice = self._G[0].shape[1]
-        F_blocks = np.stack(
-            [
-                Vt[:R, k * R_slice : (k + 1) * R_slice].T
-                for k in range(self.n_slices)
-            ]
-        )
+        # Column block k of Vt[:R] is F(k)ᵀ.
+        F_blocks = Vt[:R].reshape(R, self.n_slices, R_slice).transpose(1, 2, 0)
         # Pad A / F blocks if slice rank ran below R (tiny early slices).
         A = list(self._A)
         if F_blocks.shape[2] < R:
@@ -599,18 +598,11 @@ class StreamingDpar2:
         return self._last_result
 
     def _refresh(self) -> None:
-        compressed = self.compressed()
-        # Reconstruct approximate slices only for the result container's
-        # bookkeeping — iteration uses the compressed form throughout.
-        tensor = IrregularTensor(
-            [compressed.reconstruct_slice(k) for k in range(self.n_slices)],
-            copy=False,
-            dtype=self._dtype,
-        )
-        config = self.config.with_(
-            max_iterations=max(self.refresh_iterations, 1)
-        )
-        self._last_result = dpar2(tensor, config, compressed=compressed)
+        with trace.span("streaming.refresh", slices=self.n_slices):
+            config = self.config.with_(
+                max_iterations=max(self.refresh_iterations, 1)
+            )
+            self._last_result = dpar2(None, config, compressed=self.compressed())
         streaming_stats = self._last_result.stats.setdefault("streaming", {})
         streaming_stats.update(
             {

@@ -4,7 +4,7 @@ A *span* is one timed region of work with a name, a small attribute
 dict, and an explicit parent — the span that was open (in the same
 thread) when it started.  Nesting follows the call structure of the
 instrumented code: ``run -> sweep -> phase`` on the decomposition side,
-``absorb -> checkpoint`` on the streaming side, ``request -> batch ->
+``refresh -> run`` on the streaming side, ``request -> batch ->
 kernel`` on the serving side.
 
 Tracing is **off by default** and costs one ``None`` check per

@@ -74,6 +74,19 @@ def make_irregular(row_counts, n_columns, seed=0):
     return random_irregular_tensor(row_counts, n_columns, random_state=seed)
 
 
+def assert_same_fit(a, b):
+    """Byte-identical factors, criterion history and sweep count."""
+    assert a.n_iterations == b.n_iterations
+    assert a.converged == b.converged
+    assert [r.criterion for r in a.history] == [r.criterion for r in b.history]
+    for name in ("H", "S", "V"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert len(a.Q) == len(b.Q)
+    for Qa, Qb in zip(a.Q, b.Q):
+        assert Qa.dtype == Qb.dtype
+        np.testing.assert_array_equal(Qa, Qb)
+
+
 def assert_orthonormal_columns(matrix, atol=1e-8):
     gram = matrix.T @ matrix
     np.testing.assert_allclose(gram, np.eye(matrix.shape[1]), atol=atol)

@@ -7,7 +7,7 @@ from repro.decomposition.dpar2 import CompressedTensor, compress_tensor, dpar2
 from repro.decomposition.parafac2_als import parafac2_als
 from repro.tensor.random import low_rank_irregular_tensor
 from repro.util.config import DecompositionConfig
-from tests.conftest import assert_valid_parafac2_result
+from tests.conftest import assert_same_fit, assert_valid_parafac2_result
 
 
 class TestCompression:
@@ -284,3 +284,116 @@ class TestFloat32Accuracy:
                 for k, Xk in enumerate(dense)
             ) / sum(np.sum(Xk * Xk) for Xk in dense)
             assert abs(result.fitness(data) - direct) <= 1e-6
+
+
+@pytest.fixture
+def refuse_sweeps(monkeypatch):
+    """Fail the test if the sweep loop starts a shard runner."""
+    from repro.decomposition import sharded
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep loop started")
+
+    monkeypatch.setattr(sharded, "get_shard_runner", refuse)
+
+
+class TestTensorFreeCompression:
+    """``dpar2(None, compressed=c)``: the sweeps read only the compression."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        from repro.data.registry import load_dataset
+
+        return {
+            "dense": low_rank_irregular_tensor(
+                [40, 60, 35, 50, 45, 30], 24, rank=4, noise=0.02, random_state=1
+            ),
+            "csr": load_dataset("sparse", random_state=0),
+        }
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("data", ["dense", "csr"])
+    def test_matches_the_tensor_backed_call(self, inputs, data, dtype, shards):
+        tensor = inputs[data].astype(dtype)
+        compressed = compress_tensor(tensor, 4, random_state=0)
+        config = DecompositionConfig(
+            rank=4, max_iterations=6, tolerance=0.0, random_state=0,
+            dtype=dtype, shards=shards, shard_backend="serial",
+        )
+        assert_same_fit(
+            dpar2(None, config, compressed=compressed),
+            dpar2(tensor, config, compressed=compressed),
+        )
+
+    def test_constrained_matches_the_tensor_backed_call(self, inputs):
+        from repro.decomposition.constrained import constrained_dpar2
+
+        tensor = inputs["dense"]
+        compressed = compress_tensor(tensor, 4, random_state=0)
+        config = DecompositionConfig(rank=4, max_iterations=6, random_state=0)
+        assert_same_fit(
+            constrained_dpar2(
+                None, config, nonnegative_weights=True, compressed=compressed
+            ),
+            constrained_dpar2(
+                tensor, config, nonnegative_weights=True, compressed=compressed
+            ),
+        )
+
+    def test_exact_convergence_needs_the_slices(self, inputs, refuse_sweeps):
+        compressed = compress_tensor(inputs["dense"], 4, random_state=0)
+        with pytest.raises(ValueError, match="exact_convergence"):
+            dpar2(
+                None,
+                DecompositionConfig(rank=4, max_iterations=2),
+                compressed=compressed,
+                exact_convergence=True,
+            )
+
+    def test_needs_a_tensor_or_a_compression(self):
+        with pytest.raises(ValueError, match="precomputed compression"):
+            dpar2(None, DecompositionConfig(rank=2))
+
+
+class TestCompressionShapeCheck:
+    """A tensor passed with ``compressed=`` must have the compression's shape."""
+
+    @pytest.fixture(scope="class")
+    def compressed(self):
+        tensor = low_rank_irregular_tensor(
+            [30, 40, 50, 60, 35, 45], 20, 4, noise=0.01, random_state=0
+        )
+        return tensor, compress_tensor(tensor, 4, random_state=0)
+
+    @staticmethod
+    def _fit(tensor, compressed):
+        dpar2(
+            tensor,
+            DecompositionConfig(rank=4, max_iterations=2, random_state=0),
+            compressed=compressed,
+        )
+
+    def test_fewer_slices(self, compressed, refuse_sweeps):
+        tensor, c = compressed
+        with pytest.raises(ValueError, match="tensor has 4 slices .* has 6"):
+            self._fit(tensor.slices[:4], c)
+
+    def test_more_slices(self, compressed, refuse_sweeps):
+        tensor, c = compressed
+        with pytest.raises(ValueError, match="tensor has 8 slices .* has 6"):
+            self._fit(list(tensor.slices) + list(tensor.slices[:2]), c)
+
+    def test_row_counts(self, compressed, refuse_sweeps):
+        tensor, c = compressed
+        taller = [np.vstack([Xk, Xk[:1]]) for Xk in tensor.slices]
+        with pytest.raises(ValueError, match=r"slice 0 has 31 rows .* A\[0\] has 30"):
+            self._fit(taller, c)
+
+    def test_columns(self, compressed, refuse_sweeps):
+        tensor, c = compressed
+        wider = low_rank_irregular_tensor(
+            tensor.row_counts, 25, 4, noise=0.01, random_state=0
+        )
+        with pytest.raises(ValueError, match="tensor has 25 columns .* has 20"):
+            self._fit(wider, c)

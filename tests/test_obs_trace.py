@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.decomposition.dpar2 import dpar2
+from repro.decomposition.streaming import StreamingDpar2
 from repro.obs import trace
 from repro.tensor.random import low_rank_irregular_tensor
 from repro.util.config import DecompositionConfig
@@ -136,6 +137,30 @@ class TestDeterminism:
         sweeps = [record for record in spans if record["name"] == "dpar2.sweep"]
         assert len(sweeps) == 4
         assert all(by_id[record["parent"]]["name"] == "dpar2.run" for record in sweeps)
+
+
+class TestStreamingSpans:
+    @staticmethod
+    def _traced_stream(tensor, path):
+        trace.start(path)
+        try:
+            stream = StreamingDpar2(_config(), refresh_iterations=2)
+            stream.absorb_many(list(tensor.slices))
+        finally:
+            trace.stop()
+        return trace.load_spans(path)
+
+    def test_refresh_span_holds_the_solve(self, tensor, tmp_path):
+        spans = self._traced_stream(tensor, tmp_path / "a.jsonl")
+        again = self._traced_stream(tensor, tmp_path / "b.jsonl")
+        assert trace.tree_shape(spans) == trace.tree_shape(again)
+        by_id = {record["id"]: record for record in spans}
+        roots = [record["name"] for record in spans if record["parent"] is None]
+        assert roots == ["streaming.absorb", "streaming.refresh"]
+        (run,) = [record for record in spans if record["name"] == "dpar2.run"]
+        assert by_id[run["parent"]]["name"] == "streaming.refresh"
+        (refresh,) = [record for record in spans if record["name"] == "streaming.refresh"]
+        assert refresh["attrs"] == {"slices": tensor.n_slices}
 
 
 class TestSummarize:

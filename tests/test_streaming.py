@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.decomposition.dpar2 import _BATCH_MAX_ROWS, dpar2
+from repro.decomposition.dpar2 import _BATCH_MAX_ROWS, CompressedTensor, dpar2
 from repro.decomposition.streaming import StreamingDpar2
 from repro.tensor.irregular import IrregularTensor
 from repro.tensor.random import low_rank_irregular_tensor
 from repro.util.config import DecompositionConfig
+from tests.conftest import assert_same_fit
 
 
 @pytest.fixture
@@ -245,3 +246,53 @@ class TestShortSlices:
         stream.absorb(rng.random((2, 10)), refresh=False)
         stream.absorb(rng.random((30, 10)), refresh=False)
         assert stream.compressed().n_slices == 2
+
+
+class TestRefreshWithoutRebuild:
+    """A refresh fits the compressed state itself; no dense slice is formed."""
+
+    def test_no_slice_is_reconstructed(self, monkeypatch, stream_tensor):
+        def refuse(self, k):
+            raise AssertionError("a refresh rebuilt a dense slice")
+
+        monkeypatch.setattr(CompressedTensor, "reconstruct_slice", refuse)
+        stream = StreamingDpar2(DecompositionConfig(rank=4, random_state=0))
+        stream.absorb_many(list(stream_tensor.slices)[:3])
+        stream.absorb_many(list(stream_tensor.slices)[3:], refresh=False)
+        result = stream.result()
+        assert result.n_slices == stream_tensor.n_slices
+
+    @pytest.mark.parametrize("case", ["float64", "float32", "short_slice"])
+    def test_refresh_equals_the_dense_route(self, stream_tensor, case):
+        """Same bytes as ``dpar2`` on the rebuilt slices ``Ak F(k) E Dᵀ``."""
+        slices = list(stream_tensor.slices)
+        if case == "short_slice":
+            slices[2] = np.ascontiguousarray(slices[2][:3])
+        dtype = "float32" if case == "float32" else "float64"
+        stream = StreamingDpar2(
+            DecompositionConfig(rank=4, random_state=0, dtype=dtype)
+        )
+        stream.absorb_many(slices[:4])
+        stream.absorb_many(slices[4:])
+        c = stream.compressed()
+        dense = IrregularTensor(
+            [c.reconstruct_slice(k) for k in range(c.n_slices)],
+            copy=False,
+            dtype=dtype,
+        )
+        reference = dpar2(
+            dense,
+            stream.config.with_(max_iterations=stream.refresh_iterations),
+            compressed=c,
+        )
+        assert reference.rank == (3 if case == "short_slice" else 4)
+        assert_same_fit(stream.result(), reference)
+
+    def test_snapshot_blocks_follow_the_coefficient_columns(self, stream_tensor):
+        """``F(k)`` is column block k of the stacked coefficients' ``Vt``."""
+        stream = StreamingDpar2(DecompositionConfig(rank=4, random_state=0))
+        stream.absorb_many(list(stream_tensor.slices), refresh=False)
+        c = stream.compressed()
+        _, _, Vt = np.linalg.svd(np.concatenate(stream._G, axis=1), full_matrices=False)
+        for k in range(c.n_slices):
+            np.testing.assert_array_equal(c.F_blocks[k], Vt[:4, 4 * k : 4 * (k + 1)].T)
