@@ -7,13 +7,15 @@
 * Model persistence: save/load must be I/O-bound, not compute-bound.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.decomposition.constrained import constrained_dpar2
 from repro.decomposition.dpar2 import compress_tensor, dpar2
+from repro.decomposition.result import Parafac2Result
 from repro.decomposition.streaming import StreamingDpar2
-from repro.io import load_result, save_result
 from repro.util.config import DecompositionConfig
 
 
@@ -71,11 +73,13 @@ def test_constrained_sweep_cost(benchmark, structured_tensor, bench_config,
 def test_model_save_load(benchmark, structured_tensor, bench_config,
                          tmp_path):
     result = dpar2(structured_tensor, bench_config)
-    path = tmp_path / "model.npz"
+    # Saved models are immutable, so every round writes a fresh directory.
+    paths = (tmp_path / f"model-{n}" for n in itertools.count())
 
     def roundtrip():
-        save_result(path, result)
-        return load_result(path)
+        path = next(paths)
+        result.save(path)
+        return Parafac2Result.load(path, mmap=False)
 
     loaded = benchmark(roundtrip)
     assert loaded.rank == result.rank

@@ -19,12 +19,7 @@ profile (Fig. 8), density, and approximate low-rank spectral decay.
   with paper-shaped (scaled) dimensions.
 """
 
-from repro.data.loaders import (
-    load_tensor_csv_dir,
-    load_tensor_npz,
-    save_tensor_csv_dir,
-    save_tensor_npz,
-)
+from repro.data.loaders import load_tensor_csv_dir, save_tensor_csv_dir
 from repro.data.registry import DATASETS, DatasetSpec, load_dataset
 
 __all__ = [
@@ -32,7 +27,5 @@ __all__ = [
     "DatasetSpec",
     "load_dataset",
     "load_tensor_csv_dir",
-    "load_tensor_npz",
     "save_tensor_csv_dir",
-    "save_tensor_npz",
 ]

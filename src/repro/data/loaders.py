@@ -1,10 +1,13 @@
-"""Loading and saving irregular tensors.
+"""CSV interchange for irregular tensors.
 
-Real deployments feed PARAFAC2 from files.  Two formats are supported:
+Real deployments feed PARAFAC2 from files.  This module reads and writes a
+directory of per-slice CSV files (interoperable: one file per stock /
+song / video, rows = time, columns = features), with an optional header.
 
-* a single ``.npz`` archive (compact, lossless, the library's native form);
-* a directory of per-slice CSV files (interoperable: one file per stock /
-  song / video, rows = time, columns = features), with an optional header.
+The library's native on-disk form is
+:class:`~repro.tensor.mmap_store.MmapSliceStore` (``IrregularTensor.to_store``
+/ ``IrregularTensor.from_store``): one memory-mappable ``.npy`` file per
+slice, which every solver reads out of core.
 """
 
 from __future__ import annotations
@@ -14,30 +17,6 @@ import os
 import numpy as np
 
 from repro.tensor.irregular import IrregularTensor
-
-_FORMAT_VERSION = 1
-
-
-def save_tensor_npz(path, tensor: IrregularTensor) -> None:
-    """Write an irregular tensor as one compressed ``.npz`` archive."""
-    arrays = {
-        "format_version": np.array(_FORMAT_VERSION),
-        "kind": np.array("irregular_tensor"),
-        "n_slices": np.array(tensor.n_slices),
-    }
-    for k, Xk in enumerate(tensor):
-        arrays[f"slice_{k}"] = Xk
-    np.savez_compressed(path, **arrays)
-
-
-def load_tensor_npz(path) -> IrregularTensor:
-    """Read an archive written by :func:`save_tensor_npz`."""
-    with np.load(path, allow_pickle=False) as data:
-        if "kind" not in data or str(data["kind"]) != "irregular_tensor":
-            raise ValueError(f"{path} is not an irregular-tensor archive")
-        n_slices = int(data["n_slices"])
-        return IrregularTensor([data[f"slice_{k}"] for k in range(n_slices)])
-
 
 def save_tensor_csv_dir(
     directory,

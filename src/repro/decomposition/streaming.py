@@ -27,9 +27,6 @@ without a slice tensor).
 from __future__ import annotations
 
 import json
-import os
-import shutil
-import tempfile
 import time
 from pathlib import Path
 
@@ -46,16 +43,19 @@ from repro.sparse.csr import CsrMatrix
 from repro.sparse.ops import check_finite_csr
 from repro.tensor.irregular import IrregularTensor
 from repro.util import faults
+from repro.util.atomic import NumberedDirs, read_json
 from repro.util.config import DecompositionConfig
 from repro.util.rng import as_generator, spawn_generators
 from repro.util.validation import check_matrix
 
-_CHECKPOINT_LATEST = "LATEST"
 _CHECKPOINT_FORMAT = 1
 
 
-def _checkpoint_name(seq: int) -> str:
-    return f"ckpt-{seq:07d}"
+def _checkpoints(directory) -> NumberedDirs:
+    """The ``ckpt-0000001``, … checkpoints and ``LATEST`` pointer in ``directory``."""
+    return NumberedDirs(
+        directory, prefix="ckpt-", marker="state.json", site="streaming.checkpoint"
+    )
 
 
 def _check_stream_slice(slice_matrix, name: str, dtype):
@@ -101,14 +101,16 @@ class StreamingDpar2:
         ``refresh=True``, or at the next :meth:`result`).  Every refresh
         starts from ``config.random_state``'s initialization.
     checkpoint_dir:
-        When set, the stream writes atomic checkpoints (the
-        :class:`~repro.serve.store.FactorStore` temp-dir-rename idiom)
+        When set, the stream writes atomic checkpoints (committed by
+        :class:`~repro.util.atomic.NumberedDirs`, like registry versions)
         into this directory and :meth:`resume_from` can rebuild the
         stream after a crash — bitwise-identically, because the RNG's
         bit-generator state is saved and :meth:`absorb_many` chunks its
         batches by ``checkpoint_every`` whether or not a crash happens,
         so the generator-spawn sequence never depends on where a run was
-        interrupted.
+        interrupted.  A directory that already holds checkpoints belongs
+        to another stream: constructing with it raises ``ValueError``
+        (continue that stream with :meth:`resume_from` instead).
     checkpoint_every:
         Checkpoint after this many absorbed slices (0 disables automatic
         checkpoints; :meth:`checkpoint` can still be called manually).
@@ -158,6 +160,14 @@ class StreamingDpar2:
         self.residual_threshold = residual_threshold
         self.refresh_iterations = refresh_iterations
         self.checkpoint_dir = None if checkpoint_dir is None else Path(checkpoint_dir)
+        if self.checkpoint_dir is not None and _checkpoints(self.checkpoint_dir).numbers():
+            # Adopting it would number after, and prune, another stream's
+            # checkpoints.
+            raise ValueError(
+                f"{self.checkpoint_dir} already holds stream checkpoints; "
+                f"continue that stream with StreamingDpar2.resume_from"
+                f"({str(self.checkpoint_dir)!r}) or pass an empty directory"
+            )
         self.checkpoint_every = int(checkpoint_every)
         self.keep_checkpoints = int(keep_checkpoints)
         self._rng = as_generator(self.config.random_state)
@@ -171,7 +181,6 @@ class StreamingDpar2:
         self._G: list[np.ndarray] = []
         self._n_columns: int | None = None
         self._last_result: Parafac2Result | None = None
-        self._checkpoint_seq = 0
         self._absorbed_since_checkpoint = 0
         #: Durability counters, surfaced in ``result().stats["streaming"]``
         #: and in :meth:`publish_to` metadata.
@@ -433,56 +442,51 @@ class StreamingDpar2:
     def checkpoint(self, directory=None) -> Path:
         """Write an atomic checkpoint of the stream state; return its path.
 
-        Same idiom as :meth:`FactorStore.publish
-        <repro.serve.store.FactorStore.publish>`: the state is staged
-        into a hidden temp dir in the target directory, renamed into
-        place (atomic on POSIX), and only then does the ``LATEST``
+        Committed like a registry version
+        (:meth:`NumberedDirs.commit <repro.util.atomic.NumberedDirs.commit>`):
+        the state is staged into a hidden directory, renamed to the next
+        checkpoint number on disk, and only then does the ``LATEST``
         pointer move — a crash at any instant leaves either the previous
-        checkpoint or a complete new one, never a torn read.  The RNG's
-        bit-generator state rides along, so a resumed stream continues
-        the exact draw sequence.
+        checkpoint or a complete new one, never a torn read.  Numbering
+        from disk means a stream resumed after a kill between rename and
+        pointer replace writes past the killed run's last checkpoint.  The
+        RNG's bit-generator state rides along, so a resumed stream
+        continues the exact draw sequence.
         """
         base = Path(directory) if directory is not None else self.checkpoint_dir
         if base is None:
             raise RuntimeError(
                 "no checkpoint directory: pass one here or set checkpoint_dir"
             )
-        base.mkdir(parents=True, exist_ok=True)
-        seq = self._checkpoint_seq + 1
+        checkpoints = _checkpoints(base)
         stats = dict(self.stats)
         stats["checkpoints_written"] = stats.get("checkpoints_written", 0) + 1
-        state = {
-            "format": _CHECKPOINT_FORMAT,
-            "seq": seq,
-            "config": self.config.to_dict(),
-            "residual_threshold": self.residual_threshold,
-            "refresh_iterations": self.refresh_iterations,
-            "checkpoint_every": self.checkpoint_every,
-            "keep_checkpoints": self.keep_checkpoints,
-            "n_columns": self._n_columns,
-            "n_slices": self.n_slices,
-            "rng_state": self._rng.bit_generator.state,
-            "stats": stats,
-        }
+
+        def write_state(staging: Path, seq: int) -> None:
+            if self._D is not None:
+                np.save(staging / "D.npy", self._D)
+            for k, (Ak, Gk) in enumerate(zip(self._A, self._G)):
+                np.save(staging / f"A_{k:06d}.npy", Ak)
+                np.save(staging / f"G_{k:06d}.npy", Gk)
+            # state.json last: its presence marks the checkpoint complete.
+            (staging / "state.json").write_text(json.dumps({
+                "format": _CHECKPOINT_FORMAT,
+                "seq": seq,
+                "config": self.config.to_dict(),
+                "residual_threshold": self.residual_threshold,
+                "refresh_iterations": self.refresh_iterations,
+                "checkpoint_every": self.checkpoint_every,
+                "keep_checkpoints": self.keep_checkpoints,
+                "n_columns": self._n_columns,
+                "n_slices": self.n_slices,
+                "rng_state": self._rng.bit_generator.state,
+                "stats": stats,
+            }))
+
         t0 = time.perf_counter()
-        with trace.span("streaming.checkpoint", seq=seq, slices=self.n_slices):
-            staging = Path(tempfile.mkdtemp(prefix=".ckpt-", dir=base))
-            try:
-                if self._D is not None:
-                    np.save(staging / "D.npy", self._D)
-                for k, (Ak, Gk) in enumerate(zip(self._A, self._G)):
-                    np.save(staging / f"A_{k:06d}.npy", Ak)
-                    np.save(staging / f"G_{k:06d}.npy", Gk)
-                # state.json last: its presence marks the staging dir complete.
-                (staging / "state.json").write_text(json.dumps(state))
-                faults.check("streaming.checkpoint.staged")
-                target = base / _checkpoint_name(seq)
-                staging.rename(target)
-            except BaseException:
-                shutil.rmtree(staging, ignore_errors=True)
-                raise
-            faults.check("streaming.checkpoint.renamed")
-            self._point_latest(base, seq)
+        with trace.span("streaming.checkpoint", slices=self.n_slices) as span:
+            seq = checkpoints.commit(write_state)
+            span.annotate(seq=seq)
         registry = get_registry()
         registry.counter(
             "repro_streaming_checkpoints_total", "Stream checkpoints written."
@@ -491,57 +495,10 @@ class StreamingDpar2:
             "repro_streaming_checkpoint_seconds",
             "Wall time to stage, rename, and point one checkpoint.",
         ).observe(time.perf_counter() - t0)
-        self._checkpoint_seq = seq
         self.stats["checkpoints_written"] = stats["checkpoints_written"]
         self._absorbed_since_checkpoint = 0
-        self._prune_checkpoints(base)
-        return target
-
-    @staticmethod
-    def _point_latest(base: Path, seq: int) -> None:
-        fd, tmp = tempfile.mkstemp(prefix=".latest-", dir=base)
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(f"{seq}\n")
-            os.replace(tmp, base / _CHECKPOINT_LATEST)
-        except BaseException:  # pragma: no cover - replace failed
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def _prune_checkpoints(self, base: Path) -> None:
-        complete = sorted(
-            int(path.name.split("-")[1])
-            for path in base.glob("ckpt-*")
-            if path.is_dir() and (path / "state.json").exists()
-        )
-        for seq in complete[: -self.keep_checkpoints]:
-            shutil.rmtree(base / _checkpoint_name(seq), ignore_errors=True)
-
-    @staticmethod
-    def _latest_checkpoint(base: Path) -> int | None:
-        def complete(seq: int) -> bool:
-            return (base / _checkpoint_name(seq) / "state.json").exists()
-
-        try:
-            seq = int((base / _CHECKPOINT_LATEST).read_text().strip())
-            if complete(seq):
-                return seq
-        except (OSError, ValueError):
-            pass
-        # Stale or missing pointer (e.g. a crash between rename and pointer
-        # flip): fall back to the highest complete checkpoint on disk.
-        candidates = sorted(
-            (
-                int(path.name.split("-")[1])
-                for path in base.glob("ckpt-*")
-                if path.is_dir() and (path / "state.json").exists()
-            ),
-            reverse=True,
-        )
-        return candidates[0] if candidates else None
+        checkpoints.prune(self.keep_checkpoints)
+        return checkpoints.path(seq)
 
     @classmethod
     def resume_from(
@@ -553,26 +510,30 @@ class StreamingDpar2:
         state, column count, and the RNG bit-generator state all come
         back exactly as checkpointed (``config`` overrides the saved one
         for knobs that do not affect determinism, e.g. worker counts).
+        It keeps checkpointing into ``directory``.
         ``stats["checkpoint_resumes"]`` is incremented; it propagates to
         published model metadata and ``/healthz``.
         """
         base = Path(directory)
-        seq = cls._latest_checkpoint(base)
+        checkpoints = _checkpoints(base)
+        seq = checkpoints.latest()
         if seq is None:
             raise FileNotFoundError(f"no complete checkpoint under {base}")
-        path = base / _checkpoint_name(seq)
+        path = checkpoints.path(seq)
         with trace.span("streaming.resume", seq=seq):
-            state = json.loads((path / "state.json").read_text())
+            state = read_json(path / "state.json")
             stream = cls(
                 config
                 if config is not None
                 else DecompositionConfig.from_dict(state["config"]),
                 residual_threshold=state["residual_threshold"],
                 refresh_iterations=state["refresh_iterations"],
-                checkpoint_dir=base,
                 checkpoint_every=state.get("checkpoint_every", 0),
                 keep_checkpoints=state.get("keep_checkpoints", 2),
             )
+            # Set after construction: the directory holds this stream's own
+            # checkpoints, which the constructor would refuse.
+            stream.checkpoint_dir = base
             stream._n_columns = state["n_columns"]
             stream._rng.bit_generator.state = state["rng_state"]
             n_slices = int(state["n_slices"])
@@ -580,7 +541,6 @@ class StreamingDpar2:
             stream._G = [np.load(path / f"G_{k:06d}.npy") for k in range(n_slices)]
             if (path / "D.npy").exists():
                 stream._D = np.load(path / "D.npy")
-        stream._checkpoint_seq = seq
         stream.stats = dict(state.get("stats", {}))
         stream.stats["checkpoint_resumes"] = (
             stream.stats.get("checkpoint_resumes", 0) + 1

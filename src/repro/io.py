@@ -1,9 +1,14 @@
-"""Model persistence: save/load fitted models and compressed tensors.
+"""Compressed-tensor persistence: save/load a :class:`CompressedTensor`.
 
-A downstream pipeline decomposes once and analyzes many times (the
-Section IV-E workflow), so factors must round-trip to disk.  Everything is
-stored as a single ``.npz`` archive with a small manifest — no pickling, so
-archives are portable and safe to load.
+Compressing once and decomposing many times (rank sweeps, warm restarts,
+the Section IV-E workflow) needs the compressed form on disk.  It is
+stored as a single ``.npz`` archive with a small manifest — no pickling,
+so archives are portable and safe to load.
+
+Fitted models are not stored here: they persist via
+:meth:`Parafac2Result.save <repro.decomposition.result.Parafac2Result.save>`
+/ :meth:`~repro.decomposition.result.Parafac2Result.load`, the
+memmap-able directory format registry versions use.
 """
 
 from __future__ import annotations
@@ -11,62 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.decomposition.dpar2 import CompressedTensor
-from repro.decomposition.result import IterationRecord, Parafac2Result
 
 _FORMAT_VERSION = 1
-
-
-def save_result(path, result: Parafac2Result) -> None:
-    """Serialize a fitted PARAFAC2 model to ``path`` (.npz).
-
-    Stores the factors, the method name, and the scalar bookkeeping; the
-    per-iteration history is stored as a ``(n, 3)`` float array.
-    """
-    arrays = {
-        "format_version": np.array(_FORMAT_VERSION),
-        "kind": np.array("parafac2_result"),
-        "method": np.array(result.method),
-        "H": result.H,
-        "S": result.S,
-        "V": result.V,
-        "n_iterations": np.array(result.n_iterations),
-        "converged": np.array(result.converged),
-        "preprocess_seconds": np.array(result.preprocess_seconds),
-        "iterate_seconds": np.array(result.iterate_seconds),
-        "preprocessed_bytes": np.array(result.preprocessed_bytes),
-        "history": np.array(
-            [[r.iteration, r.criterion, r.seconds] for r in result.history]
-        ).reshape(-1, 3),
-        "n_slices": np.array(len(result.Q)),
-    }
-    for k, Qk in enumerate(result.Q):
-        arrays[f"Q_{k}"] = Qk
-    np.savez_compressed(path, **arrays)
-
-
-def load_result(path) -> Parafac2Result:
-    """Load a model written by :func:`save_result`."""
-    with np.load(path, allow_pickle=False) as data:
-        _check_archive(data, "parafac2_result")
-        n_slices = int(data["n_slices"])
-        Q = [data[f"Q_{k}"] for k in range(n_slices)]
-        history = [
-            IterationRecord(int(row[0]), float(row[1]), float(row[2]))
-            for row in data["history"]
-        ]
-        return Parafac2Result(
-            Q=Q,
-            H=data["H"],
-            S=data["S"],
-            V=data["V"],
-            method=str(data["method"]),
-            n_iterations=int(data["n_iterations"]),
-            converged=bool(data["converged"]),
-            preprocess_seconds=float(data["preprocess_seconds"]),
-            iterate_seconds=float(data["iterate_seconds"]),
-            preprocessed_bytes=int(data["preprocessed_bytes"]),
-            history=history,
-        )
 
 
 def save_compressed(path, compressed: CompressedTensor) -> None:

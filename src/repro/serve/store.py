@@ -11,11 +11,11 @@ Two layers share one payload format:
   delegate here.
 * :class:`FactorStore` stacks versioning on top: a registry directory whose
   ``versions/v0000001, v0000002, …`` subdirectories are immutable model
-  payloads.  Publishing writes into a temporary sibling directory and
-  renames it into place, then flips the ``LATEST`` pointer file with an
-  atomic replace — readers either see the old complete version or the new
-  complete version, never a half-written one.  That is what lets a serving
-  process hot-swap models while requests are in flight.
+  payloads, committed by :class:`repro.util.atomic.NumberedDirs` (staged,
+  renamed into place, then the ``LATEST`` pointer replaced) — readers
+  either see the old complete version or the new complete version, never
+  a half-written one.  That is what lets a serving process hot-swap
+  models while requests are in flight.
 
 The manifest carries a ``schema_version`` so future layout changes stay
 detectable, the factor ``dtype``, and (optionally) the
@@ -27,8 +27,6 @@ round-trip.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.decomposition.result import IterationRecord, Parafac2Result
-from repro.util import faults
+from repro.util.atomic import NumberedDirs, read_json, write_text_atomic
 from repro.util.config import DecompositionConfig
 
 MODEL_MANIFEST_NAME = "model.json"
@@ -47,17 +45,6 @@ SCHEMA_VERSION = 1
 
 _REGISTRY_MARKER = "registry.json"
 _REGISTRY_FORMAT = "repro-factor-registry"
-_LATEST_NAME = "LATEST"
-_VERSIONS_DIR = "versions"
-
-
-def _config_to_dict(config: DecompositionConfig) -> dict:
-    """JSON-safe view of a config (see :meth:`DecompositionConfig.to_dict`)."""
-    return config.to_dict()
-
-
-def _config_from_dict(payload: dict) -> DecompositionConfig:
-    return DecompositionConfig.from_dict(payload)
 
 
 def _q_filename(index: int) -> str:
@@ -107,7 +94,7 @@ def write_model(
         "iterate_seconds": float(result.iterate_seconds),
         "preprocessed_bytes": int(result.preprocessed_bytes),
         "history": [[r.iteration, r.criterion, r.seconds] for r in result.history],
-        "config": None if config is None else _config_to_dict(config),
+        "config": None if config is None else config.to_dict(),
         "meta": dict(extra or {}),
         "files": files,
     }
@@ -143,10 +130,7 @@ def read_model(directory, *, mmap: bool = True, version: int | None = None) -> M
     manifest_path = directory / MODEL_MANIFEST_NAME
     if not manifest_path.exists():
         raise FileNotFoundError(f"no model payload at {directory} ({MODEL_MANIFEST_NAME} missing)")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{manifest_path} is not valid JSON: {exc}") from exc
+    manifest = read_json(manifest_path)
     if manifest.get("format") != _MODEL_FORMAT:
         raise ValueError(f"{manifest_path} is not a {_MODEL_FORMAT} manifest")
     if manifest.get("schema_version") != SCHEMA_VERSION:
@@ -187,7 +171,7 @@ def read_model(directory, *, mmap: bool = True, version: int | None = None) -> M
             f"hold {result.H.dtype.name} — payload is corrupt"
         )
     config_payload = manifest.get("config")
-    config = None if config_payload is None else _config_from_dict(config_payload)
+    config = None if config_payload is None else DecompositionConfig.from_dict(config_payload)
     return ModelArtifact(
         result=result,
         config=config,
@@ -209,13 +193,14 @@ class FactorStore:
             v0000001/model.json + *.npy
             v0000002/…
 
-    Versions are immutable once published and numbered monotonically;
-    :meth:`publish` is atomic (temp directory + rename + pointer replace),
-    so concurrent readers — including a serving process mid-request — never
-    observe a partial model.  Old versions stay on disk until
-    :meth:`prune`, which is what makes zero-downtime hot swap safe: requests
-    started against version ``n`` keep their memmaps while ``n+1`` goes
-    live.
+    Versions are immutable once published and numbered from disk, one
+    past the highest complete version; :meth:`publish` commits through
+    :class:`~repro.util.atomic.NumberedDirs` (staging directory + rename +
+    pointer replace), so concurrent readers — including a serving process
+    mid-request — never observe a partial model.  Old versions stay on
+    disk until :meth:`prune`, which is what makes zero-downtime hot swap
+    safe: requests started against version ``n`` keep their memmaps while
+    ``n+1`` goes live.
 
     Example
     -------
@@ -232,10 +217,16 @@ class FactorStore:
 
     def __init__(self, root) -> None:
         self.root = Path(root)
-        self._versions_dir = self.root / _VERSIONS_DIR
+        self._versions = NumberedDirs(
+            self.root / "versions",
+            prefix="v",
+            marker=MODEL_MANIFEST_NAME,
+            site="store.publish",
+            pointer=self.root / "LATEST",
+        )
         marker = self.root / _REGISTRY_MARKER
         if marker.exists():
-            payload = json.loads(marker.read_text())
+            payload = read_json(marker)
             if payload.get("format") != _REGISTRY_FORMAT:
                 raise ValueError(f"{self.root} is not a {_REGISTRY_FORMAT} registry")
             if payload.get("schema_version") != SCHEMA_VERSION:
@@ -245,8 +236,8 @@ class FactorStore:
                     f"(this build reads version {SCHEMA_VERSION})"
                 )
         else:
-            self._versions_dir.mkdir(parents=True, exist_ok=True)
-            marker.write_text(json.dumps(
+            self._versions.directory.mkdir(parents=True, exist_ok=True)
+            write_text_atomic(marker, json.dumps(
                 {"format": _REGISTRY_FORMAT, "schema_version": SCHEMA_VERSION}
             ))
 
@@ -254,25 +245,13 @@ class FactorStore:
     # version bookkeeping
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _version_name(version: int) -> str:
-        return f"v{version:07d}"
-
     def version_dir(self, version: int) -> Path:
         """Directory holding ``version``'s immutable payload."""
-        return self._versions_dir / self._version_name(int(version))
+        return self._versions.path(version)
 
     def versions(self) -> list[int]:
         """All published version numbers, ascending."""
-        if not self._versions_dir.exists():
-            return []
-        out = []
-        for entry in self._versions_dir.iterdir():
-            name = entry.name
-            if entry.is_dir() and name.startswith("v") and name[1:].isdigit():
-                if (entry / MODEL_MANIFEST_NAME).exists():
-                    out.append(int(name[1:]))
-        return sorted(out)
+        return self._versions.numbers()
 
     def latest_version(self) -> int | None:
         """The live version per the ``LATEST`` pointer (None when empty).
@@ -282,15 +261,7 @@ class FactorStore:
         rename and the pointer flip — the rename already made the version
         complete, so serving it is correct).
         """
-        published = self.versions()
-        if not published:
-            return None
-        pointer = self.root / _LATEST_NAME
-        try:
-            pointed = int(pointer.read_text().strip())
-        except (FileNotFoundError, ValueError):
-            return published[-1]
-        return pointed if pointed in published else published[-1]
+        return self._versions.latest()
 
     def __len__(self) -> int:
         """Number of published versions."""
@@ -316,56 +287,17 @@ class FactorStore:
     ) -> int:
         """Atomically add ``result`` as the next version; returns its number.
 
-        The payload is written into a temporary sibling directory, renamed
-        into ``versions/`` (atomic on POSIX: the version either fully exists
-        or not at all), and only then does the ``LATEST`` pointer move via
-        ``os.replace``.  A concurrent publisher racing for the same number
-        loses the rename and retries with the next one.
+        The version goes live when the ``LATEST`` pointer moves.  A
+        publisher killed before that (fault sites ``store.publish.staged``
+        and ``store.publish.renamed``, tests/test_faults.py) leaves the
+        previous version live; the next publish numbers past whatever
+        complete version the killed one left behind.
         """
-        self._versions_dir.mkdir(parents=True, exist_ok=True)
         meta = dict(extra or {})
         meta.setdefault("published_at", time.strftime("%Y-%m-%dT%H:%M:%S%z"))
-        staging = Path(tempfile.mkdtemp(prefix=".publish-", dir=self._versions_dir))
-        try:
-            write_model(staging, result, config=config, extra=meta)
-            # Fault-injection site: a publisher killed here leaves only a
-            # hidden staging dir — versions() never lists it, readers keep
-            # serving the previous version (tests/test_faults.py).
-            faults.check("store.publish.staged")
-            while True:
-                version = (self.versions() or [0])[-1] + 1
-                target = self.version_dir(version)
-                try:
-                    staging.rename(target)
-                    break
-                except OSError:
-                    if not target.exists():  # pragma: no cover - real failure
-                        raise
-                    # Lost the race for this number; try the next.
-        finally:
-            if staging.exists():  # rename failed — don't leak the staging dir
-                for child in staging.iterdir():
-                    child.unlink()
-                staging.rmdir()
-        # Fault-injection site: killed between rename and pointer flip — the
-        # new version directory is complete (pinnable by number), but the
-        # publish never committed: LATEST still names the previous version,
-        # which readers keep serving.
-        faults.check("store.publish.renamed")
-        self._point_latest(version)
-        return version
-
-    def _point_latest(self, version: int) -> None:
-        pointer = self.root / _LATEST_NAME
-        fd, tmp = tempfile.mkstemp(prefix=".latest-", dir=self.root)
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(f"{int(version)}\n")
-            os.replace(tmp, pointer)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        return self._versions.commit(
+            lambda staging, _: write_model(staging, result, config=config, extra=meta)
+        )
 
     def get(self, version: int, *, mmap: bool = True) -> ModelArtifact:
         """Load one published version (memmap-backed by default)."""
@@ -391,15 +323,4 @@ class FactorStore:
         The live (pointed-to) version is never removed.  Only call this when
         no serving process still holds memmaps into the doomed versions.
         """
-        if keep < 1:
-            raise ValueError(f"keep must be >= 1, got {keep}")
-        live = self.latest_version()
-        doomed = [
-            v for v in self.versions()[:-keep] if v != live
-        ]
-        for version in doomed:
-            target = self.version_dir(version)
-            for child in target.iterdir():
-                child.unlink()
-            target.rmdir()
-        return doomed
+        return self._versions.prune(keep)

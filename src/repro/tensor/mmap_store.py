@@ -33,8 +33,6 @@ so dense stores stay readable by older builds.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -44,6 +42,7 @@ from repro.sparse.csr import CsrMatrix
 from repro.sparse.ops import check_finite_csr
 from repro.tensor.irregular import IrregularTensor
 from repro.util import faults
+from repro.util.atomic import read_json, write_text_atomic
 from repro.util.validation import check_matrix
 
 MANIFEST_NAME = "manifest.json"
@@ -170,12 +169,7 @@ class MmapSliceStore:
         manifest_path = directory / MANIFEST_NAME
         if not manifest_path.exists():
             raise FileNotFoundError(f"no slice store at {directory} ({MANIFEST_NAME} missing)")
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"{manifest_path} is not valid JSON (truncated write?): {exc}"
-            ) from exc
+        manifest = read_json(manifest_path)
         if manifest.get("format") != _FORMAT:
             raise ValueError(f"{manifest_path} is not a {_FORMAT} manifest")
         if manifest.get("version") not in _READABLE_VERSIONS:
@@ -267,19 +261,12 @@ class MmapSliceStore:
         )
         # Fault-injection site: killed here, the new payload files exist but
         # the old manifest still rules — the store reopens at its previous
-        # length.  The write itself is staged + os.replace, so a kill mid-
-        # serialization can never leave a truncated manifest behind either.
+        # length.  The write itself is atomic, so a kill mid-serialization
+        # can never leave a truncated manifest behind either.
         faults.check("mmap_store.append.manifest")
-        path = self._directory / MANIFEST_NAME
-        fd, tmp = tempfile.mkstemp(prefix=".manifest-", dir=self._directory)
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(json.dumps(self._manifest, indent=1))
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_text_atomic(
+            self._directory / MANIFEST_NAME, json.dumps(self._manifest, indent=1)
+        )
 
     # ------------------------------------------------------------------ #
     # metadata (manifest only — no slice data touched)

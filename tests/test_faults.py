@@ -474,6 +474,23 @@ def _stream_config():
     return DecompositionConfig(rank=3, max_iterations=4, random_state=2)
 
 
+_STREAM_SCRIPT = """
+import sys
+import numpy as np
+from repro.decomposition.streaming import StreamingDpar2
+from repro.util.config import DecompositionConfig
+
+rng = np.random.default_rng(13)
+slices = [rng.standard_normal((10 + (k % 3), 8)) for k in range(8)]
+stream = StreamingDpar2(
+    DecompositionConfig(rank=3, max_iterations=4, random_state=2),
+    checkpoint_dir=sys.argv[1], checkpoint_every=2,
+)
+stream.absorb_many(slices)
+print("absorbed")  # unreachable under the injected crash
+"""
+
+
 class TestStreamingCheckpointResume:
     def test_resume_is_bitwise_identical(self, tmp_path):
         slices = _stream_slices(10)
@@ -535,6 +552,58 @@ class TestStreamingCheckpointResume:
         resumed.absorb_many(slices[resumed.n_slices:])
         assert _factor_digest(resumed.result()) == expected
 
+    @pytest.mark.parametrize(
+        "site, on_disk",
+        [
+            # Killed before the rename: the second checkpoint is only a
+            # hidden staging directory, which nothing lists.
+            ("streaming.checkpoint.staged", ["ckpt-0000001"]),
+            # Killed after it: the second checkpoint is complete but LATEST
+            # still names the first, so resume starts there and the next
+            # checkpoint must number past the orphan.
+            ("streaming.checkpoint.renamed", ["ckpt-0000001", "ckpt-0000002"]),
+        ],
+        ids=["staged", "renamed"],
+    )
+    def test_sigkill_mid_checkpoint_resumes_bitwise(self, tmp_path, site, on_disk):
+        slices = _stream_slices(8)
+        baseline = StreamingDpar2(
+            _stream_config(),
+            checkpoint_dir=tmp_path / "base", checkpoint_every=2,
+        )
+        baseline.absorb_many(slices)
+        expected = _factor_digest(baseline.result())
+
+        plan = FaultPlan(specs=(FaultSpec(site=site, kind="crash", at=(2,)),))
+        ckpt_dir = tmp_path / "crashed"
+        _run_killed_subprocess(_STREAM_SCRIPT, plan, str(ckpt_dir))
+
+        listed = sorted(p.name for p in ckpt_dir.iterdir() if p.name.startswith("ckpt-"))
+        assert listed == on_disk
+        assert all((ckpt_dir / name / "state.json").exists() for name in listed)
+        assert (ckpt_dir / "LATEST").read_text() == "1\n"
+
+        resumed = StreamingDpar2.resume_from(ckpt_dir)
+        assert resumed.n_slices == 2
+        resumed.absorb_many(slices[2:])
+        assert _factor_digest(resumed.result()) == expected
+        assert StreamingDpar2.resume_from(ckpt_dir).n_slices == 8
+
+    def test_fresh_stream_refuses_another_streams_directory(self, tmp_path):
+        slices = _stream_slices(6)
+        first = StreamingDpar2(
+            _stream_config(), checkpoint_dir=tmp_path, checkpoint_every=2
+        )
+        first.absorb_many(slices[:4])
+        with pytest.raises(ValueError, match="resume_from"):
+            StreamingDpar2(
+                _stream_config(), checkpoint_dir=tmp_path, checkpoint_every=2
+            )
+        resumed = StreamingDpar2.resume_from(tmp_path)
+        assert resumed.n_slices == 4
+        resumed.absorb_many(slices[4:])
+        assert StreamingDpar2.resume_from(tmp_path).n_slices == 6
+
     def test_checkpoint_recorded_with_process_backend_resumes(self, tmp_path):
         """A checkpoint whose config names the retired ``process``
         execution backend resumes on ``thread``, bitwise-identically."""
@@ -588,6 +657,49 @@ class TestStreamingCheckpointResume:
         meta = store.get(version).meta
         assert meta["checkpoint_resumes"] == 0
         assert meta["worker_restarts"] == 0
+
+
+class TestOnDiskLayout:
+    """The file names inside a published version and a checkpoint.
+
+    Registries and checkpoint directories written by earlier builds load
+    unchanged only while these stay put.
+    """
+
+    def test_version_and_checkpoint_file_names(self, tmp_path):
+        stream = StreamingDpar2(
+            _stream_config(), checkpoint_dir=tmp_path / "ck", checkpoint_every=3
+        )
+        stream.absorb_many(_stream_slices(3))
+        store = FactorStore(tmp_path / "registry")
+        store.publish(stream.result())
+
+        def listing(path):
+            return sorted(p.name for p in path.iterdir())
+
+        assert listing(store.root) == ["LATEST", "registry.json", "versions"]
+        assert json.loads((store.root / "registry.json").read_text()) == {
+            "format": "repro-factor-registry", "schema_version": 1,
+        }
+        assert (store.root / "LATEST").read_text() == "1\n"
+        assert listing(store.root / "versions") == ["v0000001"]
+        assert listing(store.version_dir(1)) == [
+            "H.npy", "Q_000000.npy", "Q_000001.npy", "Q_000002.npy",
+            "S.npy", "V.npy", "model.json",
+        ]
+        assert json.loads((store.version_dir(1) / "model.json").read_text())[
+            "schema_version"
+        ] == 1
+
+        ckpt = tmp_path / "ck"
+        assert listing(ckpt) == ["LATEST", "ckpt-0000001"]
+        assert (ckpt / "LATEST").read_text() == "1\n"
+        assert listing(ckpt / "ckpt-0000001") == [
+            "A_000000.npy", "A_000001.npy", "A_000002.npy", "D.npy",
+            "G_000000.npy", "G_000001.npy", "G_000002.npy", "state.json",
+        ]
+        state = json.loads((ckpt / "ckpt-0000001" / "state.json").read_text())
+        assert (state["format"], state["seq"], state["n_slices"]) == (1, 1, 3)
 
 
 # --------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""Tests for model persistence (repro.io) and factor metrics."""
+"""Tests for model and compressed-tensor persistence, and factor metrics."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,8 @@ from repro.analysis.metrics import (
     subspace_angle,
 )
 from repro.decomposition.dpar2 import compress_tensor, dpar2
-from repro.io import load_compressed, load_result, save_compressed, save_result
+from repro.decomposition.result import Parafac2Result
+from repro.io import load_compressed, save_compressed
 from repro.util.config import DecompositionConfig
 
 
@@ -22,9 +23,9 @@ def fitted(structured_tensor):
 
 class TestResultRoundtrip:
     def test_factors_preserved(self, fitted, tmp_path):
-        path = tmp_path / "model.npz"
-        save_result(path, fitted)
-        loaded = load_result(path)
+        path = tmp_path / "model"
+        fitted.save(path)
+        loaded = Parafac2Result.load(path)
         np.testing.assert_array_equal(loaded.H, fitted.H)
         np.testing.assert_array_equal(loaded.V, fitted.V)
         np.testing.assert_array_equal(loaded.S, fitted.S)
@@ -32,18 +33,18 @@ class TestResultRoundtrip:
             np.testing.assert_array_equal(Qa, Qb)
 
     def test_metadata_preserved(self, fitted, tmp_path):
-        path = tmp_path / "model.npz"
-        save_result(path, fitted)
-        loaded = load_result(path)
+        path = tmp_path / "model"
+        fitted.save(path)
+        loaded = Parafac2Result.load(path)
         assert loaded.method == fitted.method
         assert loaded.n_iterations == fitted.n_iterations
         assert loaded.converged == fitted.converged
         assert loaded.preprocessed_bytes == fitted.preprocessed_bytes
 
     def test_history_preserved(self, fitted, tmp_path):
-        path = tmp_path / "model.npz"
-        save_result(path, fitted)
-        loaded = load_result(path)
+        path = tmp_path / "model"
+        fitted.save(path)
+        loaded = Parafac2Result.load(path)
         assert len(loaded.history) == len(fitted.history)
         assert loaded.history[0].criterion == pytest.approx(
             fitted.history[0].criterion
@@ -51,25 +52,18 @@ class TestResultRoundtrip:
 
     def test_fitness_identical_after_roundtrip(self, fitted, tmp_path,
                                                structured_tensor):
-        path = tmp_path / "model.npz"
-        save_result(path, fitted)
-        loaded = load_result(path)
+        path = tmp_path / "model"
+        fitted.save(path)
+        loaded = Parafac2Result.load(path)
         assert loaded.fitness(structured_tensor) == pytest.approx(
             fitted.fitness(structured_tensor)
         )
-
-    def test_wrong_kind_rejected(self, fitted, structured_tensor, tmp_path):
-        path = tmp_path / "compressed.npz"
-        save_compressed(path, compress_tensor(structured_tensor, 4,
-                                              random_state=0))
-        with pytest.raises(ValueError, match="expected"):
-            load_result(path)
 
     def test_non_model_archive_rejected(self, tmp_path):
         path = tmp_path / "random.npz"
         np.savez(path, x=np.ones(3))
         with pytest.raises(ValueError, match="not a repro model"):
-            load_result(path)
+            load_compressed(path)
 
 
 class TestCompressedRoundtrip:

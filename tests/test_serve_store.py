@@ -161,6 +161,14 @@ class TestFactorStore:
         with pytest.raises(ValueError, match="not a"):
             FactorStore(tmp_path)
 
+    @pytest.mark.parametrize(
+        "text", ["", '{"format": "repro-factor-reg'], ids=["empty", "truncated"]
+    )
+    def test_damaged_marker_names_the_file(self, tmp_path, text):
+        (tmp_path / "registry.json").write_text(text)
+        with pytest.raises(ValueError, match="registry.json"):
+            FactorStore(tmp_path)
+
     def test_stale_latest_pointer_falls_back(self, result, tmp_path):
         """A crashed publisher may leave LATEST behind the version dirs (or
         pointing at a pruned one); readers fall back to the newest complete

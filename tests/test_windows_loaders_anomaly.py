@@ -9,12 +9,7 @@ from repro.analysis.anomaly import (
     slice_anomaly_scores,
     top_anomalies,
 )
-from repro.data.loaders import (
-    load_tensor_csv_dir,
-    load_tensor_npz,
-    save_tensor_csv_dir,
-    save_tensor_npz,
-)
+from repro.data.loaders import load_tensor_csv_dir, save_tensor_csv_dir
 from repro.decomposition.dpar2 import dpar2
 from repro.tensor.irregular import IrregularTensor
 from repro.tensor.windows import (
@@ -98,22 +93,6 @@ class TestSplitTrainTail:
     def test_too_short_rejected(self, tensor):
         with pytest.raises(ValueError, match="cannot hold out"):
             split_train_tail(tensor, 15)
-
-
-class TestNpzRoundtrip:
-    def test_roundtrip(self, tensor, tmp_path):
-        path = tmp_path / "tensor.npz"
-        save_tensor_npz(path, tensor)
-        loaded = load_tensor_npz(path)
-        assert loaded.n_slices == tensor.n_slices
-        for a, b in zip(loaded, tensor):
-            np.testing.assert_array_equal(a, b)
-
-    def test_wrong_archive_rejected(self, tmp_path):
-        path = tmp_path / "other.npz"
-        np.savez(path, x=np.ones(3))
-        with pytest.raises(ValueError, match="not an irregular-tensor"):
-            load_tensor_npz(path)
 
 
 class TestCsvRoundtrip:
