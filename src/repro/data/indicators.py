@@ -8,9 +8,17 @@ paper names — OBV, ATR, MACD, STOCH (Section IV-E) — plus the standard kit
 parameterized over window lengths to yield exactly 83 derived series.
 
 All functions take 1-D numpy arrays of equal length and return an array of
-the same length; leading positions with insufficient history are filled by
-propagating the first defined value backwards (so downstream tensors stay
-dense, as the paper's datasets are).
+the same length, defined at every position (so downstream tensors stay
+dense, as the paper's datasets are).  Leading positions with less history
+than the window are filled as follows:
+
+* windowed statistics use an expanding window over the available prefix:
+  SMA, WMA, rolling std (hence Bollinger bands), CCI, MFI and the
+  stochastic oscillator (hence Williams %R);
+* momentum is the change since the first close, ``c[:w] − c[0]``;
+* ROC is zero over its first ``w`` positions, and TRIX at the first;
+* the recursive smoothers (EMA, hence MACD, and the Wilder averages of ATR
+  and RSI) start from the first value and need no fill.
 """
 
 from __future__ import annotations
@@ -31,14 +39,6 @@ def _check_window(window: int, length: int) -> int:
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     return min(int(window), length)
-
-
-def _backfill(values: np.ndarray, first_valid: int) -> np.ndarray:
-    """Fill positions before ``first_valid`` with the first defined value."""
-    if first_valid > 0:
-        values = values.copy()
-        values[:first_valid] = values[first_valid]
-    return values
 
 
 # --------------------------------------------------------------------- #

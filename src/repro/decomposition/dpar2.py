@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.decomposition.initialization import InitialFactors
 from repro.decomposition.result import Parafac2Result
 from repro.linalg.array_module import ArrayModule, get_xp
 from repro.linalg.kernels import batched_randomized_svd
@@ -350,6 +351,7 @@ def dpar2(
     config: DecompositionConfig | None = None,
     *,
     compressed: CompressedTensor | None = None,
+    init: InitialFactors | None = None,
     use_greedy_partition: bool = True,
     exact_convergence: bool = False,
     **overrides,
@@ -371,6 +373,12 @@ def dpar2(
         A precomputed :func:`compress_tensor` result, letting callers reuse
         one compression across ranks/sweeps (its rank must not be below the
         target rank).
+    init:
+        Starting ``H`` (R×R), ``V`` (J×R) and ``W`` (K×R) at the run's
+        effective rank ``R = min(rank, J, min Ik)``, instead of the
+        random initialization of ``config.random_state``.  A streaming
+        refresh warm-starts from its previous model this way.  Wrong
+        shapes or non-finite entries raise ``ValueError`` before any work.
     use_greedy_partition:
         Algorithm-4 load balancing for stage-1 compression (ablation knob).
     exact_convergence:
@@ -423,8 +431,8 @@ def dpar2(
     through device SpMM with the CSR structure uploaded once.
 
     **Zero sweeps.**  ``max_iterations=0`` is allowed and returns the
-    compressed tensor's subspaces with the random factor initialization —
-    useful for timing or warm-start experiments.
+    compressed tensor's subspaces with the starting factors (``init`` or
+    the random initialization) — useful for timing experiments.
 
     **Precision.**  ``config.dtype`` selects the pipeline's working
     precision (float64 default).  A float32 run halves memory traffic and
@@ -457,6 +465,7 @@ def dpar2(
         tensor,
         config,
         compressed=compressed,
+        init=init,
         use_greedy_partition=use_greedy_partition,
         exact_convergence=exact_convergence,
     )

@@ -64,7 +64,7 @@ from repro.decomposition.dpar2 import (
     _stage2,
     compress_tensor,
 )
-from repro.decomposition.initialization import initialize_factors
+from repro.decomposition.initialization import InitialFactors, initialize_factors
 from repro.decomposition.result import (
     IterationRecord,
     Parafac2Result,
@@ -488,11 +488,46 @@ def _check_compression_shape(
             )
 
 
+def _effective_rank(rank: int, n_columns: int, row_counts) -> int:
+    """The rank a run fits: ``min(rank, J, min Ik)``.
+
+    Every ``Qk`` needs ``R`` orthonormal columns in ``Ik`` rows, so the
+    shortest slice (or the column count) caps the rank of the whole model.
+    """
+    return min(rank, n_columns, min(row_counts))
+
+
+def _rank_stats(rank: int, n_columns: int, row_counts) -> dict:
+    """``stats["rank"]``: the requested and effective rank, and what clamped it."""
+    return {
+        "requested": rank,
+        "effective": _effective_rank(rank, n_columns, row_counts),
+        "short_slices": [k for k, rows in enumerate(row_counts) if rows < rank],
+        "column_limited": n_columns < rank,
+    }
+
+
+def _check_initial_factors(init: InitialFactors, J: int, K: int, R: int) -> None:
+    """Raise ``ValueError`` unless ``init`` fits a rank-``R`` run over K×J."""
+    for name, factor, shape in (
+        ("H", init.H, (R, R)), ("V", init.V, (J, R)), ("W", init.W, (K, R))
+    ):
+        factor = np.asarray(factor)
+        if factor.shape != shape:
+            raise ValueError(
+                f"starting factor {name} has shape {factor.shape}; this run "
+                f"needs {shape} (effective rank {R})"
+            )
+        if not np.all(np.isfinite(factor)):
+            raise ValueError(f"starting factor {name} has non-finite entries")
+
+
 def sharded_dpar2(
     tensor: IrregularTensor | None,
     config: DecompositionConfig,
     *,
     compressed: CompressedTensor | None = None,
+    init: InitialFactors | None = None,
     use_greedy_partition: bool = True,
     exact_convergence: bool = False,
     nonnegative_weights: bool = False,
@@ -516,6 +551,17 @@ def sharded_dpar2(
     ``tensor`` may be ``None`` when ``compressed`` is given: the sweeps
     read only the compression, so K, the row counts and J come from it.
     A tensor supplied next to ``compressed`` must match its shape.
+
+    The run fits rank ``R = min(config.rank, J, min Ik)``;
+    ``stats["rank"]`` records the requested and the effective rank, the
+    slices with fewer rows than requested and whether J was too small,
+    and a clamped run counts in ``repro_decompose_rank_clamps_total``.
+    ``init`` gives the starting ``H`` (R×R), ``V`` (J×R) and ``W`` (K×R)
+    — a streaming refresh warm-starts from its previous model this way.
+    They must have those shapes at the effective rank and be finite, or
+    ``ValueError`` is raised before any shard runner starts; they are
+    cast to the working dtype.  Without them the factors start from
+    :func:`~repro.decomposition.initialization.initialize_factors`.
 
     ``exact_convergence`` is the exact-error ablation;
     ``nonnegative_weights`` and ``smooth_v`` are the constraint hooks of
@@ -550,12 +596,15 @@ def sharded_dpar2(
             )
     source = tensor if compressed is None else compressed
     row_counts, J = source.row_counts, source.n_columns
-    R = min(config.rank, J, min(row_counts))
+    rank_stats = _rank_stats(config.rank, J, row_counts)
+    R = rank_stats["effective"]
     if compressed is not None and compressed.rank < R:
         raise ValueError(
             f"precomputed compression has rank {compressed.rank} < target {R}"
         )
     K = len(row_counts)
+    if init is not None:
+        _check_initial_factors(init, J, K, R)
     sharded = config.shards is not None
     if sharded:
         plan = plan_shards(row_counts, config.shards, config.shard_cells)
@@ -584,6 +633,11 @@ def sharded_dpar2(
         if sharded
         else None
     )
+    if R < config.rank:
+        registry.counter(
+            "repro_decompose_rank_clamps_total",
+            "Decompositions whose effective rank fell below the requested rank.",
+        ).inc()
     prev_error: float | None = None
 
     with ExitStack() as stack:
@@ -656,10 +710,12 @@ def sharded_dpar2(
                 preprocessed_bytes = compressed.nbytes
         dtype = D.dtype
 
-        init = initialize_factors(J, K, R, config.random_state)
-        H = init.H.astype(dtype, copy=False)
-        V = init.V.astype(dtype, copy=False)
-        W = init.W.astype(dtype, copy=False)
+        initial = init if init is not None else initialize_factors(
+            J, K, R, config.random_state
+        )
+        H = np.asarray(initial.H).astype(dtype, copy=False)
+        V = np.asarray(initial.V).astype(dtype, copy=False)
+        W = np.asarray(initial.W).astype(dtype, copy=False)
         DE = np.multiply(D, E)  # J x Rc, the Lemma-2 left factor
 
         bind_args = []
@@ -776,7 +832,7 @@ def sharded_dpar2(
         for pos, k in enumerate(indices):
             Q[k] = Q_cell[pos]
 
-    stats: dict = {}
+    stats: dict = {"rank": rank_stats}
     if sharded:
         n_sweeps = max(len(history), 1)
         stats["sharding"] = {

@@ -13,8 +13,17 @@ DPar2's compressed representation, in the spirit of SPADE [48]:
   basis is expanded and re-truncated to rank ``R`` via an SVD of the small
   ``(R + R_new) x (KR)`` coefficient matrix — never touching old slices;
 * factor matrices are refreshed with a handful of DPar2 sweeps on the
-  compressed form.  Each refresh starts from the random initialization of
-  ``config.random_state``, not from the previous ``H``, ``V``, ``W``.
+  compressed form.  The first refresh starts from the random
+  initialization of ``config.random_state``; every later one is warm: it
+  starts from the previous refresh's ``H``, ``V`` and ``W``, with a row
+  of ones (the cold start's value) for each slice absorbed since.  A
+  refresh whose effective rank differs from the previous one's — a slice
+  shorter than that rank arrived — starts cold again.  With a fixed sweep
+  budget per refresh, the served model keeps improving instead of
+  re-converging from random every time.  It also inherits what the early
+  refreshes fit: after a first batch of only 5–10 slices, a stream can end
+  a little below a cold refresh of the same state (at worst −0.004
+  fitness over 40 such planted streams, +0.003 to +0.008 in the median).
 
 Absorbing a slice costs ``O(Ik J R + (K R) R²)`` — independent of the
 *rows* of all previously absorbed slices, which is the property a
@@ -33,7 +42,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.decomposition.dpar2 import CompressedTensor, _stage1_svds, dpar2
+from repro.decomposition.initialization import InitialFactors
 from repro.decomposition.result import Parafac2Result
+from repro.decomposition.sharded import _effective_rank, sharded_stage1
 from repro.linalg.array_module import get_xp
 from repro.linalg.randomized_svd import randomized_svd
 from repro.obs import trace
@@ -50,12 +61,42 @@ from repro.util.validation import check_matrix
 
 _CHECKPOINT_FORMAT = 1
 
+#: The factors a checkpointed stream's next refresh starts from, named as
+#: in a published version.  Additive to format 1, like the ``refreshed``
+#: key of ``state.json``: a checkpoint without them refreshes cold.
+_FACTOR_NAMES = ("H", "V", "S")
+
+#: Config fields a resume may override without changing a factor bit.
+_RESUME_NEUTRAL_FIELDS = ("n_threads", "backend", "shard_backend", "max_iterations")
+
 
 def _checkpoints(directory) -> NumberedDirs:
     """The ``ckpt-0000001``, … checkpoints and ``LATEST`` pointer in ``directory``."""
     return NumberedDirs(
         directory, prefix="ckpt-", marker="state.json", site="streaming.checkpoint"
     )
+
+
+def _resume_conflicts(
+    saved: DecompositionConfig, override: DecompositionConfig
+) -> list[str]:
+    """The fields where ``override`` would change a resumed stream's factors.
+
+    Cells, not shards, fix the accumulation order, so any two sharded
+    settings agree, and ``shard_cells`` is read only by sharded runs.
+    """
+    old, new = saved.to_dict(), override.to_dict()
+    unsharded = old["shards"] is None and new["shards"] is None
+    conflicts = []
+    for name, value in old.items():
+        if name in _RESUME_NEUTRAL_FIELDS or new[name] == value:
+            continue
+        if name == "shards" and None not in (value, new[name]):
+            continue
+        if name == "shard_cells" and unsharded:
+            continue
+        conflicts.append(f"{name} ({value!r} -> {new[name]!r})")
+    return conflicts
 
 
 def _check_stream_slice(slice_matrix, name: str, dtype):
@@ -98,17 +139,20 @@ class StreamingDpar2:
         stream more faithfully at the cost of more basis updates.
     refresh_iterations:
         ALS sweeps per model refresh (after an ``absorb`` with
-        ``refresh=True``, or at the next :meth:`result`).  Every refresh
-        starts from ``config.random_state``'s initialization.
+        ``refresh=True``, or at the next :meth:`result`).  The first
+        refresh starts from ``config.random_state``'s initialization, later
+        ones from the previous refresh's factors (see the module notes);
+        ``result().stats["streaming"]["warm_start"]`` says which.
     checkpoint_dir:
         When set, the stream writes atomic checkpoints (committed by
         :class:`~repro.util.atomic.NumberedDirs`, like registry versions)
         into this directory and :meth:`resume_from` can rebuild the
         stream after a crash — bitwise-identically, because the RNG's
-        bit-generator state is saved and :meth:`absorb_many` chunks its
-        batches by ``checkpoint_every`` whether or not a crash happens,
-        so the generator-spawn sequence never depends on where a run was
-        interrupted.  A directory that already holds checkpoints belongs
+        bit-generator state and the factors the next refresh starts from
+        are saved, a refreshing call checkpoints after its refresh, and
+        :meth:`absorb_many` chunks its batches by ``checkpoint_every``
+        whether or not a crash happens, so the generator-spawn sequence
+        never depends on where a run was interrupted.  A directory that already holds checkpoints belongs
         to another stream: constructing with it raises ``ValueError``
         (continue that stream with :meth:`resume_from` instead).
     checkpoint_every:
@@ -181,6 +225,12 @@ class StreamingDpar2:
         self._G: list[np.ndarray] = []
         self._n_columns: int | None = None
         self._last_result: Parafac2Result | None = None
+        # The latest refresh's (H, V, S): the next refresh's warm start.
+        # Unlike _last_result, no absorb clears it.  _refreshed_from is
+        # what _factors was when that refresh began, so a checkpoint of the
+        # refreshed state lets resume_from replay it.
+        self._factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._refreshed_from: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._absorbed_since_checkpoint = 0
         #: Durability counters, surfaced in ``result().stats["streaming"]``
         #: and in :meth:`publish_to` metadata.
@@ -239,15 +289,14 @@ class StreamingDpar2:
             "repro_streaming_absorbs_total", "Slices absorbed into the stream."
         ).inc()
         self._absorbed_since_checkpoint += 1
+        self._last_result = None
+        if refresh:
+            self._refresh()
         if (
             self._auto_checkpoint
             and self._absorbed_since_checkpoint >= self.checkpoint_every
         ):
             self.checkpoint()
-
-        self._last_result = None
-        if refresh:
-            self._refresh()
 
     def _absorb_stage1(self, stage1) -> None:
         """Fold one slice's stage-1 factors into the shared-basis state.
@@ -303,7 +352,8 @@ class StreamingDpar2:
         generator-spawn sequence (each chunk draws once from the stream
         RNG), so making it unconditional is what keeps a crash-resumed
         run bitwise-identical to an uninterrupted one with the same
-        cadence.
+        cadence.  With ``refresh=True`` the last chunk's checkpoint is
+        written after the refresh, so it records the refreshed state.
         """
         matrices = [
             _check_stream_slice(Xk, f"slices[{idx}]", self._dtype)
@@ -321,6 +371,7 @@ class StreamingDpar2:
                     f"stream has {n_columns}"
                 )
         self._n_columns = n_columns
+        self._last_result = None
 
         m_absorbs = get_registry().counter(
             "repro_streaming_absorbs_total", "Slices absorbed into the stream."
@@ -333,19 +384,18 @@ class StreamingDpar2:
                 self._absorb_batch(batch)
             m_absorbs.inc(len(batch))
             self._absorbed_since_checkpoint += len(batch)
-            if self._auto_checkpoint:
+            if self._auto_checkpoint and start + chunk < len(matrices):
                 self.checkpoint()
 
-        self._last_result = None
         if refresh:
             self._refresh()
+        if self._auto_checkpoint:
+            self.checkpoint()
 
     def _absorb_batch(self, matrices: list) -> None:
         """Stage-1 compress one validated chunk and fold it into the state."""
         generators = spawn_generators(self._rng, len(matrices))
         if self.config.shards is not None:
-            from repro.decomposition.sharded import sharded_stage1
-
             stage1 = sharded_stage1(
                 matrices,
                 generators,
@@ -451,7 +501,12 @@ class StreamingDpar2:
         from disk means a stream resumed after a kill between rename and
         pointer replace writes past the killed run's last checkpoint.  The
         RNG's bit-generator state rides along, so a resumed stream
-        continues the exact draw sequence.
+        continues the exact draw sequence.  So do the factors its next
+        refresh starts from (``H.npy``, ``V.npy``, ``S.npy``, the names a
+        published version uses; absent until the stream has refreshed):
+        the latest refresh's, or — when the model is fresh, which
+        ``state.json`` records as ``"refreshed": true`` — the ones that
+        refresh started from, so that :meth:`resume_from` can replay it.
         """
         base = Path(directory) if directory is not None else self.checkpoint_dir
         if base is None:
@@ -461,6 +516,8 @@ class StreamingDpar2:
         checkpoints = _checkpoints(base)
         stats = dict(self.stats)
         stats["checkpoints_written"] = stats.get("checkpoints_written", 0) + 1
+        refreshed = self._last_result is not None
+        start = self._refreshed_from if refreshed else self._factors
 
         def write_state(staging: Path, seq: int) -> None:
             if self._D is not None:
@@ -468,6 +525,9 @@ class StreamingDpar2:
             for k, (Ak, Gk) in enumerate(zip(self._A, self._G)):
                 np.save(staging / f"A_{k:06d}.npy", Ak)
                 np.save(staging / f"G_{k:06d}.npy", Gk)
+            if start is not None:
+                for name, factor in zip(_FACTOR_NAMES, start):
+                    np.save(staging / f"{name}.npy", factor)
             # state.json last: its presence marks the checkpoint complete.
             (staging / "state.json").write_text(json.dumps({
                 "format": _CHECKPOINT_FORMAT,
@@ -481,6 +541,7 @@ class StreamingDpar2:
                 "n_slices": self.n_slices,
                 "rng_state": self._rng.bit_generator.state,
                 "stats": stats,
+                "refreshed": refreshed,
             }))
 
         t0 = time.perf_counter()
@@ -507,12 +568,24 @@ class StreamingDpar2:
         """Rebuild a stream from the newest complete checkpoint in ``directory``.
 
         The restored stream continues bitwise-identically: compressed
-        state, column count, and the RNG bit-generator state all come
-        back exactly as checkpointed (``config`` overrides the saved one
-        for knobs that do not affect determinism, e.g. worker counts).
-        It keeps checkpointing into ``directory``.
+        state, column count, the RNG bit-generator state and the factors
+        of its next refresh come back exactly as checkpointed.  When the
+        checkpointed model was fresh, the refresh that produced it is
+        replayed here, so the resumed stream serves the same model and
+        warm-starts its next refresh from the same bytes as the
+        uninterrupted run.  A checkpoint without factor files (written
+        before the first refresh, or by an earlier build) refreshes cold.
+        The stream keeps checkpointing into ``directory``.
         ``stats["checkpoint_resumes"]`` is incremented; it propagates to
         published model metadata and ``/healthz``.
+
+        ``config`` may replace the saved config only in knobs that leave
+        every factor bit unchanged: ``n_threads``, ``backend``,
+        ``shard_backend``, ``max_iterations`` (a stream sweeps
+        ``refresh_iterations``), the shard count between two sharded
+        settings, and ``shard_cells`` while unsharded.  Any other
+        difference raises one ``ValueError`` naming every such field,
+        before any array is read.
         """
         base = Path(directory)
         checkpoints = _checkpoints(base)
@@ -522,10 +595,19 @@ class StreamingDpar2:
         path = checkpoints.path(seq)
         with trace.span("streaming.resume", seq=seq):
             state = read_json(path / "state.json")
+            saved = DecompositionConfig.from_dict(state["config"])
+            if config is not None:
+                conflicts = _resume_conflicts(saved, config)
+                if conflicts:
+                    raise ValueError(
+                        f"the config passed to resume_from changes what the "
+                        f"checkpointed stream computes: {', '.join(conflicts)}; "
+                        f"only {', '.join(_RESUME_NEUTRAL_FIELDS)}, the shard "
+                        f"count between sharded settings and shard_cells while "
+                        f"unsharded may differ from the checkpoint's"
+                    )
             stream = cls(
-                config
-                if config is not None
-                else DecompositionConfig.from_dict(state["config"]),
+                config if config is not None else saved,
                 residual_threshold=state["residual_threshold"],
                 refresh_iterations=state["refresh_iterations"],
                 checkpoint_every=state.get("checkpoint_every", 0),
@@ -541,6 +623,10 @@ class StreamingDpar2:
             stream._G = [np.load(path / f"G_{k:06d}.npy") for k in range(n_slices)]
             if (path / "D.npy").exists():
                 stream._D = np.load(path / "D.npy")
+            if (path / "H.npy").exists():
+                stream._factors = tuple(
+                    np.load(path / f"{name}.npy") for name in _FACTOR_NAMES
+                )
         stream.stats = dict(state.get("stats", {}))
         stream.stats["checkpoint_resumes"] = (
             stream.stats.get("checkpoint_resumes", 0) + 1
@@ -549,28 +635,60 @@ class StreamingDpar2:
             "repro_streaming_resumes_total",
             "Streams rebuilt from an on-disk checkpoint.",
         ).inc()
+        if state.get("refreshed"):
+            stream._refresh()
         return stream
 
     def result(self) -> Parafac2Result:
-        """The current PARAFAC2 model (refreshing factors if needed)."""
+        """The current PARAFAC2 model (refreshing factors if needed).
+
+        A refresh of the state the latest automatic checkpoint holds is
+        checkpointed too: a crash would otherwise lose it, and with it the
+        next refresh's start.
+        """
         if self._last_result is None:
             self._refresh()
+            if self._auto_checkpoint and self._absorbed_since_checkpoint == 0:
+                self.checkpoint()
+        self._last_result.stats["streaming"].update(
+            {
+                name: self.stats.get(name, 0)
+                for name in ("checkpoints_written", "checkpoint_resumes", "worker_restarts")
+            }
+        )
         return self._last_result
 
     def _refresh(self) -> None:
-        with trace.span("streaming.refresh", slices=self.n_slices):
+        with trace.span("streaming.refresh", slices=self.n_slices) as span:
+            compressed = self.compressed()
+            init = self._warm_start(compressed)
+            span.annotate(warm_start=init is not None)
             config = self.config.with_(
                 max_iterations=max(self.refresh_iterations, 1)
             )
-            self._last_result = dpar2(None, config, compressed=self.compressed())
-        streaming_stats = self._last_result.stats.setdefault("streaming", {})
-        streaming_stats.update(
-            {
-                "checkpoints_written": self.stats.get("checkpoints_written", 0),
-                "checkpoint_resumes": self.stats.get("checkpoint_resumes", 0),
-                "worker_restarts": self.stats.get("worker_restarts", 0),
-            }
+            result = dpar2(None, config, compressed=compressed, init=init)
+        result.stats["streaming"] = {"warm_start": init is not None}
+        self._last_result = result
+        self._refreshed_from = self._factors
+        self._factors = (result.H, result.V, result.S)
+
+    def _warm_start(self, compressed: CompressedTensor) -> InitialFactors | None:
+        """The last refresh's factors plus a row of ones per slice since.
+
+        ``None`` — a cold start — before the first refresh, and when this
+        refresh's effective rank differs from theirs (a slice shorter than
+        their rank has arrived since).
+        """
+        if self._factors is None:
+            return None
+        H, V, S = self._factors
+        R = _effective_rank(
+            self.config.rank, compressed.n_columns, compressed.row_counts
         )
+        if H.shape[0] != R:
+            return None
+        new_rows = np.ones((compressed.n_slices - S.shape[0], R), dtype=S.dtype)
+        return InitialFactors(H=H, V=V, W=np.concatenate([S, new_rows]))
 
     def fitness(self, tensor: IrregularTensor) -> float:
         """Fitness of the current model against externally held raw slices."""

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.decomposition.dpar2 import CompressedTensor, compress_tensor, dpar2
+from repro.decomposition.initialization import InitialFactors, initialize_factors
 from repro.decomposition.parafac2_als import parafac2_als
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.tensor.random import low_rank_irregular_tensor
 from repro.util.config import DecompositionConfig
 from tests.conftest import assert_same_fit, assert_valid_parafac2_result
@@ -397,3 +399,100 @@ class TestCompressionShapeCheck:
         )
         with pytest.raises(ValueError, match="tensor has 25 columns .* has 20"):
             self._fit(wider, c)
+
+
+class TestStartingFactors:
+    """``init=``: the sweeps start from given ``H``, ``V``, ``W``."""
+
+    @pytest.fixture(scope="class")
+    def tensor(self):
+        return low_rank_irregular_tensor(
+            [30, 40, 50, 60, 35, 45], 20, 4, noise=0.01, random_state=0
+        )
+
+    @staticmethod
+    def _config(**overrides):
+        return DecompositionConfig(
+            rank=4, max_iterations=4, tolerance=0.0, random_state=0, **overrides
+        )
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_the_default_start_passed_explicitly(self, tensor, shards):
+        config = self._config(shards=shards, shard_backend="serial")
+        init = initialize_factors(20, 6, 4, config.random_state)
+        assert_same_fit(dpar2(tensor, config, init=init), dpar2(tensor, config))
+
+    def test_a_fitted_start_continues_the_fit(self, tensor):
+        first = dpar2(tensor, self._config())
+        init = InitialFactors(H=first.H, V=first.V, W=first.S)
+        warm = dpar2(tensor, self._config(), init=init)
+        assert warm.history[0].criterion < first.history[0].criterion
+        assert warm.fitness(tensor) >= first.fitness(tensor)
+
+    def test_cast_to_the_working_dtype(self, tensor):
+        config = self._config(dtype="float32")
+        init = initialize_factors(20, 6, 4, random_state=3)
+        as32 = InitialFactors(
+            *(factor.astype(np.float32) for factor in (init.H, init.V, init.W))
+        )
+        result = dpar2(tensor, config, init=init)
+        assert result.V.dtype == np.float32
+        assert_same_fit(result, dpar2(tensor, config, init=as32))
+
+    @pytest.mark.parametrize(
+        "factor, shape",
+        [("H", (3, 3)), ("V", (21, 4)), ("W", (5, 4))],
+    )
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_wrong_shape_rejected_before_any_work(
+        self, tensor, refuse_sweeps, factor, shape, shards
+    ):
+        init = initialize_factors(20, 6, 4, random_state=0)
+        setattr(init, factor, np.ones(shape))
+        with pytest.raises(ValueError, match=f"starting factor {factor} has shape"):
+            dpar2(tensor, self._config(shards=shards, shard_backend="serial"), init=init)
+
+    def test_shapes_follow_the_effective_rank(self, tensor, refuse_sweeps):
+        short = list(tensor.slices)
+        short[1] = short[1][:3]
+        with pytest.raises(ValueError, match=r"needs \(3, 3\) \(effective rank 3\)"):
+            dpar2(short, self._config(), init=initialize_factors(20, 6, 4, 0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, tensor, refuse_sweeps, bad):
+        init = initialize_factors(20, 6, 4, random_state=0)
+        init.W[2, 1] = bad
+        with pytest.raises(ValueError, match="starting factor W has non-finite"):
+            dpar2(tensor, self._config(), init=init)
+
+
+class TestRankClamp:
+    """``R = min(rank, J, min Ik)`` is recorded, not applied silently."""
+
+    @pytest.mark.parametrize(
+        "row_counts, n_columns, rank, shards, expected",
+        [
+            # One 3-row slice among 40 of 50 rows caps every slice at rank 3.
+            ([50] * 40 + [3], 20, 8, None,
+             {"effective": 3, "short_slices": [40], "column_limited": False}),
+            ([30] * 4, 5, 8, 2,
+             {"effective": 5, "short_slices": [], "column_limited": True}),
+            ([30, 40, 50], 20, 4, None,
+             {"effective": 4, "short_slices": [], "column_limited": False}),
+        ],
+        ids=["short-slice", "columns-sharded", "unclamped"],
+    )
+    def test_recorded_and_counted(self, row_counts, n_columns, rank, shards, expected):
+        rng = np.random.default_rng(0)
+        slices = [rng.standard_normal((rows, n_columns)) for rows in row_counts]
+        config = DecompositionConfig(
+            rank=rank, max_iterations=2, random_state=0, shards=shards,
+            shard_backend="serial",
+        )
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            result = dpar2(slices, config)
+        assert result.rank == expected["effective"]
+        assert result.stats["rank"] == {"requested": rank, **expected}
+        clamps = registry.counter("repro_decompose_rank_clamps_total", "").value
+        assert clamps == int(expected["effective"] < rank)

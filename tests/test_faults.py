@@ -17,6 +17,7 @@ variable, exactly as ``bench_shard --inject`` does.
 import hashlib
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -491,6 +492,34 @@ print("absorbed")  # unreachable under the injected crash
 """
 
 
+_WARM_STREAM_SCRIPT = """
+import sys
+import numpy as np
+from repro.decomposition.streaming import StreamingDpar2
+from repro.util.config import DecompositionConfig
+
+rng = np.random.default_rng(13)
+slices = [rng.standard_normal((10 + (k % 3), 8)) for k in range(8)]
+stream = StreamingDpar2(
+    DecompositionConfig(rank=3, max_iterations=4, random_state=2),
+    checkpoint_dir=sys.argv[1], checkpoint_every=2,
+)
+stream.absorb_many(slices[:4])
+stream.absorb_many(slices[4:])
+print("absorbed")  # unreachable under the injected crash
+"""
+
+
+def _finish_warm_stream(directory, slices):
+    """Resume ``_WARM_STREAM_SCRIPT``'s stream and make the calls it has left."""
+    resumed = StreamingDpar2.resume_from(directory)
+    done = resumed.n_slices
+    if done < 4:
+        resumed.absorb_many(slices[done:4])
+    resumed.absorb_many(slices[max(done, 4):])
+    return resumed.result()
+
+
 class TestStreamingCheckpointResume:
     def test_resume_is_bitwise_identical(self, tmp_path):
         slices = _stream_slices(10)
@@ -499,7 +528,9 @@ class TestStreamingCheckpointResume:
             _stream_config(),
             checkpoint_dir=tmp_path / "a", checkpoint_every=3,
         )
-        plain.absorb_many(slices)
+        plain.absorb_many(slices[:6])
+        at_crash = _factor_digest(plain.result())
+        plain.absorb_many(slices[6:])
         expected = _factor_digest(plain.result())
 
         interrupted = StreamingDpar2(
@@ -512,7 +543,10 @@ class TestStreamingCheckpointResume:
         resumed = StreamingDpar2.resume_from(tmp_path / "b")
         assert resumed.n_slices == 6
         assert resumed.stats["checkpoint_resumes"] == 1
+        # The refresh that ended the first call is replayed: the same model.
+        assert _factor_digest(resumed.result()) == at_crash
         resumed.absorb_many(slices[6:])
+        assert resumed.result().stats["streaming"]["warm_start"] is True
         assert _factor_digest(resumed.result()) == expected
 
     def test_sigkill_mid_absorb_resumes_bitwise(self, tmp_path):
@@ -589,6 +623,100 @@ class TestStreamingCheckpointResume:
         assert _factor_digest(resumed.result()) == expected
         assert StreamingDpar2.resume_from(ckpt_dir).n_slices == 8
 
+    def test_sigkill_after_a_refresh_resumes_warm_and_bitwise(self, tmp_path):
+        """The checkpoint carries the last refresh's factors, so the resumed
+        stream's next refresh warm-starts from the same bytes."""
+        slices = _stream_slices(8)
+        baseline = StreamingDpar2(
+            _stream_config(), checkpoint_dir=tmp_path / "base", checkpoint_every=2
+        )
+        baseline.absorb_many(slices[:4])
+        baseline.absorb_many(slices[4:])
+        assert baseline.result().stats["streaming"]["warm_start"] is True
+        expected = _factor_digest(baseline.result())
+
+        # Killed entering its fourth absorb chunk: the first absorb_many has
+        # refreshed, and the checkpoint after the third chunk holds 6 slices
+        # and that refresh's factors.
+        plan = FaultPlan(
+            specs=(FaultSpec(site="streaming.absorb", kind="crash", at=(4,)),)
+        )
+        ckpt_dir = tmp_path / "crashed"
+        _run_killed_subprocess(_WARM_STREAM_SCRIPT, plan, str(ckpt_dir))
+        latest = f"ckpt-{int((ckpt_dir / 'LATEST').read_text()):07d}"
+        assert all((ckpt_dir / latest / f"{name}.npy").exists() for name in "HVS")
+        stripped = tmp_path / "stripped"
+        shutil.copytree(ckpt_dir, stripped)
+        for name in "HVS":
+            (stripped / latest / f"{name}.npy").unlink()
+
+        assert StreamingDpar2.resume_from(ckpt_dir).n_slices == 6
+        resumed = _finish_warm_stream(ckpt_dir, slices)
+        assert resumed.stats["streaming"]["warm_start"] is True
+        assert _factor_digest(resumed) == expected
+        # Without the factor files the resumed refresh starts cold and
+        # leaves the uninterrupted run's bits.
+        cold = _finish_warm_stream(stripped, slices)
+        assert cold.stats["streaming"]["warm_start"] is False
+        assert _factor_digest(cold) != expected
+
+    @pytest.mark.parametrize(
+        "site, at, resumed_at",
+        [
+            # The first call has refreshed; the checkpoint after its refresh
+            # is staged (or renamed but not pointed to) when the kill comes.
+            # Resume starts at its first chunk and replays the rest.
+            ("streaming.checkpoint.staged", 2, 2),
+            ("streaming.checkpoint.renamed", 2, 2),
+            # Between the two calls: the last checkpoint records the
+            # refreshed model, and resume replays that refresh.
+            ("streaming.absorb", 3, 4),
+        ],
+        ids=["refresh-checkpoint-staged", "refresh-checkpoint-renamed", "between-calls"],
+    )
+    def test_sigkill_around_a_refresh_resumes_bitwise(
+        self, tmp_path, site, at, resumed_at
+    ):
+        slices = _stream_slices(8)
+        baseline = StreamingDpar2(
+            _stream_config(), checkpoint_dir=tmp_path / "base", checkpoint_every=2
+        )
+        baseline.absorb_many(slices[:4])
+        baseline.absorb_many(slices[4:])
+
+        plan = FaultPlan(specs=(FaultSpec(site=site, kind="crash", at=(at,)),))
+        ckpt_dir = tmp_path / "crashed"
+        _run_killed_subprocess(_WARM_STREAM_SCRIPT, plan, str(ckpt_dir))
+        assert StreamingDpar2.resume_from(ckpt_dir).n_slices == resumed_at
+
+        resumed = _finish_warm_stream(ckpt_dir, slices)
+        assert resumed.stats["streaming"]["warm_start"] is True
+        assert _factor_digest(resumed) == _factor_digest(baseline.result())
+
+    def test_a_refresh_by_result_is_checkpointed(self, tmp_path):
+        """``result()`` on a checkpointed state writes one more checkpoint, so
+        a crash right after it keeps that refresh as the next one's start."""
+        slices = _stream_slices(8)
+
+        def absorb_then_read(directory):
+            stream = StreamingDpar2(
+                _stream_config(), checkpoint_dir=directory, checkpoint_every=2
+            )
+            stream.absorb_many(slices[:4], refresh=False)
+            stream.result()
+            return stream
+
+        plain = absorb_then_read(tmp_path / "plain")
+        plain.absorb_many(slices[4:])
+        crashed = absorb_then_read(tmp_path / "ck")
+        assert crashed.stats["checkpoints_written"] == 3
+        del crashed
+
+        resumed = StreamingDpar2.resume_from(tmp_path / "ck")
+        resumed.absorb_many(slices[4:])
+        assert resumed.result().stats["streaming"]["warm_start"] is True
+        assert _factor_digest(resumed.result()) == _factor_digest(plain.result())
+
     def test_fresh_stream_refuses_another_streams_directory(self, tmp_path):
         slices = _stream_slices(6)
         first = StreamingDpar2(
@@ -612,7 +740,8 @@ class TestStreamingCheckpointResume:
             _stream_config(),
             checkpoint_dir=tmp_path / "a", checkpoint_every=3,
         )
-        plain.absorb_many(slices)
+        plain.absorb_many(slices[:6])
+        plain.absorb_many(slices[6:])
         expected = _factor_digest(plain.result())
 
         interrupted = StreamingDpar2(
@@ -659,6 +788,93 @@ class TestStreamingCheckpointResume:
         assert meta["worker_restarts"] == 0
 
 
+class TestResumeConfigOverride:
+    """``resume_from(config=...)`` may change only bitwise-neutral knobs."""
+
+    @pytest.fixture
+    def refreshed(self, tmp_path):
+        """A checkpoint written after a refresh, and the uninterrupted digest."""
+        slices = _stream_slices(8)
+        plain = StreamingDpar2(
+            _stream_config(), checkpoint_dir=tmp_path / "plain", checkpoint_every=2
+        )
+        plain.absorb_many(slices[:4])
+        plain.absorb_many(slices[4:])
+        stream = StreamingDpar2(
+            _stream_config(), checkpoint_dir=tmp_path / "ck", checkpoint_every=2
+        )
+        stream.absorb_many(slices[:4])
+        return tmp_path / "ck", slices[4:], _factor_digest(plain.result())
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rank", 5),
+            ("dtype", "float32"),
+            ("random_state", 9),
+            ("shards", 2),
+            ("power_iterations", 3),
+            ("tolerance", 0.5),
+        ],
+    )
+    def test_an_arithmetic_override_raises_before_any_array_is_read(
+        self, refreshed, monkeypatch, field, value
+    ):
+        directory, _, _ = refreshed
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an array was read")
+
+        monkeypatch.setattr(np, "load", refuse)
+        with pytest.raises(ValueError, match=rf"\b{field} \("):
+            StreamingDpar2.resume_from(
+                directory, config=_stream_config().with_(**{field: value})
+            )
+
+    def test_every_differing_field_is_named(self, refreshed):
+        directory, _, _ = refreshed
+        with pytest.raises(ValueError) as excinfo:
+            StreamingDpar2.resume_from(
+                directory,
+                config=_stream_config().with_(rank=5, dtype="float32", n_threads=2),
+            )
+        message = str(excinfo.value)
+        assert "rank (3 -> 5)" in message
+        assert "dtype ('float64' -> 'float32')" in message
+        assert "n_threads (" not in message
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"n_threads": 2}, {"backend": "serial"}, {"max_iterations": 9},
+         {"shard_cells": 3}],
+        ids=["n_threads", "backend", "max_iterations", "shard_cells-unsharded"],
+    )
+    def test_a_neutral_override_resumes_bitwise(self, refreshed, override):
+        directory, rest, expected = refreshed
+        resumed = StreamingDpar2.resume_from(
+            directory, config=_stream_config().with_(**override)
+        )
+        resumed.absorb_many(rest)
+        assert resumed.result().stats["streaming"]["warm_start"] is True
+        assert _factor_digest(resumed.result()) == expected
+
+    def test_the_shard_count_may_change_between_sharded_settings(self, tmp_path):
+        sharded = _stream_config().with_(shards=2, shard_backend="serial", shard_cells=4)
+        slices = _stream_slices(8)
+        plain = StreamingDpar2(sharded, checkpoint_dir=tmp_path / "plain", checkpoint_every=2)
+        plain.absorb_many(slices[:4])
+        plain.absorb_many(slices[4:])
+        stream = StreamingDpar2(sharded, checkpoint_dir=tmp_path / "ck", checkpoint_every=2)
+        stream.absorb_many(slices[:4])
+        resumed = StreamingDpar2.resume_from(
+            tmp_path / "ck", config=sharded.with_(shards=3)
+        )
+        resumed.absorb_many(slices[4:])
+        assert _factor_digest(resumed.result()) == _factor_digest(plain.result())
+        with pytest.raises(ValueError, match=r"shard_cells \(4 -> 2\)"):
+            StreamingDpar2.resume_from(tmp_path / "ck", config=sharded.with_(shard_cells=2))
+
+
 class TestOnDiskLayout:
     """The file names inside a published version and a checkpoint.
 
@@ -700,6 +916,25 @@ class TestOnDiskLayout:
         ]
         state = json.loads((ckpt / "ckpt-0000001" / "state.json").read_text())
         assert (state["format"], state["seq"], state["n_slices"]) == (1, 1, 3)
+
+    def test_a_checkpoint_after_a_refresh_holds_its_factors(self, tmp_path):
+        stream = StreamingDpar2(
+            _stream_config(), checkpoint_dir=tmp_path / "ck", checkpoint_every=3
+        )
+        slices = _stream_slices(6)
+        stream.absorb_many(slices[:3])  # the first refresh, then checkpoint 1
+        stream.absorb_many(slices[3:], refresh=False)  # checkpoint 2
+
+        ckpt = tmp_path / "ck" / "ckpt-0000002"
+        assert sorted(p.name for p in ckpt.iterdir()) == [
+            *(f"A_{k:06d}.npy" for k in range(6)), "D.npy",
+            *(f"G_{k:06d}.npy" for k in range(6)),
+            "H.npy", "S.npy", "V.npy", "state.json",
+        ]
+        state = json.loads((ckpt / "state.json").read_text())
+        assert (state["format"], state["seq"], state["n_slices"]) == (1, 2, 6)
+        # The factors of the refresh over the first 3 slices.
+        assert np.load(ckpt / "S.npy").shape == (3, 3)
 
 
 # --------------------------------------------------------------------- #

@@ -160,7 +160,7 @@ class TestStreamingSpans:
         (run,) = [record for record in spans if record["name"] == "dpar2.run"]
         assert by_id[run["parent"]]["name"] == "streaming.refresh"
         (refresh,) = [record for record in spans if record["name"] == "streaming.refresh"]
-        assert refresh["attrs"] == {"slices": tensor.n_slices}
+        assert refresh["attrs"] == {"slices": tensor.n_slices, "warm_start": False}
 
 
 class TestSummarize:

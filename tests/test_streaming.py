@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.decomposition.dpar2 import _BATCH_MAX_ROWS, CompressedTensor, dpar2
+from repro.decomposition.initialization import InitialFactors
 from repro.decomposition.streaming import StreamingDpar2
 from repro.tensor.irregular import IrregularTensor
 from repro.tensor.random import low_rank_irregular_tensor
@@ -264,7 +265,8 @@ class TestRefreshWithoutRebuild:
 
     @pytest.mark.parametrize("case", ["float64", "float32", "short_slice"])
     def test_refresh_equals_the_dense_route(self, stream_tensor, case):
-        """Same bytes as ``dpar2`` on the rebuilt slices ``Ak F(k) E Dᵀ``."""
+        """Same bytes as ``dpar2`` on the rebuilt slices ``Ak F(k) E Dᵀ``,
+        started from the previous refresh's factors plus rows of ones."""
         slices = list(stream_tensor.slices)
         if case == "short_slice":
             slices[2] = np.ascontiguousarray(slices[2][:3])
@@ -273,6 +275,7 @@ class TestRefreshWithoutRebuild:
             DecompositionConfig(rank=4, random_state=0, dtype=dtype)
         )
         stream.absorb_many(slices[:4])
+        previous = stream.result()
         stream.absorb_many(slices[4:])
         c = stream.compressed()
         dense = IrregularTensor(
@@ -280,12 +283,17 @@ class TestRefreshWithoutRebuild:
             copy=False,
             dtype=dtype,
         )
+        new_rows = np.ones((c.n_slices - previous.n_slices, previous.rank), dtype=dtype)
         reference = dpar2(
             dense,
             stream.config.with_(max_iterations=stream.refresh_iterations),
             compressed=c,
+            init=InitialFactors(
+                H=previous.H, V=previous.V, W=np.concatenate([previous.S, new_rows])
+            ),
         )
         assert reference.rank == (3 if case == "short_slice" else 4)
+        assert stream.result().stats["streaming"]["warm_start"]
         assert_same_fit(stream.result(), reference)
 
     def test_snapshot_blocks_follow_the_coefficient_columns(self, stream_tensor):
@@ -296,3 +304,71 @@ class TestRefreshWithoutRebuild:
         _, _, Vt = np.linalg.svd(np.concatenate(stream._G, axis=1), full_matrices=False)
         for k in range(c.n_slices):
             np.testing.assert_array_equal(c.F_blocks[k], Vt[:4, 4 * k : 4 * (k + 1)].T)
+
+
+class TestWarmRefresh:
+    """Every refresh after the first starts from the previous one's factors."""
+
+    def test_first_refresh_cold_later_ones_warm(self, stream_tensor):
+        slices = list(stream_tensor.slices)
+        stream = StreamingDpar2(DecompositionConfig(rank=4, random_state=0))
+        stream.absorb_many(slices[:3])
+        first = stream.result()
+        assert first.stats["streaming"]["warm_start"] is False
+        c = stream.compressed()
+        cold = dpar2(
+            None, stream.config.with_(max_iterations=stream.refresh_iterations),
+            compressed=c,
+        )
+        assert_same_fit(first, cold)
+        stream.absorb(slices[3])
+        stream.absorb(slices[4], refresh=False)
+        assert stream.result().stats["streaming"]["warm_start"] is True
+
+    def test_warm_refreshes_fit_better_than_a_cold_one(self):
+        """A large first batch, then small updates with 3 sweeps each: the
+        warm model ends above a cold 3-sweep fit of the same state."""
+        tensor = low_rank_irregular_tensor(
+            [20 + (k * 7) % 40 for k in range(70)], 32, rank=6, noise=0.05,
+            random_state=0,
+        )
+        slices = list(tensor.slices)
+        stream = StreamingDpar2(
+            DecompositionConfig(rank=6, random_state=0), refresh_iterations=3
+        )
+        stream.absorb_many(slices[:40])
+        for start in range(40, 70, 5):
+            stream.absorb_many(slices[start:start + 5])
+        cold = dpar2(
+            None, stream.config.with_(max_iterations=3), compressed=stream.compressed()
+        )
+        assert stream.result().fitness(tensor) > cold.fitness(tensor) + 5e-3
+
+    def test_invariant_to_the_shard_count(self, stream_tensor):
+        slices = list(stream_tensor.slices)
+        results = []
+        for shards, transport in [(1, "serial"), (2, "serial"), (2, "process")]:
+            stream = StreamingDpar2(
+                DecompositionConfig(
+                    rank=4, random_state=0, shards=shards, shard_backend=transport,
+                    shard_cells=4,
+                )
+            )
+            for start in (0, 2, 4):
+                stream.absorb_many(slices[start:start + 2])
+            assert stream.result().stats["streaming"]["warm_start"] is True
+            results.append(stream.result())
+        for result in results[1:]:
+            assert_same_fit(result, results[0])
+
+    def test_a_rank_change_restarts_cold(self, rng):
+        stream = StreamingDpar2(DecompositionConfig(rank=4, random_state=0))
+        stream.absorb_many([rng.random((20, 10)) for _ in range(3)])
+        assert stream.result().rank == 4
+        stream.absorb(rng.random((3, 10)))
+        clamped = stream.result()
+        assert (clamped.rank, clamped.stats["streaming"]["warm_start"]) == (3, False)
+        assert clamped.stats["rank"]["short_slices"] == [3]
+        stream.absorb(rng.random((20, 10)))
+        after = stream.result()
+        assert (after.rank, after.stats["streaming"]["warm_start"]) == (3, True)
