@@ -21,6 +21,12 @@ from repro.tensor.irregular import IrregularTensor
 
 
 def main() -> None:
+    # The registry lives in a temporary directory, removed on exit.
+    with tempfile.TemporaryDirectory(prefix="stream-registry-") as root:
+        stream_and_publish(FactorStore(root))
+
+
+def stream_and_publish(registry: FactorStore) -> None:
     market = generate_market(
         n_stocks=24, max_days=200, min_days=80, random_state=5
     )
@@ -30,7 +36,6 @@ def main() -> None:
 
     config = DecompositionConfig(rank=8, random_state=5)
     stream = StreamingDpar2(config, refresh_iterations=6)
-    registry = FactorStore(tempfile.mkdtemp(prefix="stream-registry-"))
 
     print(f"{'arrived':>8s} {'stream_fit':>11s} {'batch_fit':>10s} {'version':>8s}")
     checkpoints = {6, 12, 18, 24}

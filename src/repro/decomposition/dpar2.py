@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.decomposition.initialization import InitialFactors
+from repro.decomposition.initialization import InitialFactors, effective_rank
 from repro.decomposition.result import Parafac2Result
 from repro.linalg.array_module import ArrayModule, get_xp
 from repro.linalg.kernels import batched_randomized_svd
@@ -262,7 +262,7 @@ def compress_tensor(
             f"compute backend {xp.name!r}: paging the store through the "
             "device defeats streaming; use compute_backend='numpy'"
         )
-    R = min(rank, tensor.n_columns, min(tensor.row_counts))
+    R = effective_rank(rank, tensor.n_columns, tensor.row_counts)
     start = time.perf_counter()
 
     # Stage 1: per-slice randomized SVD, one private RNG per slice so the

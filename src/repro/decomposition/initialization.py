@@ -1,8 +1,10 @@
-"""Factor initialization for ALS-style PARAFAC2 solvers.
+"""Rank resolution and factor initialization for ALS-style PARAFAC2 solvers.
 
-All four methods initialize identically (Algorithm 2/3, line 1): ``H`` as
-the ``R×R`` identity, ``V`` with orthonormal columns, and every ``Sk`` as
-the identity — the standard direct-fitting initialization of Kiers et al.,
+All four methods fit the same rank, ``R = min(rank, J, min Ik)``
+(:func:`effective_rank`), and report it the same way (:func:`rank_report`).
+They initialize identically (Algorithm 2/3, line 1): ``H`` as the ``R×R``
+identity, ``V`` with orthonormal columns, and every ``Sk`` as the
+identity — the standard direct-fitting initialization of Kiers et al.,
 which keeps cross-method fitness comparisons apples-to-apples.
 """
 
@@ -13,8 +15,41 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.linalg.qr import random_orthonormal
+from repro.obs.metrics import get_registry
 from repro.util.rng import as_generator
 from repro.util.validation import check_positive_int
+
+
+def effective_rank(rank: int, n_columns: int, row_counts) -> int:
+    """The rank a run fits: ``min(rank, J, min Ik)``.
+
+    Every ``Qk`` needs ``R`` orthonormal columns in ``Ik`` rows, so the
+    shortest slice (or the column count) caps the rank of the whole model.
+    """
+    return min(rank, n_columns, min(row_counts))
+
+
+def rank_report(rank: int, n_columns: int, row_counts) -> dict:
+    """A run's ``stats["rank"]``; a clamped run is counted.
+
+    Holds the requested and the :func:`effective_rank`, the slices with
+    fewer rows than requested and whether J was too small.  Every solver
+    calls this once per run, after validating its input, and fits the
+    ``"effective"`` rank; a run whose effective rank falls below the
+    requested one increments ``repro_decompose_rank_clamps_total``.
+    """
+    report = {
+        "requested": rank,
+        "effective": effective_rank(rank, n_columns, row_counts),
+        "short_slices": [k for k, rows in enumerate(row_counts) if rows < rank],
+        "column_limited": n_columns < rank,
+    }
+    if report["effective"] < rank:
+        get_registry().counter(
+            "repro_decompose_rank_clamps_total",
+            "Decompositions whose effective rank fell below the requested rank.",
+        ).inc()
+    return report
 
 
 @dataclass

@@ -15,36 +15,33 @@ import numpy as np
 
 from repro.decomposition.convergence import ConvergenceMonitor
 from repro.decomposition.cp_als import cp_single_iteration
-from repro.decomposition.initialization import initialize_factors
+from repro.decomposition.initialization import initialize_factors, rank_report
 from repro.decomposition.result import (
     IterationRecord,
     Parafac2Result,
     residuals_from_projections,
 )
+from repro.linalg.truncated_svd import polar
 from repro.parallel.backends import get_backend
+from repro.sparse.ops import slice_squared_norm
 from repro.tensor.dense import DenseTensor
 from repro.tensor.irregular import IrregularTensor
 from repro.util.config import DecompositionConfig
 
 
-def update_orthogonal_factor(Xk: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """``Qk ← Z' P'ᵀ`` from the SVD of ``Xk @ target`` (Alg. 2, lines 4–5).
+def procrustes_step(item) -> tuple[np.ndarray, np.ndarray]:
+    """One slice's ``(Qk, Qkᵀ Xk)`` from ``(Xk, V Sk Hᵀ)`` (Alg. 2, lines 4–5).
 
-    ``target`` is ``V Sk Hᵀ`` (``J×R``); the result is the Procrustes
-    minimizer of ``‖Xk − Qk H Sk Vᵀ‖`` over column-orthogonal ``Qk``.
-    """
-    Z, _, Pt = np.linalg.svd(Xk @ target, full_matrices=False)
-    return Z @ Pt
-
-
-def _slice_update_task(item) -> tuple[np.ndarray, np.ndarray]:
-    """Per-slice sweep work: ``(Qk, Yk = Qkᵀ Xk)`` from ``(Xk, V Sk Hᵀ)``.
-
-    Worker threads read ``Xk`` in place — in RAM or memory-mapped — so
-    nothing is copied per sweep.
+    ``Qk = Zk Pkᵀ`` from the SVD ``Zk Σk Pkᵀ`` of ``Xk V Sk Hᵀ`` is the
+    Procrustes minimizer of ``‖Xk − Qk H Sk Vᵀ‖`` over column-orthogonal
+    ``Qk``.  PARAFAC2-ALS, RD-ALS (on its projected slices) and SPARTan
+    all update ``Qk`` here.  ``Xk`` is a dense array or a
+    :class:`~repro.sparse.csr.CsrMatrix`, read in place — in RAM or
+    memory-mapped — so worker threads copy nothing per sweep; a CSR
+    slice's products run through its SpMM kernels and pin no transpose.
     """
     Xk, target = item
-    Qk = update_orthogonal_factor(Xk, target)
+    Qk = polar(Xk @ target)
     return Qk, Qk.T @ Xk
 
 
@@ -85,13 +82,14 @@ def parafac2_als(
             "parafac2_als does not support sparse (CSR) slices; densify "
             "with tensor.densified(), or use dpar2/spartan"
         )
-    R = min(config.rank, tensor.n_columns, min(tensor.row_counts))
+    rank_stats = rank_report(config.rank, tensor.n_columns, tensor.row_counts)
+    R = rank_stats["effective"]
 
     init = initialize_factors(
         tensor.n_columns, tensor.n_slices, R, config.random_state
     )
     H, V, W = init.H, init.V, init.W
-    slice_norms_sq = np.array([float(np.sum(Xk * Xk)) for Xk in tensor])
+    slice_norms_sq = np.array([slice_squared_norm(Xk) for Xk in tensor])
 
     monitor = ConvergenceMonitor(config.tolerance)
     history: list[IterationRecord] = []
@@ -106,7 +104,7 @@ def parafac2_als(
         sweep_start = time.perf_counter()
         items = [(Xk, (V * W[k]) @ H.T) for k, Xk in enumerate(tensor)]
         pairs = engine.map_partitioned(
-            _slice_update_task, items, weights=row_counts
+            procrustes_step, items, weights=row_counts
         )
         Q = [Qk for Qk, _ in pairs]
         Y_slices = [Yk for _, Yk in pairs]
@@ -133,7 +131,7 @@ def parafac2_als(
         # Zero sweeps (``max_iterations=0``): materialize the Procrustes
         # factors implied by the random initialization.
         Q = [
-            update_orthogonal_factor(Xk, (V * W[k]) @ H.T)
+            procrustes_step((Xk, (V * W[k]) @ H.T))[0]
             for k, Xk in enumerate(tensor)
         ]
 
@@ -149,4 +147,5 @@ def parafac2_als(
         iterate_seconds=iterate_seconds,
         preprocessed_bytes=tensor.nbytes,
         history=history,
+        stats={"rank": rank_stats},
     )

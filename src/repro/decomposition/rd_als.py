@@ -27,14 +27,15 @@ import numpy as np
 
 from repro.decomposition.convergence import ConvergenceMonitor
 from repro.decomposition.cp_als import cp_single_iteration
-from repro.decomposition.initialization import initialize_factors
-from repro.decomposition.parafac2_als import update_orthogonal_factor
+from repro.decomposition.initialization import initialize_factors, rank_report
+from repro.decomposition.parafac2_als import procrustes_step
 from repro.decomposition.result import (
     IterationRecord,
     Parafac2Result,
     residuals_from_projections,
 )
 from repro.linalg.truncated_svd import truncated_svd
+from repro.sparse.ops import slice_squared_norm
 from repro.tensor.dense import DenseTensor
 from repro.tensor.irregular import IrregularTensor
 from repro.util.config import DecompositionConfig
@@ -48,7 +49,7 @@ def rd_als(
     """Fit PARAFAC2 with RD-ALS (preprocess, iterate on projected slices).
 
     Returns a :class:`Parafac2Result` whose ``preprocess_seconds`` covers the
-    Gram-matrix SVD and the slice projections, and whose
+    SVD of the concatenated slices and the slice projections, and whose
     ``preprocessed_bytes`` counts the projected slices plus ``V̂`` — the
     quantities Fig. 9(a) and Fig. 10 report for RD-ALS.
     """
@@ -60,7 +61,8 @@ def rd_als(
             "rd_als does not support sparse (CSR) slices; densify with "
             "tensor.densified(), or use dpar2/spartan"
         )
-    R = min(config.rank, tensor.n_columns, min(tensor.row_counts))
+    rank_stats = rank_report(config.rank, tensor.n_columns, tensor.row_counts)
+    R = rank_stats["effective"]
 
     # ------------------------------------------------------------------ #
     # preprocessing: common right subspace + slice projections
@@ -78,7 +80,7 @@ def rd_als(
     # ------------------------------------------------------------------ #
     init = initialize_factors(R, tensor.n_slices, R, config.random_state)
     H, V_tilde, W = init.H, init.V, init.W
-    slice_norms_sq = np.array([float(np.sum(Xk * Xk)) for Xk in tensor])
+    slice_norms_sq = np.array([slice_squared_norm(Xk) for Xk in tensor])
 
     monitor = ConvergenceMonitor(config.tolerance)
     history: list[IterationRecord] = []
@@ -89,9 +91,12 @@ def rd_als(
     start = time.perf_counter()
     for iteration in range(1, config.max_iterations + 1):
         sweep_start = time.perf_counter()
-        for k, Gk in enumerate(projected):
-            Q[k] = update_orthogonal_factor(Gk, (V_tilde * W[k]) @ H.T)
-        Y_slices = [Q[k].T @ Gk for k, Gk in enumerate(projected)]
+        pairs = [
+            procrustes_step((Gk, (V_tilde * W[k]) @ H.T))
+            for k, Gk in enumerate(projected)
+        ]
+        Q = [Qk for Qk, _ in pairs]
+        Y_slices = [Yk for _, Yk in pairs]
 
         Y = DenseTensor.from_frontal_slices(Y_slices)
         H, V_tilde, W = cp_single_iteration(
@@ -118,7 +123,7 @@ def rd_als(
     if Q and Q[0] is None:
         # Zero sweeps (``max_iterations=0``): factors from the initialization.
         Q = [
-            update_orthogonal_factor(Gk, (V_tilde * W[k]) @ H.T)
+            procrustes_step((Gk, (V_tilde * W[k]) @ H.T))[0]
             for k, Gk in enumerate(projected)
         ]
 
@@ -134,4 +139,5 @@ def rd_als(
         iterate_seconds=iterate_seconds,
         preprocessed_bytes=preprocessed_bytes,
         history=history,
+        stats={"rank": rank_stats},
     )

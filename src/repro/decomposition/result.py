@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.sparse.csr import CsrMatrix
 from repro.sparse.ops import slice_squared_norm
 from repro.tensor.irregular import IrregularTensor
 
@@ -84,11 +83,12 @@ class Parafac2Result:
     history:
         Per-iteration convergence-criterion trace.
     stats:
-        Solver-specific execution statistics (plain JSON-able dict).  The
-        sharded DPar2 coordinator records its ``"sharding"`` entry here:
-        the cell/shard layout, the load-imbalance ratio, and the measured
-        allreduce bytes per sweep.  Empty for solvers with nothing to
-        report; not persisted by :meth:`save`.
+        Solver-specific execution statistics (plain JSON-able dict).
+        Every solver records its ``"rank"`` entry here (see
+        :func:`~repro.decomposition.initialization.rank_report`); the
+        sharded DPar2 coordinator adds ``"sharding"``: the cell/shard
+        layout, the load-imbalance ratio, and the measured allreduce bytes
+        per sweep.  Not persisted by :meth:`save`.
     """
 
     Q: list[np.ndarray]
@@ -178,10 +178,7 @@ class Parafac2Result:
         P = np.empty((self.n_slices, self.rank, self.rank))
         norms_sq = np.empty(self.n_slices)
         for k, Xk in enumerate(tensor):
-            if isinstance(Xk, CsrMatrix):
-                QtX = Xk.rmatmul_dense(self.Q[k])  # R x J, via SpMM
-            else:
-                QtX = self.Q[k].T @ Xk  # R x J
+            QtX = self.Q[k].T @ Xk  # R x J; a CSR slice multiplies by SpMM
             P[k] = QtX.astype(np.float64, copy=False) @ V64
             norms_sq[k] = slice_squared_norm(Xk)
         return residuals_from_projections(norms_sq, P, self.H, self.S, V64)

@@ -64,7 +64,12 @@ from repro.decomposition.dpar2 import (
     _stage2,
     compress_tensor,
 )
-from repro.decomposition.initialization import InitialFactors, initialize_factors
+from repro.decomposition.initialization import (
+    InitialFactors,
+    effective_rank,
+    initialize_factors,
+    rank_report,
+)
 from repro.decomposition.result import (
     IterationRecord,
     Parafac2Result,
@@ -90,13 +95,6 @@ __all__ = ["Dpar2Shard", "project_nonnegative", "sharded_dpar2", "sharded_stage1
 def project_nonnegative(matrix: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the non-negative orthant."""
     return np.clip(matrix, 0.0, None)
-
-
-def _slice_AtX(Ak: np.ndarray, Xk) -> np.ndarray:
-    """``Akᵀ Xk`` for a dense or CSR slice (the exact-error ablation)."""
-    if isinstance(Xk, CsrMatrix):
-        return Xk.rmatmul_dense(Ak)
-    return Ak.T @ Xk
 
 
 # --------------------------------------------------------------------- #
@@ -217,7 +215,7 @@ class Dpar2Shard:
         AtX = None
         if in_ram and stack_bytes <= sum(Xk.nbytes for Xk in slices):
             AtX = np.stack(
-                [_slice_AtX(self.A[k], Xk) for k, Xk in zip(indices, slices)]
+                [self.A[k].T @ Xk for k, Xk in zip(indices, slices)]
             )  # Kc x Rc x J
         else:
             for Xk in slices:
@@ -295,7 +293,7 @@ class Dpar2Shard:
             P = (polar_t @ AtX).astype(np.float64, copy=False) @ V64
         else:
             P = np.stack([
-                (polar_t[pos] @ _slice_AtX(self.A[k], self.slices[k])).astype(
+                (polar_t[pos] @ (self.A[k].T @ self.slices[k])).astype(
                     np.float64, copy=False
                 ) @ V64
                 for pos, k in enumerate(indices)
@@ -488,25 +486,6 @@ def _check_compression_shape(
             )
 
 
-def _effective_rank(rank: int, n_columns: int, row_counts) -> int:
-    """The rank a run fits: ``min(rank, J, min Ik)``.
-
-    Every ``Qk`` needs ``R`` orthonormal columns in ``Ik`` rows, so the
-    shortest slice (or the column count) caps the rank of the whole model.
-    """
-    return min(rank, n_columns, min(row_counts))
-
-
-def _rank_stats(rank: int, n_columns: int, row_counts) -> dict:
-    """``stats["rank"]``: the requested and effective rank, and what clamped it."""
-    return {
-        "requested": rank,
-        "effective": _effective_rank(rank, n_columns, row_counts),
-        "short_slices": [k for k, rows in enumerate(row_counts) if rows < rank],
-        "column_limited": n_columns < rank,
-    }
-
-
 def _check_initial_factors(init: InitialFactors, J: int, K: int, R: int) -> None:
     """Raise ``ValueError`` unless ``init`` fits a rank-``R`` run over K×J."""
     for name, factor, shape in (
@@ -596,8 +575,7 @@ def sharded_dpar2(
             )
     source = tensor if compressed is None else compressed
     row_counts, J = source.row_counts, source.n_columns
-    rank_stats = _rank_stats(config.rank, J, row_counts)
-    R = rank_stats["effective"]
+    R = effective_rank(config.rank, J, row_counts)
     if compressed is not None and compressed.rank < R:
         raise ValueError(
             f"precomputed compression has rank {compressed.rank} < target {R}"
@@ -633,11 +611,7 @@ def sharded_dpar2(
         if sharded
         else None
     )
-    if R < config.rank:
-        registry.counter(
-            "repro_decompose_rank_clamps_total",
-            "Decompositions whose effective rank fell below the requested rank.",
-        ).inc()
+    rank_stats = rank_report(config.rank, J, row_counts)
     prev_error: float | None = None
 
     with ExitStack() as stack:

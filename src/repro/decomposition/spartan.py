@@ -20,7 +20,8 @@ import numpy as np
 
 from repro.decomposition.convergence import ConvergenceMonitor
 from repro.decomposition.cp_als import normalize_columns, slice_mttkrp
-from repro.decomposition.initialization import initialize_factors
+from repro.decomposition.initialization import initialize_factors, rank_report
+from repro.decomposition.parafac2_als import procrustes_step
 from repro.decomposition.result import (
     IterationRecord,
     Parafac2Result,
@@ -28,37 +29,10 @@ from repro.decomposition.result import (
 )
 from repro.linalg.pinv import solve_gram
 from repro.parallel.backends import get_backend
-from repro.sparse.csr import CsrMatrix
 from repro.sparse.ops import slice_squared_norm
 from repro.tensor.irregular import IrregularTensor
 from repro.tensor.products import hadamard
 from repro.util.config import DecompositionConfig
-
-
-def _slice_matmul(Xk, dense: np.ndarray) -> np.ndarray:
-    """``Xk @ dense`` for a dense ndarray or CSR slice."""
-    if isinstance(Xk, CsrMatrix):
-        return Xk.matmul_dense(dense)
-    return Xk @ dense
-
-
-def _slice_rmatmul(Xk, dense: np.ndarray) -> np.ndarray:
-    """``denseᵀ @ Xk`` for a dense ndarray or CSR slice."""
-    if isinstance(Xk, CsrMatrix):
-        return Xk.rmatmul_dense(dense)
-    return dense.T @ Xk
-
-
-def _slice_update_task(item) -> tuple[np.ndarray, np.ndarray]:
-    """``(Qk, Yk)`` for one slice — SPARTan's per-slice sweep stage.
-
-    Dense and :class:`CsrMatrix` slices alike are read in place by the
-    worker threads.
-    """
-    Xk, target = item
-    Z, _, Pt = np.linalg.svd(_slice_matmul(Xk, target), full_matrices=False)
-    Qk = Z @ Pt
-    return Qk, _slice_rmatmul(Xk, Qk)  # Yk = Qkᵀ Xk
 
 
 def spartan(
@@ -86,7 +60,8 @@ def spartan(
         tensor = IrregularTensor(tensor, copy=False, density_threshold=1.0)
     slices = tensor.slices
     K = tensor.n_slices
-    R = min(config.rank, tensor.n_columns, min(tensor.row_counts))
+    rank_stats = rank_report(config.rank, tensor.n_columns, tensor.row_counts)
+    R = rank_stats["effective"]
 
     init = initialize_factors(tensor.n_columns, K, R, config.random_state)
     H, V, W = init.H, init.V, init.W
@@ -103,7 +78,7 @@ def spartan(
     for iteration in range(1, config.max_iterations + 1):
         sweep_start = time.perf_counter()
         items = [(slices[k], (V * W[k]) @ H.T) for k in range(K)]
-        pairs = engine.map(_slice_update_task, items)
+        pairs = engine.map(procrustes_step, items)
         Q = [Qk for Qk, _ in pairs]
         Y_slices = [Yk for _, Yk in pairs]
 
@@ -136,7 +111,7 @@ def spartan(
 
     if Q and Q[0] is None:
         # Zero sweeps (``max_iterations=0``): factors from the initialization.
-        Q = [_slice_update_task((slices[k], (V * W[k]) @ H.T))[0] for k in range(K)]
+        Q = [procrustes_step((slices[k], (V * W[k]) @ H.T))[0] for k in range(K)]
 
     return Parafac2Result(
         Q=Q,
@@ -150,4 +125,5 @@ def spartan(
         iterate_seconds=iterate_seconds,
         preprocessed_bytes=tensor.nbytes,
         history=history,
+        stats={"rank": rank_stats},
     )

@@ -42,9 +42,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.decomposition.dpar2 import CompressedTensor, _stage1_svds, dpar2
-from repro.decomposition.initialization import InitialFactors
+from repro.decomposition.initialization import InitialFactors, effective_rank
 from repro.decomposition.result import Parafac2Result
-from repro.decomposition.sharded import _effective_rank, sharded_stage1
+from repro.decomposition.sharded import sharded_stage1
 from repro.linalg.array_module import get_xp
 from repro.linalg.randomized_svd import randomized_svd
 from repro.obs import trace
@@ -682,7 +682,7 @@ class StreamingDpar2:
         if self._factors is None:
             return None
         H, V, S = self._factors
-        R = _effective_rank(
+        R = effective_rank(
             self.config.rank, compressed.n_columns, compressed.row_counts
         )
         if H.shape[0] != R:

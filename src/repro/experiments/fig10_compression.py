@@ -13,17 +13,22 @@ import sys
 
 from repro.data.registry import PAPER_DATASET_NAMES, load_dataset
 from repro.decomposition.dpar2 import compress_tensor
+from repro.decomposition.initialization import effective_rank
 from repro.experiments.reporting import ExperimentReport
-from repro.linalg.gram import gram_svd
 
 QUICK_DATASETS = ("fma", "urban", "us_stock", "kr_stock", "activity", "action")
 
 
 def rd_als_preprocessed_bytes(tensor, rank: int) -> int:
-    """Bytes RD-ALS keeps after preprocessing: projected slices + V̂."""
-    V_hat, _ = gram_svd(tensor.slices, rank)
-    projected_bytes = sum((Xk @ V_hat).nbytes for Xk in tensor)
-    return projected_bytes + V_hat.nbytes
+    """Bytes RD-ALS keeps after preprocessing: projected slices + V̂.
+
+    The ``Ik×R`` projections and the ``J×R`` basis ``V̂`` at RD-ALS's
+    effective rank, in the tensor's dtype — a function of the shapes alone,
+    so nothing is computed.
+    """
+    R = effective_rank(rank, tensor.n_columns, tensor.row_counts)
+    rows = sum(tensor.row_counts) + tensor.n_columns
+    return rows * R * tensor.dtype.itemsize
 
 
 def run(

@@ -5,10 +5,12 @@ dense BLAS/LAPACK kernels numpy exposes:
 
 * :func:`randomized_svd` — Algorithm 1 of the paper (Halko et al. sketch +
   power iteration), the compression primitive of DPar2.
-* :func:`truncated_svd` — deterministic rank-``R`` SVD.
-* :func:`gram_svd` — SVD of a tall matrix via the eigendecomposition of its
-  ``J×J`` Gram matrix; used by RD-ALS preprocessing where the concatenated
-  matrix has ``sum(Ik)`` rows but few columns.
+* :func:`truncated_svd` — deterministic rank-``R`` SVD (RD-ALS's
+  preprocessing).
+* :func:`polar` — the orthogonal Procrustes factor ``Z Pᵀ`` of a thin SVD,
+  of one matrix or a stack: the ``Qk`` update of every PARAFAC2 solver
+  (the baselines' slice SVDs, DPar2's ``R×R`` inner SVDs, the serving
+  fold-in).
 * :func:`pseudoinverse` / :func:`solve_gram` — shared helpers.
 * :mod:`repro.linalg.kernels` — batched/stacked kernels for the DPar2 hot
   paths: :func:`batched_randomized_svd` (bucketed stage-1 compression),
@@ -28,7 +30,6 @@ from repro.linalg.array_module import (
     backend_available,
     get_xp,
 )
-from repro.linalg.gram import gram_svd
 from repro.linalg.kernels import (
     batched_randomized_svd,
     batched_stacked_matmul,
@@ -36,7 +37,7 @@ from repro.linalg.kernels import (
 )
 from repro.linalg.pinv import pseudoinverse, solve_gram
 from repro.linalg.randomized_svd import RandomizedSVDResult, randomized_svd
-from repro.linalg.truncated_svd import truncated_svd
+from repro.linalg.truncated_svd import polar, truncated_svd
 
 __all__ = [
     "ArrayModule",
@@ -48,7 +49,7 @@ __all__ = [
     "batched_randomized_svd",
     "batched_stacked_matmul",
     "bucket_by_rows",
-    "gram_svd",
+    "polar",
     "pseudoinverse",
     "randomized_svd",
     "solve_gram",

@@ -56,6 +56,7 @@ from repro.linalg.randomized_svd import (
     _rsvd,
     randomized_svd,
 )
+from repro.linalg.truncated_svd import polar
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.stacked import StackedCsr
 
@@ -253,17 +254,6 @@ _CROSS = "kij,kil,lj->"
 _MODEL = "kli,klj,ij->"
 
 
-def _polar(stack: np.ndarray) -> np.ndarray:
-    """Polar factors ``Zk Pkᵀ`` of a stack of ``Rc×R`` matrices.
-
-    The thin SVD keeps this correct when ``Rc > R`` — a precomputed
-    compression of higher rank than the target (its extra directions are
-    simply truncated).
-    """
-    Z, _, Pt = np.linalg.svd(stack, full_matrices=False)
-    return Z @ Pt
-
-
 class CellSweepWorkspace:
     """The compressed ALS sweep kernels for one reduction *cell* of slices.
 
@@ -385,22 +375,27 @@ class CellSweepWorkspace:
     def compute_polar(self, engine):
         """The per-slice ``R×R`` SVDs (Alg. 3, lines 8–10): ``Zk Pkᵀ``.
 
-        A device module runs the whole stack as one batched launch.  On
-        numpy, a stack holding at least four matrices per worker of the
-        ``engine`` (an :class:`~repro.parallel.backends.ExecutionBackend`)
-        is chunked evenly across them — the "uniform allocation" of
-        Section III-F — and smaller stacks go through one LAPACK call,
-        because dispatch would cost more than the work.  LAPACK solves each
-        matrix on its own, so the chunking never changes a bit.
+        Each matrix goes through :func:`~repro.linalg.truncated_svd.polar`,
+        whose thin SVD keeps this correct when ``Rc > R`` (a precomputed
+        compression of higher rank than the target: the extra directions
+        are truncated).  A device module runs the whole stack as one
+        batched launch.  On numpy, a stack holding at least four matrices
+        per worker of the ``engine`` (an
+        :class:`~repro.parallel.backends.ExecutionBackend`) is chunked
+        evenly across them — the "uniform allocation" of Section III-F —
+        and smaller stacks go through one LAPACK call, because dispatch
+        would cost more than the work.  LAPACK solves each matrix on its
+        own, so the chunking never changes a bit.
         """
-        if not self.xp.is_numpy:
-            Z, _, Pt = self.xp.svd(self.small, full_matrices=False)
-            self.polar = self.xp.matmul(Z, Pt)
-        elif engine.n_workers <= 1 or self.Kc < 4 * engine.n_workers:
-            self.polar = _polar(self.small)
+        if (
+            not self.xp.is_numpy
+            or engine.n_workers <= 1
+            or self.Kc < 4 * engine.n_workers
+        ):
+            self.polar = polar(self.small, xp=self.xp)
         else:
             chunks = np.array_split(self.small, engine.n_workers)
-            self.polar = np.concatenate(engine.map(_polar, chunks))
+            self.polar = np.concatenate(engine.map(polar, chunks))
         return self.polar
 
     def polar_host(self) -> np.ndarray:

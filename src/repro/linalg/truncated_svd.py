@@ -1,13 +1,13 @@
-"""Deterministic truncated SVD.
+"""Exact SVDs: the truncated SVD and the Procrustes polar factor.
 
-Used wherever the paper calls for an *exact* small SVD: the ``R×R`` inner
-SVD of ``F(k) E Dᵀ V Sk Hᵀ`` in DPar2's iteration, and the slice SVDs in
-PARAFAC2-ALS / SPARTan.
+:func:`polar` is the one orthogonal Procrustes step every PARAFAC2 solver
+takes to update ``Qk``: the slice SVDs of PARAFAC2-ALS, RD-ALS and SPARTan
+(Algorithm 2, lines 4–5), DPar2's ``R×R`` inner SVDs of
+``F(k) E Dᵀ V Sk Hᵀ`` (Algorithm 3, lines 8–10) and the serving fold-in.
+:func:`truncated_svd` is RD-ALS's preprocessing SVD.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.linalg.array_module import get_xp
 from repro.linalg.randomized_svd import RandomizedSVDResult
@@ -34,12 +34,18 @@ def truncated_svd(matrix, rank: int, *, xp=None) -> RandomizedSVDResult:
     )
 
 
-def svd_polar_factor(matrix, rank: int) -> np.ndarray:
-    """Return ``Z Pᵀ`` from the truncated SVD ``Z Σ Pᵀ`` of ``matrix``.
+def polar(matrix, *, xp=None):
+    """``Z Pᵀ`` from the thin SVD ``Z Σ Pᵀ`` of ``matrix``.
 
-    This is the minimizer of ``‖X − Q M‖_F`` over column-orthogonal ``Q``
-    (the orthogonal Procrustes solution), used to update ``Qk`` in
-    PARAFAC2-ALS (Algorithm 2, line 5).
+    The orthogonal Procrustes factor: over column-orthonormal ``Q`` it
+    maximizes ``tr(Qᵀ M)``, so with ``M = Xk V Sk Hᵀ`` it minimizes
+    ``‖Xk − Q H Sk Vᵀ‖``.  ``matrix`` is one ``m×n`` matrix or a stacked
+    ``(..., m, n)`` array (``m >= n`` gives orthonormal columns; a wider
+    matrix gives orthonormal rows).  LAPACK factors each matrix of a stack
+    on its own, so a stacked call equals per-matrix calls bit for bit.
+    ``xp`` selects the array module (default numpy); operand and result
+    are ``xp``-native.
     """
-    result = truncated_svd(matrix, rank)
-    return result.U @ result.V.T
+    xp = get_xp(xp)
+    Z, _, Pt = xp.svd(matrix, full_matrices=False)
+    return xp.matmul(Z, Pt)

@@ -59,6 +59,7 @@ from repro.decomposition.result import Parafac2Result
 from repro.linalg.array_module import ArrayModule, get_xp
 from repro.linalg.kernels import batched_randomized_svd
 from repro.linalg.pinv import solve_gram
+from repro.linalg.truncated_svd import polar
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.ops import check_finite_csr, slice_squared_norm
 from repro.util.config import DecompositionConfig
@@ -544,8 +545,9 @@ class QueryEngine:
         truncated SVD), every update works on ``R×R`` quantities:
 
         * Procrustes step: ``Qk = A Zk Pkᵀ`` with
-          ``Zk Σ Pkᵀ = svd(G V Sk Hᵀ)`` — the same Lemma the DPar2 sweep
-          uses, restricted to one slice with ``H, V`` frozen.
+          ``Zk Σ Pkᵀ = svd(G V Sk Hᵀ)`` — the same
+          :func:`~repro.linalg.truncated_svd.polar` step the DPar2 sweep
+          takes, restricted to one slice with ``H, V`` frozen.
         * Weight step: the Lemma-3 normal equations
           ``(Hᵀ QkᵀQk H ∘ VᵀV) w = g``, ``g = diag(Hᵀ (Qkᵀ Xk) V)``, with
           ``Qkᵀ Xk = (Zk Pkᵀ)ᵀ G``.  When the sketch keeps ``R``
@@ -569,8 +571,7 @@ class QueryEngine:
         w = np.ones(self.rank, dtype=np.float64)
         Zp = None
         for _ in range(sweeps):
-            Z, _, Pt = np.linalg.svd((GV * w) @ H.T, full_matrices=False)
-            Zp = Z @ Pt  # R_eff x R
+            Zp = polar((GV * w) @ H.T)  # R_eff x R
             g = np.einsum("ir,ir->r", H, Zp.T @ GV)
             if square:
                 w = self._normal_inv @ g
@@ -603,8 +604,7 @@ class QueryEngine:
         Zp = None
         for _ in range(sweeps):
             scaled = xp.einsum("ir,r->ir", GV, self._up(w))
-            Z, _, Pt = xp.svd(xp.matmul(scaled, Ht), full_matrices=False)
-            Zp = xp.matmul(Z, Pt)
+            Zp = polar(xp.matmul(scaled, Ht), xp=xp)
             C = xp.matmul(xp.transpose(Zp), GV)
             g = self._down(xp.einsum("ir,ir->r", H, C))
             if square:

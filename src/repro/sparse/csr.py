@@ -223,15 +223,6 @@ class CsrMatrix:
             dense
         )
 
-    def rmatmul_dense(self, dense) -> np.ndarray:
-        """``Bᵀ @ A`` i.e. ``(Aᵀ B)ᵀ`` — computes ``dense.T @ self``."""
-        B = np.asarray(dense)
-        if B.ndim != 2 or B.shape[0] != self.shape[0]:
-            raise ValueError(
-                f"dense operand must be ({self.shape[0]}, n), got {B.shape}"
-            )
-        return (self._transpose_cache or self._build_transpose()).matmul_dense(B).T
-
     def _build_transpose(self) -> "CsrMatrix":
         """The CSC form as a fresh CSR matrix — no caching here.
 
@@ -262,8 +253,8 @@ class CsrMatrix:
         The cache holds an in-RAM copy of the whole matrix, so repeated
         transposed products through it are cheap; callers that must not
         grow resident memory (one-shot products on out-of-core slices)
-        should use :meth:`t_matmul_dense` / :meth:`rmatmul_dense`, which
-        only read this cache and never create it.
+        should use :meth:`t_matmul_dense` or ``B.T @ A``, which only read
+        this cache and never create it.
         """
         if self._transpose_cache is None:
             transposed = self._build_transpose()
@@ -292,16 +283,19 @@ class CsrMatrix:
         )
 
     # ------------------------------------------------------------------ #
-    # operator sugar
+    # operators: code that takes dense or CSR slices writes ``Xk @ B`` and
+    # ``B.T @ Xk``, and a CSR slice runs them through the kernels above
     # ------------------------------------------------------------------ #
 
     def __matmul__(self, other):
+        """``A @ B`` (:meth:`matmul_dense`), or ``A @ x`` (:meth:`matvec`)."""
         other = np.asarray(other)
         if other.ndim == 1:
             return self.matvec(other)
         return self.matmul_dense(other)
 
     def __rmatmul__(self, other):
+        """``Bᵀ @ A = (Aᵀ B)ᵀ`` by :meth:`t_matmul_dense`; pins no transpose."""
         other = np.asarray(other)
         if other.ndim == 1:
             # x @ A = (Aᵀ x)ᵀ for a vector: a length-cols vector.

@@ -6,6 +6,8 @@ import pytest
 from repro.decomposition.dpar2 import CompressedTensor, compress_tensor, dpar2
 from repro.decomposition.initialization import InitialFactors, initialize_factors
 from repro.decomposition.parafac2_als import parafac2_als
+from repro.decomposition.rd_als import rd_als
+from repro.decomposition.spartan import spartan
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.tensor.random import low_rank_irregular_tensor
 from repro.util.config import DecompositionConfig
@@ -469,20 +471,32 @@ class TestStartingFactors:
 class TestRankClamp:
     """``R = min(rank, J, min Ik)`` is recorded, not applied silently."""
 
-    @pytest.mark.parametrize(
-        "row_counts, n_columns, rank, shards, expected",
-        [
-            # One 3-row slice among 40 of 50 rows caps every slice at rank 3.
-            ([50] * 40 + [3], 20, 8, None,
-             {"effective": 3, "short_slices": [40], "column_limited": False}),
-            ([30] * 4, 5, 8, 2,
-             {"effective": 5, "short_slices": [], "column_limited": True}),
-            ([30, 40, 50], 20, 4, None,
-             {"effective": 4, "short_slices": [], "column_limited": False}),
-        ],
-        ids=["short-slice", "columns-sharded", "unclamped"],
+    # One 3-row slice among 40 of 50 rows caps every slice at rank 3.
+    _SHORT_SLICE = (
+        [50] * 40 + [3], 20, 8, None,
+        {"effective": 3, "short_slices": [40], "column_limited": False},
     )
-    def test_recorded_and_counted(self, row_counts, n_columns, rank, shards, expected):
+
+    @pytest.mark.parametrize(
+        "solver, row_counts, n_columns, rank, shards, expected",
+        [
+            (dpar2, *_SHORT_SLICE),
+            (dpar2, [30] * 4, 5, 8, 2,
+             {"effective": 5, "short_slices": [], "column_limited": True}),
+            (dpar2, [30, 40, 50], 20, 4, None,
+             {"effective": 4, "short_slices": [], "column_limited": False}),
+            (parafac2_als, *_SHORT_SLICE),
+            (rd_als, *_SHORT_SLICE),
+            (spartan, *_SHORT_SLICE),
+        ],
+        ids=[
+            "short-slice", "columns-sharded", "unclamped",
+            "short-slice-parafac2_als", "short-slice-rd_als", "short-slice-spartan",
+        ],
+    )
+    def test_recorded_and_counted(
+        self, solver, row_counts, n_columns, rank, shards, expected
+    ):
         rng = np.random.default_rng(0)
         slices = [rng.standard_normal((rows, n_columns)) for rows in row_counts]
         config = DecompositionConfig(
@@ -491,7 +505,7 @@ class TestRankClamp:
         )
         registry = MetricsRegistry()
         with use_registry(registry):
-            result = dpar2(slices, config)
+            result = solver(slices, config)
         assert result.rank == expected["effective"]
         assert result.stats["rank"] == {"requested": rank, **expected}
         clamps = registry.counter("repro_decompose_rank_clamps_total", "").value

@@ -25,19 +25,24 @@ EXAMPLES = [
 
 
 @pytest.mark.parametrize("script", EXAMPLES)
-def test_example_runs(script):
+def test_example_runs(script, tmp_path):
+    """Runs cleanly, prints something, and leaves no temporary files."""
     path = os.path.join(EXAMPLES_DIR, script)
     assert os.path.exists(path), f"example {script} is missing"
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
     completed = subprocess.run(
         [sys.executable, path],
         capture_output=True,
         text=True,
         timeout=600,
+        env={**os.environ, "TMPDIR": str(scratch)},
     )
     assert completed.returncode == 0, (
         f"{script} failed:\n{completed.stderr[-2000:]}"
     )
     assert completed.stdout.strip(), f"{script} produced no output"
+    assert not list(scratch.iterdir()), f"{script} left temporary files behind"
 
 
 def test_expected_example_outputs():

@@ -1,13 +1,18 @@
-"""Tests for truncated SVD, QR helpers, pseudoinverse, and Gram SVD."""
+"""Tests for truncated SVD, the Procrustes step, QR helpers and pseudoinverse."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_array_module import _LoopbackModule
 
-from repro.linalg.gram import gram_svd
+from repro.decomposition.parafac2_als import procrustes_step
 from repro.linalg.pinv import pseudoinverse, solve_gram
 from repro.linalg.qr import random_orthonormal
-from repro.linalg.truncated_svd import svd_polar_factor, truncated_svd
+from repro.linalg.truncated_svd import polar, truncated_svd
 from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.sparse.ops import random_sparse
+from repro.tensor.irregular import IrregularTensor
 from tests.conftest import assert_orthonormal_columns
 
 
@@ -41,20 +46,91 @@ class TestTruncatedSVD:
         assert_orthonormal_columns(out.V)
 
 
-class TestPolarFactor:
-    def test_result_is_orthonormal(self, rng):
-        A = rng.standard_normal((20, 5))
-        Q = svd_polar_factor(A, 5)
-        assert_orthonormal_columns(Q)
+@st.composite
+def polar_operands(draw, dtypes=(np.float64,)):
+    """A seeded Gaussian ``m×n`` operand (``m >= n``) of a drawn dtype."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    m = draw(st.integers(min_value=n, max_value=12))
+    dtype = draw(st.sampled_from(dtypes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.standard_normal((m, n)).astype(dtype), rng
 
-    def test_procrustes_optimality(self, rng):
+
+class TestPolarFactor:
+    """The one Procrustes step: ``polar`` and ``procrustes_step``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(polar_operands())
+    def test_result_is_orthonormal(self, operand):
+        A, _ = operand
+        Q = polar(A)
+        assert Q.shape == A.shape
+        assert_orthonormal_columns(Q, atol=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(polar_operands())
+    def test_procrustes_optimality(self, operand):
         """Q = Z Pᵀ maximizes trace(Qᵀ A) over orthonormal Q."""
-        A = rng.standard_normal((15, 4))
-        Q = svd_polar_factor(A, 4)
-        best = np.trace(Q.T @ A)
+        A, rng = operand
+        best = np.trace(polar(A).T @ A)
         for _ in range(20):
-            other = random_orthonormal(15, 4, rng)
-            assert np.trace(other.T @ A) <= best + 1e-9
+            other = random_orthonormal(*A.shape, rng)
+            assert np.trace(other.T @ A) <= best + 1e-9 * max(1.0, abs(best))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.tuples(
+            st.integers(1, 5), st.integers(1, 8), st.integers(1, 8)
+        ),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_equals_per_matrix_calls(self, shape, dtype, seed):
+        stack = np.random.default_rng(seed).standard_normal(shape).astype(dtype)
+        stacked = polar(stack)
+        assert stacked.dtype == np.dtype(dtype)
+        for matrix, out in zip(stack, stacked):
+            assert np.array_equal(out, polar(matrix))
+
+    @settings(max_examples=30, deadline=None)
+    @given(polar_operands(dtypes=(np.float32, np.float64)))
+    def test_loopback_module_matches_numpy(self, operand):
+        A, _ = operand
+        assert np.array_equal(polar(A, xp=_LoopbackModule()), polar(A))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        rows=st.integers(2, 20),
+        n_columns=st.integers(2, 10),
+        rank=st.integers(1, 4),
+        density=st.sampled_from([0.3, 0.6, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_procrustes_step_on_csr_matches_dense(
+        self, tmp_path_factory, rows, n_columns, rank, density, seed
+    ):
+        """A CSR slice gives the dense slice's step; a mapped one stays unpinned."""
+        assume(rank <= min(rows, n_columns))
+        rng = np.random.default_rng(seed)
+        csr = random_sparse((rows, n_columns), density, rng)
+        dense = csr.to_dense()
+        target = rng.standard_normal((n_columns, rank))
+        # Well-conditioned operands only: the polar factor of a nearly
+        # rank-deficient product is ill-posed, whatever the kernel.
+        assume(np.linalg.cond(dense @ target) < 1e4)
+        store = IrregularTensor([csr], copy=False, density_threshold=1.0).to_store(
+            tmp_path_factory.mktemp("store")
+        )
+        mapped = store.load_slice(0)
+        assert isinstance(mapped.data, np.memmap)
+        Q_dense, Y_dense = procrustes_step((dense, target))
+        for Xk in (csr, mapped):
+            Qk, Yk = procrustes_step((Xk, target))
+            np.testing.assert_allclose(Qk, Q_dense, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(
+                Yk, Y_dense, rtol=0, atol=1e-10 * max(1.0, np.abs(dense).max())
+            )
+            assert Xk._transpose_cache is None
 
 
 class TestRandomOrthonormal:
@@ -141,37 +217,3 @@ class TestSolveGram:
     def test_non_square_gram_rejected(self):
         with pytest.raises(ValueError, match="square"):
             solve_gram(np.ones((2, 3)), np.ones((2, 3)))
-
-
-class TestGramSVD:
-    def test_matches_concatenated_svd(self, rng):
-        slices = [rng.standard_normal((n, 6)) for n in (10, 14, 8)]
-        V, sv = gram_svd(slices, 4)
-        stacked = np.concatenate(slices, axis=0)
-        _, s_exact, Vt_exact = np.linalg.svd(stacked, full_matrices=False)
-        np.testing.assert_allclose(sv, s_exact[:4], rtol=1e-8)
-        # Compare subspaces (sign-insensitive): projectors must match.
-        P_ours = V @ V.T
-        V_exact = Vt_exact[:4].T
-        P_exact = V_exact @ V_exact.T
-        np.testing.assert_allclose(P_ours, P_exact, atol=1e-8)
-
-    def test_orthonormal_output(self, rng):
-        slices = [rng.standard_normal((n, 5)) for n in (7, 9)]
-        V, _ = gram_svd(slices, 3)
-        assert_orthonormal_columns(V)
-
-    def test_rank_capped_by_columns(self, rng):
-        slices = [rng.standard_normal((10, 4))]
-        V, sv = gram_svd(slices, 9)
-        assert V.shape == (4, 4)
-        assert sv.shape == (4,)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            gram_svd([], 2)
-
-    def test_column_mismatch_rejected(self, rng):
-        slices = [rng.standard_normal((5, 4)), rng.standard_normal((5, 6))]
-        with pytest.raises(ValueError, match="columns"):
-            gram_svd(slices, 2)

@@ -3,18 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.decomposition.parafac2_als import parafac2_als, update_orthogonal_factor
+from repro.decomposition.parafac2_als import parafac2_als, procrustes_step
 from repro.decomposition.result import residuals_from_projections
 from repro.util.config import DecompositionConfig
 from tests.conftest import assert_valid_parafac2_result
 
 
 class TestUpdateOrthogonalFactor:
+    """The per-slice ``Qk`` update, through ``procrustes_step``."""
+
     def test_orthonormal(self, rng):
         Xk = rng.standard_normal((20, 8))
         target = rng.standard_normal((8, 4))
-        Qk = update_orthogonal_factor(Xk, target)
+        Qk, Yk = procrustes_step((Xk, target))
         np.testing.assert_allclose(Qk.T @ Qk, np.eye(4), atol=1e-10)
+        np.testing.assert_array_equal(Yk, Qk.T @ Xk)
 
     def test_procrustes_optimality(self, rng):
         """Qk maximizes trace(Qkᵀ Xk M) over orthonormal Qk."""
@@ -22,7 +25,7 @@ class TestUpdateOrthogonalFactor:
 
         Xk = rng.standard_normal((15, 6))
         target = rng.standard_normal((6, 3))
-        Qk = update_orthogonal_factor(Xk, target)
+        Qk, _ = procrustes_step((Xk, target))
         best = np.trace(Qk.T @ (Xk @ target))
         for _ in range(25):
             other = random_orthonormal(15, 3, rng)

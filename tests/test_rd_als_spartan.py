@@ -123,7 +123,7 @@ class TestSpartan:
         def no_sweeps(item):
             raise AssertionError("sweep work started on invalid input")
 
-        monkeypatch.setattr(spartan_module, "_slice_update_task", no_sweeps)
+        monkeypatch.setattr(spartan_module, "procrustes_step", no_sweeps)
         slices = [dense_to_sparse(rng.standard_normal((n, 6))) for n in (8, 9, 7)]
         slices[2].data[3] = np.nan
         with pytest.raises(ValueError, match=r"slices\[2\] contains NaN"):

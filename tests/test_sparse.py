@@ -82,7 +82,7 @@ class TestCsr:
     def test_rmatmul_dense(self, dense, rng):
         csr = dense_to_sparse(dense)
         B = rng.standard_normal((6, 4))
-        np.testing.assert_allclose(csr.rmatmul_dense(B), B.T @ dense, atol=1e-12)
+        np.testing.assert_allclose(B.T @ csr, B.T @ dense, atol=1e-12)
 
     def test_transpose(self, dense):
         csr = dense_to_sparse(dense)
@@ -163,7 +163,7 @@ class TestDtypePreservation:
         assert csr.row_norms_squared().dtype == dtype
         assert csr.transpose().dtype == dtype
         tall = rng.standard_normal((9, 3)).astype(dtype)
-        assert csr.rmatmul_dense(tall).dtype == dtype
+        assert (tall.T @ csr).dtype == dtype
         assert csr.t_matmul_dense(tall).dtype == dtype
 
     def test_mixed_precision_promotes_like_dense(self, rng):
@@ -273,15 +273,13 @@ class TestTransposeCountingSort:
     def test_rmatmul_via_transpose(self, rng):
         csr = random_sparse((9, 4), 0.5, rng)
         B = rng.standard_normal((9, 3))
-        np.testing.assert_allclose(
-            csr.rmatmul_dense(B), B.T @ csr.to_dense(), atol=1e-12
-        )
+        np.testing.assert_allclose(B.T @ csr, B.T @ csr.to_dense(), atol=1e-12)
 
     def test_transposed_products_do_not_pin_a_cache(self, rng):
-        # One-shot rmatmul/t_matmul must not grow resident memory for the
-        # matrix's lifetime (out-of-core slices rely on this)...
+        # One-shot B.T @ A and t_matmul must not grow resident memory for
+        # the matrix's lifetime (out-of-core slices rely on this)...
         csr = random_sparse((9, 4), 0.5, rng)
-        csr.rmatmul_dense(rng.standard_normal((9, 3)))
+        _ = rng.standard_normal((9, 3)).T @ csr
         csr.t_matmul_dense(rng.standard_normal((9, 2)))
         assert csr._transpose_cache is None
         # ...but an explicitly built transpose cache is reused by them.
