@@ -16,6 +16,7 @@ compression stage exploits.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.tensor.irregular import IrregularTensor
 from repro.util.rng import as_generator
@@ -49,10 +50,7 @@ def stft_magnitude(
         x = np.concatenate([x, np.zeros(n_fft - x.size)])
     n_frames = 1 + int(np.ceil((x.size - n_fft) / hop))
     padded = np.concatenate([x, np.zeros(max(0, (n_frames - 1) * hop + n_fft - x.size))])
-    window = hann_window(n_fft)
-    frames = np.stack(
-        [padded[i * hop : i * hop + n_fft] * window for i in range(n_frames)]
-    )
+    frames = sliding_window_view(padded, n_fft)[::hop] * hann_window(n_fft)
     return np.abs(np.fft.rfft(frames, axis=1))
 
 
@@ -83,6 +81,12 @@ def synthesize_clip(
     Each voice has a slowly drifting fundamental with 4 harmonics of
     geometrically decaying amplitude and a random onset/offset envelope —
     enough temporal/spectral structure to give realistic spectrograms.
+
+    A voice's envelope is one contiguous run of ones (the samples with
+    ``onset·t[-1] <= t <= offset·t[-1]``), so its harmonics are computed
+    on that run only.  Outside it the full-length product
+    ``amp · envelope · sin(h·phase)`` is ±0, and adding it would leave the
+    signal unchanged: the clip is bit for bit the full-length sum.
     """
     check_positive_int(duration_samples, "duration_samples")
     check_positive_int(n_voices, "n_voices")
@@ -93,16 +97,27 @@ def synthesize_clip(
     for _ in range(n_voices):
         base = rng.uniform(80.0, 800.0)
         drift = rng.uniform(-20.0, 20.0)
-        frequency = base + drift * t
-        phase = 2.0 * np.pi * np.cumsum(frequency) / sample_rate
         onset = rng.uniform(0.0, 0.4)
         offset = rng.uniform(0.6, 1.0)
-        envelope = ((t >= onset * t[-1]) & (t <= offset * t[-1])).astype(float)
+        first, stop = _envelope_run(t, onset, offset)
+        # The phase is a running sum, so its prefix up to ``stop`` is exact.
+        phase = (2.0 * np.pi * np.cumsum(base + drift * t[:stop]) / sample_rate)[first:]
         for harmonic in range(1, 5):
             amp = rng.uniform(0.5, 1.0) * 0.5**harmonic
-            signal += amp * envelope * np.sin(harmonic * phase)
+            signal[first:stop] += amp * np.sin(harmonic * phase)
     signal += 0.02 * rng.standard_normal(duration_samples)
     return signal
+
+
+def _envelope_run(t: np.ndarray, onset: float, offset: float) -> tuple[int, int]:
+    """``(first, stop)`` with ``onset·t[-1] <= t[i] <= offset·t[-1]`` iff ``first <= i < stop``.
+
+    ``t`` is increasing, so the samples a voice sounds on are one run;
+    ``first == stop`` when it sounds on none.
+    """
+    first = int(np.searchsorted(t, onset * t[-1], side="left"))
+    stop = int(np.searchsorted(t, offset * t[-1], side="right"))
+    return first, max(first, stop)
 
 
 def generate_audio_tensor(

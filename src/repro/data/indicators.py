@@ -19,11 +19,39 @@ than the window are filled as follows:
 * ROC is zero over its first ``w`` positions, and TRIX at the first;
 * the recursive smoothers (EMA, hence MACD, and the Wilder averages of ATR
   and RSI) start from the first value and need no fill.
+
+How the series are computed
+---------------------------
+Every value equals the per-position definition — one window or one step of
+a recurrence at a time — bit for bit; ``tests/test_data_indicators.py``
+keeps those definitions as oracles and compares bytes.  The arithmetic
+that makes that hold:
+
+* **windows, all positions at once.**  A windowed statistic is computed
+  for every full window in one step, on the rows of a C-contiguous copy of
+  the sliding-window view (:func:`_full_windows`).  Max and min are exact
+  in any order; a row's sum and mean go through the same pairwise
+  summation as the per-window ``segment.sum()``.  SMA and the rolling std
+  are differences of one running sum and need no window copy.  Only the
+  warm-up prefix, whose expanding windows are shorter than ``w``, is
+  looped over — and only where each prefix needs a sum of its own length
+  (CCI, MFI, WMA's BLAS dot product).
+* **recurrences on plain floats.**  EMA and the Wilder averages run their
+  one-step recurrence (:func:`_smooth`) over ``tolist()`` values: Python
+  floats are IEEE doubles, so each step rounds exactly as the same step
+  on numpy scalars.
+
+:func:`compute_indicator_matrix` computes each distinct series once per
+stock and reuses it (Williams %R from %K, Bollinger bands from the SMA
+and rolling-std columns, each MACD signal from its MACD line).
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def _as_series(values, name: str) -> np.ndarray:
@@ -41,6 +69,41 @@ def _check_window(window: int, length: int) -> int:
     return min(int(window), length)
 
 
+def _full_windows(x: np.ndarray, w: int) -> np.ndarray:
+    """The ``x.size − w + 1`` full windows of ``x`` as rows of a C-contiguous copy.
+
+    A contiguous row reduces exactly as the 1-D window slice would: the
+    same pairwise summation, in the same order.
+    """
+    return np.ascontiguousarray(sliding_window_view(x, w))
+
+
+def _window_extreme(x: np.ndarray, w: int, extreme: np.ufunc) -> np.ndarray:
+    """Max or min (``np.maximum``/``np.minimum``) over each trailing window.
+
+    Warm-up positions take the extreme of the prefix; both are exact.
+    """
+    out = np.empty_like(x)
+    out[: w - 1] = extreme.accumulate(x[: w - 1])
+    out[w - 1 :] = extreme.reduce(sliding_window_view(x, w), axis=1)
+    return out
+
+
+def _window_sums(x: np.ndarray, w: int) -> np.ndarray:
+    """Sum over each trailing window, the warm-up over the available prefix."""
+    out = np.empty_like(x)
+    for i in range(w - 1):
+        out[i] = x[: i + 1].sum()
+    out[w - 1 :] = _full_windows(x, w).sum(axis=1)
+    return out
+
+
+def _smooth(x: np.ndarray, alpha: float) -> np.ndarray:
+    """``y[0] = x[0]``, ``y[i] = alpha·x[i] + (1 − alpha)·y[i−1]``."""
+    beta = 1.0 - alpha
+    return np.array(list(accumulate(x.tolist(), lambda y, v: alpha * v + beta * y)))
+
+
 # --------------------------------------------------------------------- #
 # moving averages
 # --------------------------------------------------------------------- #
@@ -53,8 +116,7 @@ def sma(values, window: int) -> np.ndarray:
     out = np.empty_like(x)
     out[w - 1:] = (csum[w:] - csum[:-w]) / w
     # Warm-up: expanding mean over the available prefix.
-    for i in range(w - 1):
-        out[i] = csum[i + 1] / (i + 1)
+    out[: w - 1] = csum[1:w] / np.arange(1, w)
     return out
 
 
@@ -62,12 +124,7 @@ def ema(values, window: int) -> np.ndarray:
     """Exponential moving average with smoothing ``2/(window+1)``."""
     x = _as_series(values, "values")
     w = _check_window(window, x.size)
-    alpha = 2.0 / (w + 1.0)
-    out = np.empty_like(x)
-    out[0] = x[0]
-    for i in range(1, x.size):
-        out[i] = alpha * x[i] + (1.0 - alpha) * out[i - 1]
-    return out
+    return _smooth(x, 2.0 / (w + 1.0))
 
 
 def wma(values, window: int) -> np.ndarray:
@@ -79,9 +136,11 @@ def wma(values, window: int) -> np.ndarray:
     full = np.convolve(x, weights[::-1], mode="valid")
     out = np.empty_like(x)
     out[w - 1:] = full
+    # Warm-up: one BLAS dot product per prefix, which fixes its summation
+    # order; the weight sum 1 + … + (i+1) is an exact integer.
+    ramp = np.arange(1, w, dtype=np.float64)
     for i in range(w - 1):
-        prefix_w = np.arange(1, i + 2, dtype=np.float64)
-        out[i] = float(x[: i + 1] @ prefix_w) / prefix_w.sum()
+        out[i] = float(x[: i + 1] @ ramp[: i + 1]) / ((i + 1) * (i + 2) // 2)
     return out
 
 
@@ -117,12 +176,7 @@ def atr(high, low, close, window: int = 14) -> np.ndarray:
     """Average True Range (Wilder): EMA-smoothed true range — a volatility gauge."""
     tr = true_range(high, low, close)
     w = _check_window(window, tr.size)
-    out = np.empty_like(tr)
-    out[0] = tr[0]
-    alpha = 1.0 / w  # Wilder smoothing
-    for i in range(1, tr.size):
-        out[i] = alpha * tr[i] + (1.0 - alpha) * out[i - 1]
-    return out
+    return _smooth(tr, 1.0 / w)  # Wilder smoothing
 
 
 def macd(close, fast: int = 12, slow: int = 26) -> np.ndarray:
@@ -147,13 +201,11 @@ def stochastic_oscillator(high, low, close, window: int = 14) -> np.ndarray:
     l = _as_series(low, "low")
     c = _as_series(close, "close")
     w = _check_window(window, c.size)
-    out = np.empty_like(c)
-    for i in range(c.size):
-        lo = max(0, i - w + 1)
-        window_high = h[lo : i + 1].max()
-        window_low = l[lo : i + 1].min()
-        span = window_high - window_low
-        out[i] = 50.0 if span == 0 else 100.0 * (c[i] - window_low) / span
+    window_low = _window_extreme(l, w, np.minimum)
+    span = _window_extreme(h, w, np.maximum) - window_low
+    flat = span == 0
+    out = 100.0 * (c - window_low) / np.where(flat, 1.0, span)
+    out[flat] = 50.0
     return out
 
 
@@ -166,16 +218,8 @@ def rsi(close, window: int = 14) -> np.ndarray:
     c = _as_series(close, "close")
     w = _check_window(window, c.size)
     delta = np.diff(c, prepend=c[0])
-    gains = np.clip(delta, 0.0, None)
-    losses = np.clip(-delta, 0.0, None)
-    avg_gain = np.empty_like(c)
-    avg_loss = np.empty_like(c)
-    avg_gain[0] = gains[0]
-    avg_loss[0] = losses[0]
-    alpha = 1.0 / w
-    for i in range(1, c.size):
-        avg_gain[i] = alpha * gains[i] + (1 - alpha) * avg_gain[i - 1]
-        avg_loss[i] = alpha * losses[i] + (1 - alpha) * avg_loss[i - 1]
+    avg_gain = _smooth(np.clip(delta, 0.0, None), 1.0 / w)
+    avg_loss = _smooth(np.clip(-delta, 0.0, None), 1.0 / w)
     denom = avg_gain + avg_loss
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.where(denom > 0, 100.0 * avg_gain / np.where(denom > 0, denom, 1.0), 50.0)
@@ -218,14 +262,12 @@ def rolling_std(values, window: int) -> np.ndarray:
     w = _check_window(window, x.size)
     csum = np.concatenate([[0.0], np.cumsum(x)])
     csum_sq = np.concatenate([[0.0], np.cumsum(x * x)])
-    out = np.empty_like(x)
-    for i in range(x.size):
-        lo = max(0, i - w + 1)
-        n = i - lo + 1
-        mean = (csum[i + 1] - csum[lo]) / n
-        mean_sq = (csum_sq[i + 1] - csum_sq[lo]) / n
-        out[i] = np.sqrt(max(mean_sq - mean * mean, 0.0))
-    return out
+    end = np.arange(1, x.size + 1)
+    start = np.maximum(end - w, 0)
+    n = end - start
+    mean = (csum[end] - csum[start]) / n
+    mean_sq = (csum_sq[end] - csum_sq[start]) / n
+    return np.sqrt(np.maximum(mean_sq - mean * mean, 0.0))
 
 
 def cci(high, low, close, window: int = 20) -> np.ndarray:
@@ -235,13 +277,18 @@ def cci(high, low, close, window: int = 20) -> np.ndarray:
     c = _as_series(close, "close")
     w = _check_window(window, c.size)
     typical = (h + l + c) / 3.0
-    out = np.empty_like(c)
-    for i in range(c.size):
-        lo = max(0, i - w + 1)
-        segment = typical[lo : i + 1]
-        mean = segment.mean()
-        mad = np.abs(segment - mean).mean()
-        out[i] = 0.0 if mad == 0 else (typical[i] - mean) / (0.015 * mad)
+    mean = np.empty_like(c)
+    mad = np.empty_like(c)
+    for i in range(w - 1):  # warm-up: expanding windows
+        segment = typical[: i + 1]
+        mean[i] = segment.mean()
+        mad[i] = np.abs(segment - mean[i]).mean()
+    windows = _full_windows(typical, w)
+    mean[w - 1 :] = windows.mean(axis=1)
+    mad[w - 1 :] = np.abs(windows - mean[w - 1 :, None]).mean(axis=1)
+    flat = mad == 0
+    out = (typical - mean) / (0.015 * np.where(flat, 1.0, mad))
+    out[flat] = 0.0
     return out
 
 
@@ -271,14 +318,11 @@ def mfi(high, low, close, volume, window: int = 14) -> np.ndarray:
     flow = typical * v
     direction = np.zeros_like(c)
     direction[1:] = np.sign(np.diff(typical))
-    pos = np.where(direction > 0, flow, 0.0)
-    neg = np.where(direction < 0, flow, 0.0)
-    out = np.empty_like(c)
-    for i in range(c.size):
-        lo = max(0, i - w + 1)
-        p = pos[lo : i + 1].sum()
-        n = neg[lo : i + 1].sum()
-        out[i] = 50.0 if p + n == 0 else 100.0 * p / (p + n)
+    p = _window_sums(np.where(direction > 0, flow, 0.0), w)
+    total = p + _window_sums(np.where(direction < 0, flow, 0.0), w)
+    idle = total == 0
+    out = 100.0 * p / np.where(idle, 1.0, total)
+    out[idle] = 50.0
     return out
 
 
@@ -363,25 +407,39 @@ def compute_indicator_matrix(ohlcv: np.ndarray) -> np.ndarray:
         raise ValueError(f"ohlcv must be (T, 5), got {data.shape}")
     o, h, l, c, v = (data[:, i] for i in range(5))
 
+    # Series that several column families share are computed once: %K
+    # (Williams %R), the SMA and rolling std (Bollinger bands) and the
+    # MACD line (its signal).  Same inputs, so the same bits.
+    sma_c = {w: sma(c, w) for w in _SMA_WINDOWS + _BOLLINGER_WINDOWS}
+    std_c = {w: rolling_std(c, w) for w in _STD_WINDOWS + _BOLLINGER_WINDOWS}
+    stoch = {
+        w: stochastic_oscillator(h, l, c, w)
+        for w in _STOCH_WINDOWS + _WILLIAMS_WINDOWS
+    }
+    macd_line = {
+        (f, s): macd(c, f, s)
+        for f, s in _MACD_PARAMS + tuple(p[:2] for p in _MACD_SIGNAL_PARAMS)
+    }
+
     columns: list[np.ndarray] = []
-    columns += [sma(c, w) for w in _SMA_WINDOWS]
+    columns += [sma_c[w] for w in _SMA_WINDOWS]
     columns += [ema(c, w) for w in _EMA_WINDOWS]
     columns += [wma(c, w) for w in _WMA_WINDOWS]
     columns += [rsi(c, w) for w in _RSI_WINDOWS]
     columns += [atr(h, l, c, w) for w in _ATR_WINDOWS]
-    columns += [stochastic_oscillator(h, l, c, w) for w in _STOCH_WINDOWS]
+    columns += [stoch[w] for w in _STOCH_WINDOWS]
     columns += [momentum(c, w) for w in _MOMENTUM_WINDOWS]
     columns += [rate_of_change(c, w) for w in _ROC_WINDOWS]
     columns += [cci(h, l, c, w) for w in _CCI_WINDOWS]
-    columns += [williams_r(h, l, c, w) for w in _WILLIAMS_WINDOWS]
+    columns += [stoch[w] - 100.0 for w in _WILLIAMS_WINDOWS]
     columns += [trix(c, w) for w in _TRIX_WINDOWS]
     columns += [mfi(h, l, c, v, w) for w in _MFI_WINDOWS]
     for w in _BOLLINGER_WINDOWS:
-        _, upper, lower = bollinger_bands(c, w)
-        columns += [upper, lower]
-    columns += [rolling_std(c, w) for w in _STD_WINDOWS]
-    columns += [macd(c, f, s) for f, s in _MACD_PARAMS]
-    columns += [macd_signal(c, f, s, g) for f, s, g in _MACD_SIGNAL_PARAMS]
+        # bollinger_bands(c, w) at its default n_std=2.0.
+        columns += [sma_c[w] + 2.0 * std_c[w], sma_c[w] - 2.0 * std_c[w]]
+    columns += [std_c[w] for w in _STD_WINDOWS]
+    columns += [macd_line[f, s] for f, s in _MACD_PARAMS]
+    columns += [ema(macd_line[f, s], g) for f, s, g in _MACD_SIGNAL_PARAMS]
     columns += [sma(v, w) for w in _VOLUME_SMA_WINDOWS]
     columns += [obv(c, v), price_volume_trend(c, v), true_range(h, l, c)]
 

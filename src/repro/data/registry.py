@@ -16,6 +16,7 @@ from repro.data.stock import generate_market, standardize_features
 from repro.data.synthetic import sparse_irregular_tensor
 from repro.data.traffic import generate_traffic_tensor
 from repro.data.video import generate_video_tensor
+from repro.obs import trace
 from repro.tensor.irregular import IrregularTensor
 
 
@@ -130,10 +131,18 @@ PAPER_DATASET_NAMES: tuple[str, ...] = tuple(
 
 
 def load_dataset(name: str, random_state=None) -> IrregularTensor:
-    """Generate the named dataset (see :data:`DATASETS` for choices)."""
+    """Generate the named dataset (see :data:`DATASETS` for choices).
+
+    Generation runs inside a ``data.generate`` span (attrs: ``dataset``,
+    and ``slices`` once built), so a traced run shows what it spent on its
+    input next to the decomposition.
+    """
     key = name.lower().replace("-", "_")
     if key not in DATASETS:
         raise KeyError(
             f"unknown dataset {name!r}; available: {', '.join(sorted(DATASETS))}"
         )
-    return DATASETS[key].build(random_state)
+    with trace.span("data.generate", dataset=key) as span:
+        tensor = DATASETS[key].build(random_state)
+        span.annotate(slices=tensor.n_slices)
+    return tensor

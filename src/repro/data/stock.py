@@ -22,6 +22,7 @@ Structure the generator controls, because the algorithms react to it:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -175,11 +176,7 @@ def generate_market(
             # KR-like regime (Fig. 12(b)): the intraday range follows an
             # independent mean-reverting volatility process and volume is
             # drawn i.i.d. — ATR and OBV decouple from the price features.
-            log_vol = np.empty(T)
-            log_vol[0] = rng.standard_normal()
-            for t in range(1, T):
-                log_vol[t] = 0.95 * log_vol[t - 1] + 0.3 * rng.standard_normal()
-            intraday = 0.01 * np.exp(0.8 * log_vol)
+            intraday = 0.01 * np.exp(0.8 * _log_volatility(rng, T))
             # Heavy-tailed i.i.d. volume: OBV becomes dominated by a few
             # huge random days and decouples from the price trend.
             volume = base_volume * rng.lognormal(0.0, 2.0, T)
@@ -198,6 +195,18 @@ def generate_market(
         sectors=sectors,
         listing_lengths=[int(t) for t in lengths],
     )
+
+
+def _log_volatility(rng: np.random.Generator, T: int) -> np.ndarray:
+    """The KR-like regime's mean-reverting log-volatility over ``T`` days.
+
+    ``x[0] = z[0]`` and ``x[t] = 0.95·x[t−1] + 0.3·z[t]`` for standard
+    normals ``z``.  The ``T`` normals come from one vector draw, which
+    reads the same stream — and leaves ``rng`` at the same position — as
+    ``T`` scalar draws; the recurrence runs on Python floats.
+    """
+    z = rng.standard_normal(T).tolist()
+    return np.array(list(accumulate(z[1:], lambda x, zt: 0.95 * x + 0.3 * zt, initial=z[0])))
 
 
 def standardize_features(

@@ -35,10 +35,17 @@ from repro.decomposition.result import (
     residuals_from_projections,
 )
 from repro.linalg.truncated_svd import truncated_svd
+from repro.parallel.backends import get_backend
 from repro.sparse.ops import slice_squared_norm
 from repro.tensor.dense import DenseTensor
 from repro.tensor.irregular import IrregularTensor
 from repro.util.config import DecompositionConfig
+
+
+def _criterion_projection(item) -> np.ndarray:
+    """One slice's ``(Qkᵀ Xk) V`` from ``(Qk, Xk, V)``, against the raw slice."""
+    Qk, Xk, V = item
+    return (Qk.T @ Xk) @ V
 
 
 def rd_als(
@@ -52,6 +59,10 @@ def rd_als(
     SVD of the concatenated slices and the slice projections, and whose
     ``preprocessed_bytes`` counts the projected slices plus ``V̂`` — the
     quantities Fig. 9(a) and Fig. 10 report for RD-ALS.
+
+    The per-slice ``Qk`` update and the criterion's per-slice projection
+    run over ``config.backend`` workers with Algorithm-4 load balancing on
+    the row counts, as in :func:`~repro.decomposition.parafac2_als.parafac2_als`.
     """
     config = (config or DecompositionConfig()).with_(**overrides)
     if not isinstance(tensor, IrregularTensor):
@@ -87,14 +98,16 @@ def rd_als(
     Q: list[np.ndarray] = [None] * tensor.n_slices
     converged = False
     iteration = 0
+    row_counts = tensor.row_counts
 
+    engine = get_backend(config.backend, config.n_threads)
     start = time.perf_counter()
     for iteration in range(1, config.max_iterations + 1):
         sweep_start = time.perf_counter()
-        pairs = [
-            procrustes_step((Gk, (V_tilde * W[k]) @ H.T))
-            for k, Gk in enumerate(projected)
-        ]
+        items = [(Gk, (V_tilde * W[k]) @ H.T) for k, Gk in enumerate(projected)]
+        pairs = engine.map_partitioned(
+            procrustes_step, items, weights=row_counts
+        )
         Q = [Qk for Qk, _ in pairs]
         Y_slices = [Yk for _, Yk in pairs]
 
@@ -107,7 +120,11 @@ def rd_als(
         # true error against the raw slices, whose projection Qkᵀ Xk is
         # the O(Σk Ik J R) step the paper attributes to it.
         V_full = V_hat @ V_tilde
-        P = np.stack([(Q[k].T @ Xk) @ V_full for k, Xk in enumerate(tensor)])
+        P = np.stack(engine.map_partitioned(
+            _criterion_projection,
+            [(Q[k], Xk, V_full) for k, Xk in enumerate(tensor)],
+            weights=row_counts,
+        ))
         error_sq = max(
             float(residuals_from_projections(slice_norms_sq, P, H, W, V_full).sum()),
             0.0,

@@ -4,11 +4,14 @@ Worker processes are the shard coordinator's; their equivalence tests live
 in ``tests/test_sharding.py``.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
 from repro.decomposition.dpar2 import compress_tensor, dpar2
 from repro.decomposition.parafac2_als import parafac2_als
+from repro.decomposition.rd_als import rd_als
 from repro.decomposition.spartan import spartan
 from repro.linalg.kernels import CellSweepWorkspace
 from repro.parallel.backends import (
@@ -158,7 +161,7 @@ class TestBackendEquivalence:
         assert chunks == [2]  # the stack really went to both workers
         assert np.array_equal(reference, chunked)
 
-    @pytest.mark.parametrize("solver", [parafac2_als, spartan])
+    @pytest.mark.parametrize("solver", [parafac2_als, rd_als, spartan])
     def test_baselines_identical_across_backends(self, tiny_tensor, solver):
         def run(name):
             return solver(
@@ -177,6 +180,37 @@ class TestBackendEquivalence:
         assert np.array_equal(reference.V, other.V)
         for Qa, Qb in zip(reference.Q, other.Q):
             assert np.array_equal(Qa, Qb)
+
+    def test_rd_als_runs_its_slice_steps_on_the_backend(self, tiny_tensor, monkeypatch):
+        """Both per-slice steps of every RD-ALS sweep go through the run's backend."""
+        resolved = []
+        calls = []
+
+        def counting_backend(name, n_workers=1):
+            engine = get_backend(name, n_workers)
+            resolved.append((engine.name, engine.n_workers))
+            real_map = engine.map_partitioned
+
+            def map_partitioned(func, items, weights):
+                calls.append((func.__name__, len(items)))
+                return real_map(func, items, weights)
+
+            engine.map_partitioned = map_partitioned
+            return engine
+
+        # The package re-exports the function under the module's name.
+        module = importlib.import_module("repro.decomposition.rd_als")
+        monkeypatch.setattr(module, "get_backend", counting_backend)
+        config = DecompositionConfig(
+            rank=3, max_iterations=2, tolerance=0.0, backend="thread",
+            n_threads=2, random_state=2,
+        )
+        rd_als(tiny_tensor, config)
+        K = tiny_tensor.n_slices
+        assert resolved == [("thread", 2)]
+        assert calls == [
+            ("procrustes_step", K), ("_criterion_projection", K),
+        ] * 2
 
 
 def test_abstract_base_not_instantiable():

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.data import audio
 from repro.data.audio import (
+    _envelope_run,
     generate_audio_tensor,
     hann_window,
     log_power_spectrogram,
@@ -26,6 +30,7 @@ from repro.data.synthetic import (
 )
 from repro.data.traffic import daily_profile, generate_traffic_tensor
 from repro.data.video import generate_video_tensor, smooth_walk
+from repro.util.rng import as_generator
 
 
 class TestStockMarket:
@@ -189,6 +194,112 @@ class TestAudio:
         for Xk in tensor:
             s = np.linalg.svd(Xk, compute_uv=False)
             assert s[10] < 0.35 * s[0]
+
+
+def ref_synthesize_clip(duration_samples, sample_rate=8000, n_voices=3, random_state=None):
+    """The full-length definition: every harmonic over the whole clip."""
+    rng = as_generator(random_state)
+    t = np.arange(duration_samples) / sample_rate
+    signal = np.zeros(duration_samples)
+    for _ in range(n_voices):
+        base = rng.uniform(80.0, 800.0)
+        drift = rng.uniform(-20.0, 20.0)
+        frequency = base + drift * t
+        phase = 2.0 * np.pi * np.cumsum(frequency) / sample_rate
+        onset = rng.uniform(0.0, 0.4)
+        offset = rng.uniform(0.6, 1.0)
+        envelope = ((t >= onset * t[-1]) & (t <= offset * t[-1])).astype(float)
+        for harmonic in range(1, 5):
+            amp = rng.uniform(0.5, 1.0) * 0.5**harmonic
+            signal += amp * envelope * np.sin(harmonic * phase)
+    signal += 0.02 * rng.standard_normal(duration_samples)
+    return signal
+
+
+def ref_stft_magnitude(signal, n_fft=256, hop=128):
+    """One Hann-windowed frame at a time."""
+    x = np.asarray(signal, dtype=np.float64).ravel()
+    if x.size < n_fft:
+        x = np.concatenate([x, np.zeros(n_fft - x.size)])
+    n_frames = 1 + int(np.ceil((x.size - n_fft) / hop))
+    padded = np.concatenate([x, np.zeros(max(0, (n_frames - 1) * hop + n_fft - x.size))])
+    window = hann_window(n_fft)
+    frames = np.stack([padded[i * hop : i * hop + n_fft] * window for i in range(n_frames)])
+    return np.abs(np.fft.rfft(frames, axis=1))
+
+
+class _WholeClipVoices(np.random.Generator):
+    """Draws every voice's onset at the clip's start and offset at its end."""
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        if (low, high) == (0.0, 0.4):
+            return 0.0
+        if (low, high) == (0.6, 1.0):
+            return 1.0
+        return super().uniform(low, high, size)
+
+
+class TestAudioOracles:
+    """Clips and spectrograms equal their full-length definitions byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        duration=st.one_of(st.integers(1, 4), st.integers(1, 6000)),
+        sample_rate=st.sampled_from([100, 8000, 22050]),
+        n_voices=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_clip_matches_full_length_oracle(self, duration, sample_rate, n_voices, seed):
+        # Durations 1 and 2 give a voice that covers every sample and one
+        # that covers none.
+        ours = synthesize_clip(duration, sample_rate, n_voices, random_state=seed)
+        theirs = ref_synthesize_clip(duration, sample_rate, n_voices, random_state=seed)
+        assert ours.tobytes() == theirs.tobytes()
+
+    @pytest.mark.parametrize("duration", [1, 2, 3, 1000])
+    def test_voices_over_the_whole_clip(self, duration):
+        ours = synthesize_clip(duration, random_state=_WholeClipVoices(np.random.PCG64(3)))
+        theirs = ref_synthesize_clip(
+            duration, random_state=_WholeClipVoices(np.random.PCG64(3))
+        )
+        assert ours.tobytes() == theirs.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        duration=st.integers(1, 500),
+        onset=st.floats(0.0, 1.0),
+        offset=st.floats(0.0, 1.0),
+    )
+    def test_envelope_run_is_the_envelope(self, duration, onset, offset):
+        t = np.arange(duration) / 8000
+        first, stop = _envelope_run(t, onset, offset)
+        run = np.zeros(duration, dtype=bool)
+        run[first:stop] = True
+        np.testing.assert_array_equal(run, (t >= onset * t[-1]) & (t <= offset * t[-1]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        length=st.integers(1, 5000),
+        n_fft=st.sampled_from([4, 64, 256, 1024]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stft_matches_per_frame_oracle(self, length, n_fft, seed):
+        signal = np.random.default_rng(seed).standard_normal(length)
+        ours = stft_magnitude(signal, n_fft, n_fft // 2)
+        assert ours.tobytes() == ref_stft_magnitude(signal, n_fft, n_fft // 2).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", ["fma", "urban"])
+def test_audio_stand_ins_match_oracle_build(name, seed, monkeypatch):
+    """The registry's audio tensors equal a build with the oracles patched in."""
+    fast = load_dataset(name, random_state=seed)
+    monkeypatch.setattr(audio, "synthesize_clip", ref_synthesize_clip)
+    monkeypatch.setattr(audio, "stft_magnitude", ref_stft_magnitude)
+    slow = load_dataset(name, random_state=seed)
+    assert fast.row_counts == slow.row_counts
+    for a, b in zip(fast.slices, slow.slices):
+        assert a.tobytes() == b.tobytes()
 
 
 class TestVideo:

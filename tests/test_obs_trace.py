@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+from repro.cli import main as cli_main
+from repro.data.registry import load_dataset
 from repro.decomposition.dpar2 import dpar2
 from repro.decomposition.streaming import StreamingDpar2
 from repro.obs import trace
@@ -161,6 +163,28 @@ class TestStreamingSpans:
         assert by_id[run["parent"]]["name"] == "streaming.refresh"
         (refresh,) = [record for record in spans if record["name"] == "streaming.refresh"]
         assert refresh["attrs"] == {"slices": tensor.n_slices, "warm_start": False}
+
+
+class TestDataSpans:
+    def test_load_dataset_emits_one_generate_span(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        trace.start(path)
+        try:
+            tensor = load_dataset("pems-sf", random_state=0)
+        finally:
+            trace.stop()
+        spans = trace.load_spans(path)
+        assert [(s["name"], s["parent"]) for s in spans] == [("data.generate", None)]
+        assert spans[0]["attrs"] == {"dataset": "pems_sf", "slices": tensor.n_slices}
+
+    def test_decompose_cli_traces_generation_beside_the_run(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        assert cli_main([
+            "decompose", "traffic", "--rank", "4", "--max-iterations", "2",
+            "--trace", str(path),
+        ]) == 0
+        roots = [s["name"] for s in trace.load_spans(path) if s["parent"] is None]
+        assert roots == ["data.generate", "dpar2.run"]
 
 
 class TestSummarize:
