@@ -28,10 +28,9 @@ below baseline divided by it) or when a machine-independent invariant
 breaks: batched throughput must be at least unbatched throughput, the
 idle-path adaptive p50 must stay within 10% of the coalescing-free p50,
 and concurrent load must actually coalesce kernel calls.  The fold-in
-timing is recorded, not gated.  Schema v4; baselines from v2 on compare
-(schema v1 records predate keep-alive and the adaptive window; the
-workload check refuses them).  See docs/benchmarks.md for the field
-reference and baseline re-record procedure.
+timing is recorded, not gated.  Schema v4; a baseline of another schema
+refuses the comparison.  See docs/benchmarks.md for the field reference
+and baseline re-record procedure.
 """
 
 from __future__ import annotations
@@ -60,8 +59,7 @@ from repro.tensor.random import low_rank_irregular_tensor  # noqa: E402
 from repro.util.config import DecompositionConfig  # noqa: E402
 
 #: v3 adds the ``metrics`` registry snapshot of the adaptive server, v4
-#: the ``fold_in`` timing; the gate math is unchanged, so v2 baselines
-#: still check cleanly.
+#: the ``fold_in`` timing.
 SCHEMA_VERSION = 4
 
 #: Rows of the unseen slice the fold-in timing projects.
@@ -364,16 +362,11 @@ def check_against_baseline(
     adaptive p50 within 10% of the coalescing-free p50; concurrent load
     actually coalescing), and relative regressions against the committed
     baseline (p99 latency up, or rps down, beyond ``max_regression``).
-    A baseline recorded for a different workload (or the pre-keep-alive
-    schema v1) refuses the comparison instead of misreading it.
+    A baseline recorded for a different workload or schema refuses the
+    comparison instead of misreading it.
     """
     failures = []
-    base_schema = baseline.get("schema_version") or 0
-    # Older-but-compatible baselines (v2, pre-metrics-snapshot) still
-    # compare — the gate only reads fields both schemas carry.  v1
-    # predates keep-alive, and a baseline *newer* than the record means
-    # the checkout is older than the baseline; both refuse.
-    if base_schema < 2 or base_schema > record.get("schema_version", 0):
+    if baseline.get("schema_version") != record.get("schema_version"):
         failures.append(
             f"baseline schema v{baseline.get('schema_version')} not comparable "
             f"with record schema v{record.get('schema_version')} — re-record "

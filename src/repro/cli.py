@@ -516,8 +516,10 @@ def cmd_query(args: argparse.Namespace) -> int:
     import urllib.error
     import urllib.request
 
+    from repro.serve import wire
+
     def _request(method: str, path: str, body: "dict | None" = None):
-        data = None if body is None else _json.dumps(body).encode()
+        data = None if body is None else wire.encode(body)
         req = urllib.request.Request(
             args.url.rstrip("/") + path,
             data=data,
@@ -525,7 +527,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             headers={"Content-Type": "application/json"} if data else {},
         )
         with urllib.request.urlopen(req, timeout=30) as response:
-            return _json.loads(response.read())
+            return wire.decode(response.read())
 
     pin = {} if args.model_version is None else {"version": args.model_version}
     try:

@@ -41,9 +41,11 @@ that makes that hold:
   floats are IEEE doubles, so each step rounds exactly as the same step
   on numpy scalars.
 
-:func:`compute_indicator_matrix` computes each distinct series once per
-stock and reuses it (Williams %R from %K, Bollinger bands from the SMA
-and rolling-std columns, each MACD signal from its MACD line).
+:func:`compute_indicator_matrix` validates its OHLCV block once, then
+computes each distinct series once per stock through the unvalidated
+kernels behind the public functions and reuses it (Williams %R from %K,
+Bollinger bands from the SMA and rolling-std columns, each MACD signal
+from its MACD line, ATR from the true range).
 """
 
 from __future__ import annotations
@@ -107,10 +109,13 @@ def _smooth(x: np.ndarray, alpha: float) -> np.ndarray:
 # --------------------------------------------------------------------- #
 # moving averages
 # --------------------------------------------------------------------- #
+#
+# Each public indicator validates its inputs (:func:`_as_series`) and
+# calls an unvalidated kernel of the same name with a leading underscore;
+# :func:`compute_indicator_matrix` validates its OHLCV block once and calls
+# the kernels directly.
 
-def sma(values, window: int) -> np.ndarray:
-    """Simple moving average over ``window`` periods."""
-    x = _as_series(values, "values")
+def _sma(x: np.ndarray, window: int) -> np.ndarray:
     w = _check_window(window, x.size)
     csum = np.concatenate([[0.0], np.cumsum(x)])
     out = np.empty_like(x)
@@ -120,16 +125,22 @@ def sma(values, window: int) -> np.ndarray:
     return out
 
 
-def ema(values, window: int) -> np.ndarray:
-    """Exponential moving average with smoothing ``2/(window+1)``."""
-    x = _as_series(values, "values")
+def sma(values, window: int) -> np.ndarray:
+    """Simple moving average over ``window`` periods."""
+    return _sma(_as_series(values, "values"), window)
+
+
+def _ema(x: np.ndarray, window: int) -> np.ndarray:
     w = _check_window(window, x.size)
     return _smooth(x, 2.0 / (w + 1.0))
 
 
-def wma(values, window: int) -> np.ndarray:
-    """Linearly weighted moving average (recent periods weigh more)."""
-    x = _as_series(values, "values")
+def ema(values, window: int) -> np.ndarray:
+    """Exponential moving average with smoothing ``2/(window+1)``."""
+    return _ema(_as_series(values, "values"), window)
+
+
+def _wma(x: np.ndarray, window: int) -> np.ndarray:
     w = _check_window(window, x.size)
     weights = np.arange(1, w + 1, dtype=np.float64)
     weights /= weights.sum()
@@ -144,9 +155,20 @@ def wma(values, window: int) -> np.ndarray:
     return out
 
 
+def wma(values, window: int) -> np.ndarray:
+    """Linearly weighted moving average (recent periods weigh more)."""
+    return _wma(_as_series(values, "values"), window)
+
+
 # --------------------------------------------------------------------- #
 # the four indicators the paper analyzes in Fig. 12
 # --------------------------------------------------------------------- #
+
+def _obv(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    direction = np.zeros_like(c)
+    direction[1:] = np.sign(np.diff(c))
+    return np.cumsum(direction * v)
+
 
 def obv(close, volume) -> np.ndarray:
     """On-Balance Volume: cumulative volume signed by the close-to-close move."""
@@ -154,9 +176,14 @@ def obv(close, volume) -> np.ndarray:
     v = _as_series(volume, "volume")
     if c.size != v.size:
         raise ValueError(f"close and volume lengths differ: {c.size} vs {v.size}")
-    direction = np.zeros_like(c)
-    direction[1:] = np.sign(np.diff(c))
-    return np.cumsum(direction * v)
+    return _obv(c, v)
+
+
+def _true_range(h: np.ndarray, l: np.ndarray, c: np.ndarray) -> np.ndarray:
+    prev_close = np.concatenate([[c[0]], c[:-1]])
+    return np.maximum.reduce(
+        [h - l, np.abs(h - prev_close), np.abs(l - prev_close)]
+    )
 
 
 def true_range(high, low, close) -> np.ndarray:
@@ -166,40 +193,36 @@ def true_range(high, low, close) -> np.ndarray:
     c = _as_series(close, "close")
     if not (h.size == l.size == c.size):
         raise ValueError("high, low, close must have equal lengths")
-    prev_close = np.concatenate([[c[0]], c[:-1]])
-    return np.maximum.reduce(
-        [h - l, np.abs(h - prev_close), np.abs(l - prev_close)]
-    )
+    return _true_range(h, l, c)
+
+
+def _atr(tr: np.ndarray, window: int) -> np.ndarray:
+    """Wilder smoothing of a true-range series."""
+    return _smooth(tr, 1.0 / _check_window(window, tr.size))
 
 
 def atr(high, low, close, window: int = 14) -> np.ndarray:
     """Average True Range (Wilder): EMA-smoothed true range — a volatility gauge."""
-    tr = true_range(high, low, close)
-    w = _check_window(window, tr.size)
-    return _smooth(tr, 1.0 / w)  # Wilder smoothing
+    return _atr(true_range(high, low, close), window)
+
+
+def _macd(c: np.ndarray, fast: int, slow: int) -> np.ndarray:
+    return _ema(c, fast) - _ema(c, slow)
 
 
 def macd(close, fast: int = 12, slow: int = 26) -> np.ndarray:
     """MACD line (Appel): fast EMA minus slow EMA of the close — a trend gauge."""
     if fast >= slow:
         raise ValueError(f"fast window ({fast}) must be below slow ({slow})")
-    c = _as_series(close, "close")
-    return ema(c, fast) - ema(c, slow)
+    return _macd(_as_series(close, "close"), fast, slow)
 
 
 def macd_signal(close, fast: int = 12, slow: int = 26, signal: int = 9) -> np.ndarray:
     """Signal line: EMA of the MACD line."""
-    return ema(macd(close, fast, slow), signal)
+    return _ema(macd(close, fast, slow), signal)
 
 
-def stochastic_oscillator(high, low, close, window: int = 14) -> np.ndarray:
-    """Stochastic %K (Lane): close position within the recent high-low range.
-
-    Momentum gauge in [0, 100]; flat windows (high == low) map to 50.
-    """
-    h = _as_series(high, "high")
-    l = _as_series(low, "low")
-    c = _as_series(close, "close")
+def _stochastic(h: np.ndarray, l: np.ndarray, c: np.ndarray, window: int) -> np.ndarray:
     w = _check_window(window, c.size)
     window_low = _window_extreme(l, w, np.minimum)
     span = _window_extreme(h, w, np.maximum) - window_low
@@ -209,13 +232,21 @@ def stochastic_oscillator(high, low, close, window: int = 14) -> np.ndarray:
     return out
 
 
+def stochastic_oscillator(high, low, close, window: int = 14) -> np.ndarray:
+    """Stochastic %K (Lane): close position within the recent high-low range.
+
+    Momentum gauge in [0, 100]; flat windows (high == low) map to 50.
+    """
+    return _stochastic(
+        _as_series(high, "high"), _as_series(low, "low"), _as_series(close, "close"), window
+    )
+
+
 # --------------------------------------------------------------------- #
 # the broader standard kit
 # --------------------------------------------------------------------- #
 
-def rsi(close, window: int = 14) -> np.ndarray:
-    """Relative Strength Index in [0, 100] with Wilder smoothing."""
-    c = _as_series(close, "close")
+def _rsi(c: np.ndarray, window: int) -> np.ndarray:
     w = _check_window(window, c.size)
     delta = np.diff(c, prepend=c[0])
     avg_gain = _smooth(np.clip(delta, 0.0, None), 1.0 / w)
@@ -226,9 +257,12 @@ def rsi(close, window: int = 14) -> np.ndarray:
     return out
 
 
-def momentum(close, window: int = 10) -> np.ndarray:
-    """Price change over ``window`` periods."""
-    c = _as_series(close, "close")
+def rsi(close, window: int = 14) -> np.ndarray:
+    """Relative Strength Index in [0, 100] with Wilder smoothing."""
+    return _rsi(_as_series(close, "close"), window)
+
+
+def _momentum(c: np.ndarray, window: int) -> np.ndarray:
     w = _check_window(window, c.size)
     out = np.empty_like(c)
     out[w:] = c[w:] - c[:-w]
@@ -236,9 +270,12 @@ def momentum(close, window: int = 10) -> np.ndarray:
     return out
 
 
-def rate_of_change(close, window: int = 10) -> np.ndarray:
-    """Percentage price change over ``window`` periods."""
-    c = _as_series(close, "close")
+def momentum(close, window: int = 10) -> np.ndarray:
+    """Price change over ``window`` periods."""
+    return _momentum(_as_series(close, "close"), window)
+
+
+def _rate_of_change(c: np.ndarray, window: int) -> np.ndarray:
     w = _check_window(window, c.size)
     out = np.empty_like(c)
     base = np.where(c[:-w] != 0, c[:-w], 1.0)
@@ -247,18 +284,21 @@ def rate_of_change(close, window: int = 10) -> np.ndarray:
     return out
 
 
+def rate_of_change(close, window: int = 10) -> np.ndarray:
+    """Percentage price change over ``window`` periods."""
+    return _rate_of_change(_as_series(close, "close"), window)
+
+
 def bollinger_bands(close, window: int = 20, n_std: float = 2.0):
     """Bollinger (middle, upper, lower) bands: SMA ± n_std rolling stdevs."""
     c = _as_series(close, "close")
     w = _check_window(window, c.size)
-    middle = sma(c, w)
-    std = rolling_std(c, w)
+    middle = _sma(c, w)
+    std = _rolling_std(c, w)
     return middle, middle + n_std * std, middle - n_std * std
 
 
-def rolling_std(values, window: int) -> np.ndarray:
-    """Rolling population standard deviation with expanding warm-up."""
-    x = _as_series(values, "values")
+def _rolling_std(x: np.ndarray, window: int) -> np.ndarray:
     w = _check_window(window, x.size)
     csum = np.concatenate([[0.0], np.cumsum(x)])
     csum_sq = np.concatenate([[0.0], np.cumsum(x * x)])
@@ -270,11 +310,12 @@ def rolling_std(values, window: int) -> np.ndarray:
     return np.sqrt(np.maximum(mean_sq - mean * mean, 0.0))
 
 
-def cci(high, low, close, window: int = 20) -> np.ndarray:
-    """Commodity Channel Index: typical-price deviation / mean abs deviation."""
-    h = _as_series(high, "high")
-    l = _as_series(low, "low")
-    c = _as_series(close, "close")
+def rolling_std(values, window: int) -> np.ndarray:
+    """Rolling population standard deviation with expanding warm-up."""
+    return _rolling_std(_as_series(values, "values"), window)
+
+
+def _cci(h: np.ndarray, l: np.ndarray, c: np.ndarray, window: int) -> np.ndarray:
     w = _check_window(window, c.size)
     typical = (h + l + c) / 3.0
     mean = np.empty_like(c)
@@ -292,27 +333,34 @@ def cci(high, low, close, window: int = 20) -> np.ndarray:
     return out
 
 
+def cci(high, low, close, window: int = 20) -> np.ndarray:
+    """Commodity Channel Index: typical-price deviation / mean abs deviation."""
+    return _cci(
+        _as_series(high, "high"), _as_series(low, "low"), _as_series(close, "close"), window
+    )
+
+
 def williams_r(high, low, close, window: int = 14) -> np.ndarray:
     """Williams %R in [−100, 0]: inverse of the stochastic oscillator."""
     return stochastic_oscillator(high, low, close, window) - 100.0
 
 
-def trix(close, window: int = 15) -> np.ndarray:
-    """TRIX: 1-period percent ROC of a triple-smoothed EMA."""
-    c = _as_series(close, "close")
-    triple = ema(ema(ema(c, window), window), window)
+def _trix(c: np.ndarray, window: int) -> np.ndarray:
+    triple = _ema(_ema(_ema(c, window), window), window)
     out = np.zeros_like(c)
     base = np.where(triple[:-1] != 0, triple[:-1], 1.0)
     out[1:] = 100.0 * (triple[1:] - triple[:-1]) / base
     return out
 
 
-def mfi(high, low, close, volume, window: int = 14) -> np.ndarray:
-    """Money Flow Index: volume-weighted RSI of the typical price."""
-    h = _as_series(high, "high")
-    l = _as_series(low, "low")
-    c = _as_series(close, "close")
-    v = _as_series(volume, "volume")
+def trix(close, window: int = 15) -> np.ndarray:
+    """TRIX: 1-period percent ROC of a triple-smoothed EMA."""
+    return _trix(_as_series(close, "close"), window)
+
+
+def _mfi(
+    h: np.ndarray, l: np.ndarray, c: np.ndarray, v: np.ndarray, window: int
+) -> np.ndarray:
     w = _check_window(window, c.size)
     typical = (h + l + c) / 3.0
     flow = typical * v
@@ -326,14 +374,27 @@ def mfi(high, low, close, volume, window: int = 14) -> np.ndarray:
     return out
 
 
-def price_volume_trend(close, volume) -> np.ndarray:
-    """PVT: cumulative volume scaled by fractional price change."""
-    c = _as_series(close, "close")
-    v = _as_series(volume, "volume")
+def mfi(high, low, close, volume, window: int = 14) -> np.ndarray:
+    """Money Flow Index: volume-weighted RSI of the typical price."""
+    return _mfi(
+        _as_series(high, "high"),
+        _as_series(low, "low"),
+        _as_series(close, "close"),
+        _as_series(volume, "volume"),
+        window,
+    )
+
+
+def _price_volume_trend(c: np.ndarray, v: np.ndarray) -> np.ndarray:
     change = np.zeros_like(c)
     base = np.where(c[:-1] != 0, c[:-1], 1.0)
     change[1:] = (c[1:] - c[:-1]) / base
     return np.cumsum(change * v)
+
+
+def price_volume_trend(close, volume) -> np.ndarray:
+    """PVT: cumulative volume scaled by fractional price change."""
+    return _price_volume_trend(_as_series(close, "close"), _as_series(volume, "volume"))
 
 
 # --------------------------------------------------------------------- #
@@ -401,47 +462,59 @@ def compute_indicator_matrix(ohlcv: np.ndarray) -> np.ndarray:
     Returns
     -------
     ``(T, 83)`` array, columns ordered as :func:`indicator_names`.
+
+    Raises
+    ------
+    ValueError
+        If ``ohlcv`` is not ``(T, 5)`` with ``T >= 1``, or any of its five
+        columns holds a NaN or an infinity.
     """
     data = np.asarray(ohlcv, dtype=np.float64)
     if data.ndim != 2 or data.shape[1] != 5:
         raise ValueError(f"ohlcv must be (T, 5), got {data.shape}")
-    o, h, l, c, v = (data[:, i] for i in range(5))
+    if data.shape[0] == 0:
+        raise ValueError("ohlcv must be non-empty")
+    # The whole block once (the open column too, which no indicator
+    # reads); the kernels below take the columns unvalidated, as the
+    # contiguous copies _as_series would make.
+    if not np.isfinite(data).all():
+        raise ValueError("ohlcv contains NaN or Inf")
+    h, l, c, v = (np.ascontiguousarray(data[:, i]) for i in (1, 2, 3, 4))
 
     # Series that several column families share are computed once: %K
-    # (Williams %R), the SMA and rolling std (Bollinger bands) and the
-    # MACD line (its signal).  Same inputs, so the same bits.
-    sma_c = {w: sma(c, w) for w in _SMA_WINDOWS + _BOLLINGER_WINDOWS}
-    std_c = {w: rolling_std(c, w) for w in _STD_WINDOWS + _BOLLINGER_WINDOWS}
-    stoch = {
-        w: stochastic_oscillator(h, l, c, w)
-        for w in _STOCH_WINDOWS + _WILLIAMS_WINDOWS
-    }
+    # (Williams %R), the SMA and rolling std (Bollinger bands), the MACD
+    # line (its signal) and the true range (ATR).  Same inputs, so the
+    # same bits.
+    sma_c = {w: _sma(c, w) for w in _SMA_WINDOWS + _BOLLINGER_WINDOWS}
+    std_c = {w: _rolling_std(c, w) for w in _STD_WINDOWS + _BOLLINGER_WINDOWS}
+    stoch = {w: _stochastic(h, l, c, w) for w in _STOCH_WINDOWS + _WILLIAMS_WINDOWS}
     macd_line = {
-        (f, s): macd(c, f, s)
+        (f, s): _macd(c, f, s)
         for f, s in _MACD_PARAMS + tuple(p[:2] for p in _MACD_SIGNAL_PARAMS)
     }
+    tr = _true_range(h, l, c)
 
     columns: list[np.ndarray] = []
     columns += [sma_c[w] for w in _SMA_WINDOWS]
-    columns += [ema(c, w) for w in _EMA_WINDOWS]
-    columns += [wma(c, w) for w in _WMA_WINDOWS]
-    columns += [rsi(c, w) for w in _RSI_WINDOWS]
-    columns += [atr(h, l, c, w) for w in _ATR_WINDOWS]
+    columns += [_ema(c, w) for w in _EMA_WINDOWS]
+    columns += [_wma(c, w) for w in _WMA_WINDOWS]
+    columns += [_rsi(c, w) for w in _RSI_WINDOWS]
+    columns += [_atr(tr, w) for w in _ATR_WINDOWS]
     columns += [stoch[w] for w in _STOCH_WINDOWS]
-    columns += [momentum(c, w) for w in _MOMENTUM_WINDOWS]
-    columns += [rate_of_change(c, w) for w in _ROC_WINDOWS]
-    columns += [cci(h, l, c, w) for w in _CCI_WINDOWS]
+    columns += [_momentum(c, w) for w in _MOMENTUM_WINDOWS]
+    columns += [_rate_of_change(c, w) for w in _ROC_WINDOWS]
+    columns += [_cci(h, l, c, w) for w in _CCI_WINDOWS]
     columns += [stoch[w] - 100.0 for w in _WILLIAMS_WINDOWS]
-    columns += [trix(c, w) for w in _TRIX_WINDOWS]
-    columns += [mfi(h, l, c, v, w) for w in _MFI_WINDOWS]
+    columns += [_trix(c, w) for w in _TRIX_WINDOWS]
+    columns += [_mfi(h, l, c, v, w) for w in _MFI_WINDOWS]
     for w in _BOLLINGER_WINDOWS:
         # bollinger_bands(c, w) at its default n_std=2.0.
         columns += [sma_c[w] + 2.0 * std_c[w], sma_c[w] - 2.0 * std_c[w]]
     columns += [std_c[w] for w in _STD_WINDOWS]
     columns += [macd_line[f, s] for f, s in _MACD_PARAMS]
-    columns += [ema(macd_line[f, s], g) for f, s, g in _MACD_SIGNAL_PARAMS]
-    columns += [sma(v, w) for w in _VOLUME_SMA_WINDOWS]
-    columns += [obv(c, v), price_volume_trend(c, v), true_range(h, l, c)]
+    columns += [_ema(macd_line[f, s], g) for f, s, g in _MACD_SIGNAL_PARAMS]
+    columns += [_sma(v, w) for w in _VOLUME_SMA_WINDOWS]
+    columns += [_obv(c, v), _price_volume_trend(c, v), tr]
 
     matrix = np.column_stack(columns)
     expected = len(indicator_names())

@@ -3,7 +3,7 @@
 The paper's end goal is not the factor matrices themselves but what they
 answer — Table 3 ranks similar stocks by comparing rows of the learned
 factors.  This package turns a fitted :class:`~repro.decomposition.result.Parafac2Result`
-into a queryable system, in three layers:
+into a queryable system, in three layers and a codec:
 
 * :mod:`repro.serve.store` — :class:`FactorStore`, a versioned on-disk model
   registry (manifest + ``.npy`` segments in the
@@ -16,6 +16,9 @@ into a queryable system, in three layers:
   adaptive request micro-batching (the coalescing window opens only under
   queue pressure), HTTP/1.1 keep-alive, an LRU of per-version engines, and
   zero-downtime hot swap when the registry publishes a new version.
+* :mod:`repro.serve.wire` — the JSON codec of every request and response
+  body: orjson when importable, the stdlib ``json`` otherwise, under one
+  input contract.
 
 See ``docs/architecture.md`` for how this layer sits on the kernels and
 ``docs/serving.md`` for the operator guide.

@@ -26,9 +26,11 @@ Three serving concerns live here:
   out, with HTTP/1.1 keep-alive semantics: a connection serves requests
   until the client sends ``Connection: close`` (or an HTTP/1.0 client
   omits ``keep-alive``), so steady traffic pays the TCP handshake once.
+  Bodies cross the socket through :mod:`repro.serve.wire` (orjson when
+  importable, the stdlib ``json`` otherwise, under one input contract).
   Hot read-only responses are pre-serialized: the current model card is
   cached as encoded bytes per engine, and ``/healthz`` renders through a
-  constant format string instead of ``json.dumps``.
+  constant format string instead of an encoder.
 
 Endpoints (all bodies JSON)::
 
@@ -75,7 +77,6 @@ All of it is observable under the ``"faults"`` key of ``/healthz``.
 from __future__ import annotations
 
 import asyncio
-import json
 import signal
 import threading
 import time
@@ -86,6 +87,7 @@ import numpy as np
 
 from repro.obs import exposition, trace
 from repro.obs.metrics import Counter, MetricsRegistry
+from repro.serve import wire
 from repro.serve.queries import QueryEngine
 from repro.serve.store import FactorStore
 from repro.util import faults
@@ -122,7 +124,7 @@ _REASONS = {
 class _PromText(bytes):
     """Pre-encoded response body that must ship as Prometheus text.
 
-    ``_write_response`` keys the ``Content-Type`` header off this type, so
+    ``_encode_response`` keys the ``Content-Type`` header off this type, so
     ``GET /metrics`` answers with the text-exposition media type while
     every other pre-encoded hot path stays ``application/json``.
     """
@@ -771,23 +773,37 @@ class MicroBatcher:
         )
 
 
-def _json_default(obj):
-    """Convert numpy scalars/arrays for ``json.dumps``; reject the rest."""
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _meta_count(meta: dict, key: str) -> int:
     """Read a counter out of publisher meta, tolerating absent/junk values."""
     try:
         return int(meta.get(key, 0) or 0)
     except (TypeError, ValueError):
         return 0
+
+
+def _decode_body(raw: bytes) -> dict:
+    """Decode a request body (empty → ``{}``); anything but an object is a 400."""
+    if not raw:
+        return {}
+    try:
+        body = wire.decode(raw)
+    except wire.DecodeError as exc:
+        raise ServiceError(400, f"request body is not JSON: {exc}") from None
+    if not isinstance(body, dict):
+        raise ServiceError(400, "request body must be a JSON object")
+    return body
+
+
+def _encode_response(status: int, payload) -> tuple[int, str, bytes]:
+    """``(status, content type, body)`` of a payload; bytes pass through."""
+    if isinstance(payload, _PromText):
+        return status, exposition.CONTENT_TYPE, bytes(payload)
+    if isinstance(payload, (bytes, bytearray)):
+        return status, "application/json", bytes(payload)
+    try:
+        return status, "application/json", wire.encode(payload)
+    except (TypeError, ValueError):  # pragma: no cover - defensive
+        return 500, "application/json", b'{"error":"response not serializable"}'
 
 
 class ServeApp:
@@ -1067,9 +1083,9 @@ class ServeApp:
         """Render ``/healthz`` through a constant format string.
 
         The health endpoint is the highest-rate route in any deployment
-        (load balancers poll it), so it avoids ``json.dumps`` and dict
+        (load balancers poll it), so it avoids the encoder and dict
         building entirely — every value interpolates into a pre-written
-        JSON skeleton.
+        JSON skeleton.  ``codec`` names the wire codec (``wire.NAME``).
         """
         version = self.host.current_version
         transfers = self.host.transfer_stats()
@@ -1078,7 +1094,7 @@ class ServeApp:
         quarantined_json = (
             "{}"
             if not quarantined
-            else json.dumps({str(k): v for k, v in sorted(quarantined.items())})
+            else wire.encode({str(k): v for k, v in sorted(quarantined.items())}).decode()
         )
         return (
             f'{{"status":"ok",'
@@ -1101,7 +1117,8 @@ class ServeApp:
             f'"transfers":{{"h2d_calls":{transfers["h2d_calls"]},'
             f'"h2d_bytes":{transfers["h2d_bytes"]},'
             f'"d2h_calls":{transfers["d2h_calls"]},'
-            f'"d2h_bytes":{transfers["d2h_bytes"]}}}}}}}'
+            f'"d2h_bytes":{transfers["d2h_bytes"]}}}}},'
+            f'"codec":"{wire.NAME}"}}'
         ).encode()
 
     def _model_body(self, engine: QueryEngine) -> bytes:
@@ -1114,7 +1131,7 @@ class ServeApp:
         cached = self._model_cache
         if cached is not None and cached[0] is engine:
             return cached[1]
-        body = json.dumps(engine.metadata(), default=_json_default).encode()
+        body = wire.encode(engine.metadata())
         self._model_cache = (engine, body)
         return body
 
@@ -1136,26 +1153,25 @@ class ServeApp:
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(None, self.host.engine, version)
 
-    async def _dispatch(self, method: str, target: str, body: dict):
+    async def _dispatch(self, method: str, target: str, body: dict, span):
         """Route one parsed request; return ``(status, payload)``.
 
         ``payload`` is either a JSON-safe dict or pre-encoded ``bytes``
         (the hot-path responses).  The dispatch is timed into the
         per-endpoint ``repro_serve_request_seconds`` histogram — known
         routes get their own ``path`` label, everything else pools under
-        ``"other"`` — and wrapped in a ``serve.request`` span when tracing
-        is on (parentage across ``await`` points is best-effort: the event
-        loop interleaves tasks on one thread).
+        ``"other"`` — and ``span``, the request's ``serve.request`` span,
+        is annotated with the method and path.
         """
         await faults.async_check("serve.dispatch")
         parts = urlsplit(target)
         path = parts.path.rstrip("/") or "/"
+        span.annotate(method=method, path=path)
         query = parse_qs(parts.query)
         hist = self._m_request_seconds.get(path, self._m_request_seconds_other)
         t0 = time.perf_counter()
         try:
-            with trace.span("serve.request", method=method, path=path):
-                return await self._route(method, path, query, body)
+            return await self._route(method, path, query, body)
         finally:
             hist.observe(time.perf_counter() - t0)
 
@@ -1364,116 +1380,115 @@ class ServeApp:
         if not request_line or request_line in (b"\r\n", b"\n"):
             return False
         self._m_requests.inc()  # pre-dispatch: /healthz counts itself
-        keep_alive = True
-        status, payload = 500, {"error": "internal error"}
-        retry_after: float | None = None
         self._active_requests += 1
         try:
-            try:
-                try:
-                    method, target, proto = request_line.decode("latin-1").split(" ", 2)
-                except ValueError:
-                    raise ServiceError(400, "malformed request line", close=True) from None
-                http11 = proto.strip().upper().startswith("HTTP/1.1")
-                content_length = 0
-                connection_token = None
-                for _ in range(_MAX_HEADER_LINES):
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, _, value = line.decode("latin-1").partition(":")
-                    name = name.strip().lower()
-                    if name == "content-length":
-                        try:
-                            content_length = int(value.strip())
-                        except ValueError:
-                            raise ServiceError(400, "bad Content-Length", close=True) from None
-                        if content_length < 0:
-                            raise ServiceError(400, "bad Content-Length", close=True)
-                    elif name == "connection":
-                        connection_token = value.strip().lower()
-                else:
-                    raise ServiceError(400, "too many request headers", close=True)
-                keep_alive = (
-                    connection_token != "close" if http11 else connection_token == "keep-alive"
+            # Opened before the body is read, so that serve.decode and
+            # serve.encode are its children.
+            with trace.span("serve.request") as span:
+                answer = await self._answer(request_line, reader, span)
+                if answer is None:  # the client went away mid-request
+                    return False
+                status, payload, keep_alive, retry_after = answer
+                if self._draining:
+                    keep_alive = False  # drain: answer, then shut the connection
+                with trace.span("serve.encode"):
+                    status, content_type, body = _encode_response(status, payload)
+                await self._write_response(
+                    writer, status, content_type, body,
+                    keep_alive=keep_alive, retry_after=retry_after,
                 )
-                if self.max_body_bytes is not None and content_length > self.max_body_bytes:
-                    # Decided from the Content-Length header alone — the body
-                    # is never read, so an oversized upload cannot balloon
-                    # server memory.  The unread bytes lose the framing,
-                    # hence close=True.
-                    raise ServiceError(
-                        413,
-                        f"request body of {content_length} bytes exceeds "
-                        f"the {self.max_body_bytes}-byte cap",
-                        close=True,
-                    )
-                body: dict = {}
-                if content_length:
-                    raw = await reader.readexactly(content_length)
-                    try:
-                        body = json.loads(raw)
-                    except json.JSONDecodeError as exc:
-                        raise ServiceError(400, f"request body is not JSON: {exc}") from exc
-                    if not isinstance(body, dict):
-                        raise ServiceError(400, "request body must be a JSON object")
-                dispatch = self._dispatch(method.upper(), target, body)
-                if self.request_timeout is not None and self.request_timeout > 0:
-                    try:
-                        status, payload = await asyncio.wait_for(
-                            dispatch, self.request_timeout
-                        )
-                    except asyncio.TimeoutError:
-                        self._m_timeouts.inc()
-                        raise ServiceError(
-                            503,
-                            f"request deadline of {self.request_timeout}s exceeded",
-                            retry_after=1,
-                        ) from None
-                else:
-                    status, payload = await dispatch
-            except ServiceError as exc:
-                status, payload = exc.status, {"error": str(exc)}
-                retry_after = exc.retry_after
-                keep_alive = keep_alive and not exc.close
-            except (ValueError, IndexError, TypeError) as exc:
-                status, payload = 400, {"error": str(exc)}
-            except (LookupError, FileNotFoundError) as exc:
-                status, payload = 404, {"error": str(exc)}
-            except (asyncio.IncompleteReadError, ConnectionError):
-                return False
-            except Exception as exc:  # noqa: BLE001 - last-resort 500
-                status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-            if self._draining:
-                keep_alive = False  # drain: answer, then shut the connection
-            await self._write_response(
-                writer, status, payload, keep_alive=keep_alive, retry_after=retry_after
-            )
             return keep_alive and not writer.is_closing()
         finally:
             self._active_requests -= 1
+
+    async def _answer(self, request_line: bytes, reader: asyncio.StreamReader, span):
+        """Read the rest of one request and dispatch it.
+
+        Returns
+        -------
+        tuple or None
+            ``(status, payload, keep_alive, retry_after)``, with every
+            error mapped to its status; None when the client went away.
+        """
+        keep_alive = True
+        try:
+            try:
+                method, target, proto = request_line.decode("latin-1").split(" ", 2)
+            except ValueError:
+                raise ServiceError(400, "malformed request line", close=True) from None
+            http11 = proto.strip().upper().startswith("HTTP/1.1")
+            content_length = 0
+            connection_token = None
+            for _ in range(_MAX_HEADER_LINES):
+                line = await reader.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.decode("latin-1").partition(":")
+                name = name.strip().lower()
+                if name == "content-length":
+                    try:
+                        content_length = int(value.strip())
+                    except ValueError:
+                        raise ServiceError(400, "bad Content-Length", close=True) from None
+                    if content_length < 0:
+                        raise ServiceError(400, "bad Content-Length", close=True)
+                elif name == "connection":
+                    connection_token = value.strip().lower()
+            else:
+                raise ServiceError(400, "too many request headers", close=True)
+            keep_alive = (
+                connection_token != "close" if http11 else connection_token == "keep-alive"
+            )
+            if self.max_body_bytes is not None and content_length > self.max_body_bytes:
+                # Decided from the Content-Length header alone — the body
+                # is never read, so an oversized upload cannot balloon
+                # server memory.  The unread bytes lose the framing,
+                # hence close=True.
+                raise ServiceError(
+                    413,
+                    f"request body of {content_length} bytes exceeds "
+                    f"the {self.max_body_bytes}-byte cap",
+                    close=True,
+                )
+            raw = await reader.readexactly(content_length) if content_length else b""
+            with trace.span("serve.decode", bytes=content_length):
+                body = _decode_body(raw)
+            dispatch = self._dispatch(method.upper(), target, body, span)
+            if self.request_timeout is not None and self.request_timeout > 0:
+                try:
+                    status, payload = await asyncio.wait_for(dispatch, self.request_timeout)
+                except asyncio.TimeoutError:
+                    self._m_timeouts.inc()
+                    raise ServiceError(
+                        503,
+                        f"request deadline of {self.request_timeout}s exceeded",
+                        retry_after=1,
+                    ) from None
+            else:
+                status, payload = await dispatch
+        except ServiceError as exc:
+            return exc.status, {"error": str(exc)}, keep_alive and not exc.close, exc.retry_after
+        except (ValueError, IndexError, TypeError) as exc:
+            return 400, {"error": str(exc)}, keep_alive, None
+        except (LookupError, FileNotFoundError) as exc:
+            return 404, {"error": str(exc)}, keep_alive, None
+        except (asyncio.IncompleteReadError, ConnectionError):
+            return None
+        except Exception as exc:  # noqa: BLE001 - last-resort 500
+            return 500, {"error": f"{type(exc).__name__}: {exc}"}, keep_alive, None
+        return status, payload, keep_alive, None
 
     @staticmethod
     async def _write_response(
         writer: asyncio.StreamWriter,
         status: int,
-        payload,
+        content_type: str,
+        body: bytes,
         *,
         keep_alive: bool,
         retry_after: float | None = None,
     ) -> None:
         """Write one response; leave the connection open when keep-alive."""
-        content_type = "application/json"
-        if isinstance(payload, (bytes, bytearray)):
-            if isinstance(payload, _PromText):
-                content_type = exposition.CONTENT_TYPE
-            body = bytes(payload)
-        else:
-            try:
-                body = json.dumps(payload, default=_json_default).encode()
-            except (TypeError, ValueError):  # pragma: no cover - defensive
-                status = 500
-                body = b'{"error": "response not serializable"}'
         retry_header = (
             "" if retry_after is None else f"Retry-After: {max(1, int(retry_after))}\r\n"
         )

@@ -42,6 +42,20 @@ def default_config():
     return DecompositionConfig(rank=4, max_iterations=20, random_state=7)
 
 
+@pytest.fixture(params=["orjson", "json"])
+def wire_codec(request, monkeypatch):
+    """Run the test under each wire codec: orjson (where installed) and the stdlib."""
+    from repro.serve import wire
+
+    if request.param == "orjson":
+        if wire._orjson is None:
+            pytest.skip("orjson is not installed")
+    else:
+        monkeypatch.setattr(wire, "_orjson", None)
+        monkeypatch.setattr(wire, "NAME", "json")
+    return request.param
+
+
 @pytest.fixture
 def forbid_shm_segments(monkeypatch):
     """Fail the test if anything constructs a shared-memory segment."""

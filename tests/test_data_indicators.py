@@ -239,10 +239,19 @@ class TestFeatureMatrix:
             ind.compute_indicator_matrix(rng.standard_normal((10, 4)))
 
     def test_nan_input_rejected(self):
-        bad = np.ones((10, 5))
-        bad[3, 2] = np.nan
-        with pytest.raises(ValueError, match="NaN"):
-            ind.compute_indicator_matrix(bad)
+        """NaN and ±Inf in every column, the open one too (no indicator reads it)."""
+        for column in range(5):
+            for value in (np.nan, np.inf, -np.inf):
+                bad = np.ones((10, 5))
+                bad[3, column] = value
+                with pytest.raises(ValueError, match="NaN or Inf"):
+                    ind.compute_indicator_matrix(bad)
+                with pytest.raises(ValueError, match="NaN or Inf"):
+                    ind.compute_feature_matrix(bad)
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            ind.compute_indicator_matrix(np.ones((0, 5)))
 
 
 # --------------------------------------------------------------------- #

@@ -187,6 +187,51 @@ class TestDataSpans:
         assert roots == ["data.generate", "dpar2.run"]
 
 
+class TestServeSpans:
+    def test_decode_and_encode_spans_once_per_request(self, tensor, tmp_path):
+        import urllib.error
+        import urllib.request
+
+        from repro.serve.service import start_server_in_thread
+        from repro.serve.store import FactorStore
+
+        store = FactorStore(tmp_path / "registry")
+        store.publish(dpar2(tensor, _config()))
+        requests = [
+            ("GET", "/healthz", None),
+            ("POST", "/v1/similar", {"index": 0, "k": 2}),
+            ("POST", "/v1/fold-in", {"slice": np.ones((4, 12)).tolist()}),
+            ("POST", "/v1/similar", {"index": -1}),  # a 400 is traced alike
+        ]
+        path = tmp_path / "t.jsonl"
+        with start_server_in_thread(store) as handle:
+            trace.start(path)
+            for method, route, body in requests:
+                data = None if body is None else json.dumps(body).encode()
+                request = urllib.request.Request(
+                    handle.base_url + route, data=data, method=method
+                )
+                try:
+                    urllib.request.urlopen(request, timeout=15).read()
+                except urllib.error.HTTPError as exc:
+                    assert exc.code == 400
+        # Stopped after the server: a request's span closes once its
+        # response is written, which the client may see first.
+        trace.stop()
+        spans = trace.load_spans(path)
+        roots = [s for s in spans if s["name"] == "serve.request"]
+        assert [(s["attrs"]["method"], s["attrs"]["path"]) for s in roots] == [
+            (method, route) for method, route, _ in requests
+        ]
+        for root in roots:
+            children = [s["name"] for s in spans if s["parent"] == root["id"]]
+            assert children.count("serve.decode") == 1
+            assert children.count("serve.encode") == 1
+        for span in spans:
+            if span["name"] in ("serve.decode", "serve.encode"):
+                assert span["parent"] in {root["id"] for root in roots}
+
+
 class TestSummarize:
     def test_aggregates_siblings(self, tensor, tmp_path):
         path = tmp_path / "t.jsonl"

@@ -16,7 +16,7 @@ from repro.util.config import DecompositionConfig
 #: The registry migration must never change it (byte-identical rendering).
 HEALTHZ_KEYS = ["status", "version", "uptime_seconds", "connections",
                 "requests_served", "batches", "batched_requests", "batching",
-                "faults", "engine"]
+                "faults", "engine", "codec"]
 BATCHER_KEYS = ["batches", "requests", "shed", "queue_depth", "last_batch",
                 "ewma_depth", "window_cap_ms", "current_window_ms"]
 FAULT_KEYS = ["timeouts", "shed", "drains", "draining", "worker_restarts",

@@ -14,7 +14,10 @@ Covers the fault surface of :mod:`repro.serve.service`:
   the process exits 0 (exercised over real HTTP against a real
   ``repro serve`` subprocess);
 * a published version whose engine build fails is quarantined and the
-  previous version keeps serving; ``/admin/reload`` retries it.
+  previous version keeps serving; ``/admin/reload`` retries it;
+* a body that is not JSON under the wire contract (200,000-deep nesting,
+  ``NaN`` literals, a BOM, ...) answers 400 under both wire codecs, and
+  the server keeps answering on the same connection.
 """
 
 import asyncio
@@ -482,3 +485,83 @@ class TestHealthzFaults:
             block = _call(handle.base_url, "GET", "/healthz")["faults"]
             assert block["worker_restarts"] == 3
             assert block["checkpoint_resumes"] == 1
+
+
+# --------------------------------------------------------------------- #
+# the wire contract over HTTP
+# --------------------------------------------------------------------- #
+
+
+def _post_raw(conn: http.client.HTTPConnection, path: str, body: bytes):
+    conn.request("POST", path, body=body, headers={"Content-Type": "application/json"})
+    response = conn.getresponse()
+    return response.status, json.loads(response.read())
+
+
+class TestWireContract:
+    """Bodies the two JSON codecs once decoded differently answer alike."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"[" * 200_000 + b"]" * 200_000,
+            b'{"a":' * 200_000 + b"1" + b"}" * 200_000,
+        ],
+        ids=["array", "object"],
+    )
+    def test_deeply_nested_body_answers_400(self, store, wire_codec, body):
+        """Was a 500 (RecursionError); unguarded orjson segfaults on it."""
+        with start_server_in_thread(store) as handle:
+            conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=30)
+            try:
+                status, reply = _post_raw(conn, "/v1/similar", body)
+                assert status == 400
+                assert reply["error"].startswith("request body is not JSON")
+                status, _ = _post_raw(conn, "/v1/similar", b'{"index": 0, "k": 2}')
+                assert status == 200  # same keep-alive connection
+            finally:
+                conn.close()
+            health = _call(handle.base_url, "GET", "/healthz")
+            assert health["status"] == "ok"
+            assert health["codec"] == wire_codec
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"slice": [[NaN, 1, 2, 3, 4, 5, 6, 7]]}',
+            b'{"index": 0, "k": Infinity}',
+            b'{"slice": [[1e400, 1, 2, 3, 4, 5, 6, 7]]}',
+            b'\xef\xbb\xbf{"index": 0}',
+            '{"index": 0}'.encode("utf-16"),
+            b'{"index": 0, "mode": "\\ud800"}',
+            b"[" * 513 + b"]" * 513,
+        ],
+        ids=["nan", "infinity", "overflow", "bom", "utf16", "lone-surrogate", "depth-513"],
+    )
+    def test_non_json_bodies_answer_400(self, store, wire_codec, body):
+        path = "/v1/anomaly" if b"slice" in body else "/v1/similar"
+        with start_server_in_thread(store) as handle:
+            conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=30)
+            try:
+                status, reply = _post_raw(conn, path, body)
+                assert status == 400
+                assert reply["error"].startswith("request body is not JSON")
+            finally:
+                conn.close()
+
+    def test_out_of_range_integer_answers_alike(self, store, monkeypatch):
+        """An integer past 64 bits decodes as a float under both codecs."""
+        from repro.serve import wire
+
+        body = b'{"index": 0, "k": 100000000000000000000000}'
+        answers = []
+        for module in (wire._orjson, None):
+            monkeypatch.setattr(wire, "_orjson", module)
+            with start_server_in_thread(store) as handle:
+                conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=30)
+                try:
+                    answers.append(_post_raw(conn, "/v1/similar", body))
+                finally:
+                    conn.close()
+        assert answers[0][0] == 200
+        assert answers[0] == answers[1]

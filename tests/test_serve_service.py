@@ -379,6 +379,48 @@ class TestHttpEndpoints:
             assert _call(handle.base_url, "GET", "/v1/model")["version"] == 2
 
 
+class TestWireCodecs:
+    """orjson and the stdlib json serve the same answers, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_answers_identical_under_both_codecs(
+        self, tensor, config, dtype, tmp_path, monkeypatch
+    ):
+        from repro.serve import wire
+
+        if wire._orjson is None:
+            pytest.skip("orjson is not installed")
+        model_config = config.with_(dtype=dtype)
+        registry = FactorStore(tmp_path / "registry")
+        registry.publish(dpar2(tensor, model_config), config=model_config)
+        unseen = np.asarray(tensor[2], dtype=np.float64) * 1.5
+        requests = [
+            ("/v1/similar", {"index": 0, "k": 3}),
+            ("/v1/similar", {"indices": [1, 2, 4], "k": 2, "mode": "feature"}),
+            ("/v1/fold-in", {"slice": unseen.tolist(), "seed": 3, "neighbors": 2}),
+            ("/v1/anomaly", {"slice": unseen.tolist(), "seed": 5}),
+            ("/v1/reconstruct", {"slice": 1, "rows": [0, 2]}),
+        ]
+        answers = {}
+        for codec, module in (("orjson", wire._orjson), ("json", None)):
+            monkeypatch.setattr(wire, "_orjson", module)
+            with start_server_in_thread(registry) as handle:
+                # json.dumps keeps a float's bits in its repr, ints apart
+                # from floats, and the key order.
+                answers[codec] = [
+                    json.dumps(_call(handle.base_url, "POST", path, body))
+                    for path, body in requests
+                ]
+        assert answers["orjson"] == answers["json"]
+        fold = json.loads(answers["json"][2])
+        engine = QueryEngine(registry.latest().result, config=model_config, version=1)
+        assert fold["weights"] == engine.fold_in(unseen, seed=3).weights.tolist()
+
+    def test_healthz_names_the_codec(self, store, wire_codec):
+        with start_server_in_thread(store) as handle:
+            assert _call(handle.base_url, "GET", "/healthz")["codec"] == wire_codec
+
+
 class TestAdaptiveWindow:
     def test_window_zero_when_idle_grows_under_pressure_resets(self):
         import asyncio
