@@ -22,7 +22,6 @@ from repro.decomposition import (
     StreamingDpar2,
     compress_tensor,
     constrained_dpar2,
-    cp_als,
     dpar2,
     get_solver,
     parafac2_als,
@@ -33,7 +32,6 @@ from repro.tensor import (
     DenseTensor,
     IrregularTensor,
     MmapSliceStore,
-    random_dense_tensor,
     random_irregular_tensor,
 )
 from repro.util.config import DecompositionConfig
@@ -51,11 +49,9 @@ __all__ = [
     "StreamingDpar2",
     "compress_tensor",
     "constrained_dpar2",
-    "cp_als",
     "dpar2",
     "get_solver",
     "parafac2_als",
-    "random_dense_tensor",
     "random_irregular_tensor",
     "rd_als",
     "spartan",

@@ -10,11 +10,7 @@
   (Eq. 12, Table III(b)).
 """
 
-from repro.analysis.anomaly import (
-    anomaly_threshold,
-    slice_anomaly_scores,
-    top_anomalies,
-)
+from repro.analysis.anomaly import anomaly_threshold, slice_anomaly_scores
 from repro.analysis.correlation import (
     feature_correlation,
     model_feature_correlation,
@@ -44,6 +40,5 @@ __all__ = [
     "slice_anomaly_scores",
     "slice_similarity",
     "subspace_angle",
-    "top_anomalies",
     "top_k_neighbors",
 ]

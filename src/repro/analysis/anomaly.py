@@ -58,19 +58,6 @@ def row_anomaly_scores(
     return np.where(row_norms > 0, res_norms / np.where(row_norms > 0, row_norms, 1.0), 0.0)
 
 
-def top_anomalies(
-    result: Parafac2Result,
-    tensor: IrregularTensor,
-    k: int = 5,
-) -> list[tuple[int, float]]:
-    """The ``k`` most anomalous slices, worst first."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    scores = slice_anomaly_scores(result, tensor)
-    order = sorted(range(scores.size), key=lambda i: (-scores[i], i))
-    return [(i, float(scores[i])) for i in order[: min(k, scores.size)]]
-
-
 def anomaly_threshold(scores, *, n_sigmas: float = 3.0) -> float:
     """A robust flagging threshold: ``median + n_sigmas · MAD·1.4826``.
 

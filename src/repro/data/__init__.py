@@ -19,13 +19,10 @@ profile (Fig. 8), density, and approximate low-rank spectral decay.
   with paper-shaped (scaled) dimensions.
 """
 
-from repro.data.loaders import load_tensor_csv_dir, save_tensor_csv_dir
 from repro.data.registry import DATASETS, DatasetSpec, load_dataset
 
 __all__ = [
     "DATASETS",
     "DatasetSpec",
     "load_dataset",
-    "load_tensor_csv_dir",
-    "save_tensor_csv_dir",
 ]

@@ -7,15 +7,15 @@ Public entry points
 * :func:`rd_als` — Cheng & Haardt's SVD-preprocessed ALS.
 * :func:`spartan` — SPARTan's slice-parallel MTTKRP ALS (dense-adapted,
   also accepts sparse slices).
-* :func:`cp_als` — standalone CP decomposition of regular tensors (the
-  inner kernel all PARAFAC2 solvers share).
+
+PARAFAC2-ALS and RD-ALS share one inner CP step,
+:func:`~repro.decomposition.cp_als.cp_single_iteration`.
 
 All solvers accept a shared :class:`~repro.util.config.DecompositionConfig`
 and return a :class:`~repro.decomposition.result.Parafac2Result`.
 """
 
 from repro.decomposition.constrained import constrained_dpar2
-from repro.decomposition.cp_als import CpResult, cp_als
 from repro.decomposition.dpar2 import CompressedTensor, compress_tensor, dpar2
 from repro.decomposition.parafac2_als import parafac2_als
 from repro.decomposition.rd_als import rd_als
@@ -26,13 +26,11 @@ from repro.decomposition.streaming import StreamingDpar2
 
 __all__ = [
     "CompressedTensor",
-    "CpResult",
     "Parafac2Result",
     "SOLVERS",
     "StreamingDpar2",
     "compress_tensor",
     "constrained_dpar2",
-    "cp_als",
     "dpar2",
     "get_solver",
     "parafac2_als",

@@ -1,31 +1,23 @@
-"""CP decomposition via alternating least squares.
-
-Two layers:
+"""CP-ALS kernels shared by the PARAFAC2 solvers.
 
 * :func:`cp_single_iteration` — one ALS sweep over the factors of the small
   regular tensor ``Y ∈ R^{R×J×K}`` given its unfoldings; this is the inner
-  step of PARAFAC2-ALS (Algorithm 2, lines 11–16).
-* :func:`cp_als` — a standalone CP solver for arbitrary 3-order dense
-  tensors, used by tests (sanity baseline) and by examples.
+  step of PARAFAC2-ALS and RD-ALS (Algorithm 2, lines 11–16).
+* :func:`normalize_columns` — the unit-norm column rescaling after each
+  factor update (Algorithm 3, lines 15/17), shared with SPARTan and DPar2.
 
-The MTTKRP ``X(n)(· ⊙ ·)`` dominates; the standalone solver materializes the
-Khatri–Rao product (the "naive" cost profile the paper assigns to
-PARAFAC2-ALS), while :func:`slice_mttkrp` computes the same quantities
-slice-by-slice without forming ``Y`` — the SPARTan-style kernel.
+The MTTKRP ``X(n)(· ⊙ ·)`` dominates; :func:`cp_single_iteration`
+materializes the Khatri–Rao product (the "naive" cost profile the paper
+assigns to PARAFAC2-ALS), while :func:`slice_mttkrp` computes the same
+quantities slice-by-slice without forming ``Y`` — the SPARTan-style kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro.decomposition.convergence import ConvergenceMonitor
 from repro.linalg.pinv import solve_gram
-from repro.tensor.dense import DenseTensor
 from repro.tensor.products import hadamard, khatri_rao
-from repro.util.rng import as_generator
-from repro.util.validation import check_positive_int
 
 
 def normalize_columns(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -102,91 +94,3 @@ def slice_mttkrp(
             out[k] = np.sum((Yk.T @ H) * V, axis=0)
         return out
     raise ValueError(f"mode must be 1, 2, or 3, got {mode}")
-
-
-@dataclass
-class CpResult:
-    """CP model ``X ≈ Σr λ_r a_r ∘ b_r ∘ c_r`` with fit bookkeeping."""
-
-    factors: tuple[np.ndarray, np.ndarray, np.ndarray]
-    weights: np.ndarray
-    n_iterations: int = 0
-    converged: bool = False
-    fit_history: list[float] = field(default_factory=list)
-
-    @property
-    def rank(self) -> int:
-        return self.weights.shape[0]
-
-    def reconstruct(self) -> DenseTensor:
-        return DenseTensor.from_cp_factors(self.factors, self.weights)
-
-    def fitness(self, tensor: DenseTensor) -> float:
-        """``1 − ‖X − X̂‖_F / ‖X‖_F`` (the usual CP fit)."""
-        denom = tensor.norm()
-        if denom == 0.0:
-            return 1.0
-        diff = tensor.data - self.reconstruct().data
-        return 1.0 - float(np.linalg.norm(diff.ravel())) / denom
-
-
-def cp_als(
-    tensor: DenseTensor,
-    rank: int,
-    *,
-    max_iterations: int = 50,
-    tolerance: float = 1e-6,
-    random_state=None,
-) -> CpResult:
-    """Fit a rank-``rank`` CP model to a regular 3-order tensor by ALS.
-
-    Factors are initialized with i.i.d. Gaussian entries; each sweep updates
-    all three factors and tracks the exact fit via the Gram-matrix identity
-    ``‖X̂‖² = Σ (AᵀA ∗ BᵀB ∗ CᵀC)`` — no reconstruction is materialized
-    during iteration.
-    """
-    if not isinstance(tensor, DenseTensor):
-        tensor = DenseTensor(tensor)
-    R = check_positive_int(rank, "rank")
-    check_positive_int(max_iterations, "max_iterations")
-    rng = as_generator(random_state)
-    I1, I2, I3 = tensor.shape
-
-    A = rng.standard_normal((I1, R))
-    B = rng.standard_normal((I2, R))
-    C = rng.standard_normal((I3, R))
-    X1, X2, X3 = tensor.unfold(1), tensor.unfold(2), tensor.unfold(3)
-    norm_sq = float(np.sum(tensor.data**2))
-
-    monitor = ConvergenceMonitor(tolerance)
-    converged = False
-    iteration = 0
-    for iteration in range(1, max_iterations + 1):
-        A = solve_gram(hadamard(C.T @ C, B.T @ B), X1 @ khatri_rao(C, B))
-        A, _ = normalize_columns(A)
-        B = solve_gram(hadamard(C.T @ C, A.T @ A), X2 @ khatri_rao(C, A))
-        B, _ = normalize_columns(B)
-        G3 = X3 @ khatri_rao(B, A)
-        C = solve_gram(hadamard(B.T @ B, A.T @ A), G3)
-
-        # Exact squared error without reconstruction:
-        # <X, X̂> = Σ (C ∗ G3) because C was just solved against G3.
-        inner = float(np.sum(C * G3))
-        model_sq = float(np.sum((A.T @ A) * (B.T @ B) * (C.T @ C)))
-        error_sq = max(norm_sq - 2.0 * inner + model_sq, 0.0)
-        if monitor.update(error_sq):
-            converged = True
-            break
-
-    C, lam = normalize_columns(C)
-    fit_history = [
-        1.0 - np.sqrt(v) / np.sqrt(norm_sq) if norm_sq > 0 else 1.0
-        for v in monitor.values
-    ]
-    return CpResult(
-        factors=(A, B, C),
-        weights=lam,
-        n_iterations=iteration,
-        converged=converged,
-        fit_history=fit_history,
-    )

@@ -38,8 +38,6 @@ import os
 import threading
 import time
 
-from repro.util.timing import Stopwatch
-
 __all__ = ["Tracer", "Span", "start", "stop", "active", "enabled", "span", "summarize"]
 
 
@@ -66,9 +64,7 @@ class Span:
         "attrs",
         "span_id",
         "parent_id",
-        "_watch",
-        "_interval",
-        "_start",
+        "_entered",
     )
 
     def __init__(self, tracer: "Tracer", name: str, attrs: dict) -> None:
@@ -77,9 +73,7 @@ class Span:
         self.attrs = attrs
         self.span_id: int | None = None
         self.parent_id: int | None = None
-        self._watch = Stopwatch()
-        self._interval = None
-        self._start = 0.0
+        self._entered = 0.0
 
     def annotate(self, **attrs) -> None:
         """Merge JSON-safe key/values into the span's attributes."""
@@ -87,16 +81,12 @@ class Span:
 
     def __enter__(self) -> "Span":
         """Open the span: assign its id, record its parent, start timing."""
-        self.span_id, self.parent_id, self._start = self._tracer._open(self)
-        self._interval = self._watch.span()
-        self._interval.__enter__()
+        self.span_id, self.parent_id, self._entered = self._tracer._open(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         """Close the span and emit its JSONL line (exceptions propagate)."""
-        self._interval.__exit__(None, None, None)
-        self._interval = None
-        self._tracer._close(self, self._watch.elapsed)
+        self._tracer._close(self, time.perf_counter() - self._entered)
         return False
 
 
@@ -162,7 +152,7 @@ class Tracer:
             span_id = self._next_id
             self._next_id += 1
         stack.append(span_obj)
-        return span_id, parent, time.perf_counter() - self._t0
+        return span_id, parent, time.perf_counter()
 
     def _close(self, span_obj: Span, duration: float) -> None:
         stack = self._stack()
@@ -178,7 +168,7 @@ class Tracer:
                 "id": span_obj.span_id,
                 "parent": span_obj.parent_id,
                 "name": span_obj.name,
-                "start": round(span_obj._start, 9),
+                "start": round(span_obj._entered - self._t0, 9),
                 "dur": round(duration, 9),
                 "attrs": span_obj.attrs,
             },

@@ -193,19 +193,18 @@ def _int_field(
     Raises
     ------
     ServiceError
-        With status 400 when the value is not integer-like (booleans are
-        rejected — JSON ``true`` is never a valid count) or outside
-        ``[minimum, maximum]``.
+        With status 400 when the value is not a JSON integer or outside
+        ``[minimum, maximum]``.  An integral float counts as an integer,
+        because the wire codec decodes integers past 64 bits as floats;
+        booleans, strings and fractions do not.
     """
     value = body.get(key, default)
     if value is None:
         return None
-    if isinstance(value, bool):
-        raise ServiceError(400, f"{key!r} must be an integer, got a boolean")
-    try:
+    if type(value) is not int:
+        if type(value) is not float or not value.is_integer():
+            raise ServiceError(400, f"{key!r} must be an integer, got {value!r}")
         value = int(value)
-    except (TypeError, ValueError):
-        raise ServiceError(400, f"{key!r} must be an integer, got {value!r}") from None
     if minimum is not None and value < minimum:
         raise ServiceError(400, f"{key!r} must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
@@ -1328,7 +1327,7 @@ class ServeApp:
             "engine": engine,
             "kind": kind,
             "slice": self._slice_for(body, engine),
-            "seed": _int_field(body, "seed", 0),
+            "seed": _int_field(body, "seed", 0, minimum=0),
             "sweeps": (
                 _int_field(body, "sweeps", minimum=1, maximum=MAX_FOLD_IN_SWEEPS)
                 if kind == "fold-in" else None

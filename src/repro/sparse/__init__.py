@@ -15,12 +15,7 @@ its own formats rather than depending on scipy:
 
 from repro.sparse.coo import CooMatrix
 from repro.sparse.csr import CsrMatrix
-from repro.sparse.ops import (
-    check_finite_csr,
-    dense_to_sparse,
-    slice_squared_norm,
-    sparsity,
-)
+from repro.sparse.ops import check_finite_csr, dense_to_sparse, slice_squared_norm
 from repro.sparse.stacked import StackedCsr, spmm_backend
 
 __all__ = [
@@ -30,6 +25,5 @@ __all__ = [
     "check_finite_csr",
     "dense_to_sparse",
     "slice_squared_norm",
-    "sparsity",
     "spmm_backend",
 ]

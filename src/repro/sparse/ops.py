@@ -33,16 +33,6 @@ def slice_squared_norm(matrix) -> float:
     return float(np.sum(array * array, dtype=np.float64))
 
 
-def sparsity(matrix) -> float:
-    """Fraction of zero entries, for dense arrays or CSR matrices."""
-    if isinstance(matrix, CsrMatrix):
-        return 1.0 - matrix.density
-    array = np.asarray(matrix)
-    if array.size == 0:
-        return 0.0
-    return float(np.count_nonzero(array == 0.0)) / array.size
-
-
 def random_sparse(
     shape,
     density: float,

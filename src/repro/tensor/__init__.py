@@ -3,9 +3,8 @@
 * :class:`IrregularTensor` — the paper's ``{Xk}``: slices sharing a column
   count ``J`` but with per-slice row counts ``Ik``.
 * :class:`DenseTensor` — a regular 3-order tensor with Kolda-convention
-  mode-n matricization (used by the inner CP step and the synthetic
-  scalability workloads).
-* products — Kronecker, Khatri–Rao, Hadamard, consistent with the unfolding
+  mode-n matricization (used by the inner CP step).
+* products — Khatri–Rao and Hadamard, consistent with the unfolding
   convention (``X(1) ≈ A (C ⊙ B)ᵀ``).
 """
 
@@ -13,31 +12,16 @@ from repro.tensor.dense import DenseTensor
 from repro.tensor.irregular import IrregularTensor
 from repro.tensor.matricization import fold, unfold
 from repro.tensor.mmap_store import MmapSliceStore
-from repro.tensor.norms import frobenius_norm, relative_error
-from repro.tensor.products import hadamard, khatri_rao, kronecker
-from repro.tensor.random import random_dense_tensor, random_irregular_tensor
-from repro.tensor.windows import (
-    WindowedTensor,
-    row_range_window,
-    split_train_tail,
-    trailing_window,
-)
+from repro.tensor.products import hadamard, khatri_rao
+from repro.tensor.random import random_irregular_tensor
 
 __all__ = [
     "DenseTensor",
     "IrregularTensor",
     "MmapSliceStore",
-    "WindowedTensor",
     "fold",
-    "frobenius_norm",
     "hadamard",
     "khatri_rao",
-    "kronecker",
-    "random_dense_tensor",
     "random_irregular_tensor",
-    "relative_error",
-    "row_range_window",
-    "split_train_tail",
-    "trailing_window",
     "unfold",
 ]

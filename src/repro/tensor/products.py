@@ -1,4 +1,4 @@
-"""Structured matrix products: Kronecker, Khatri–Rao, Hadamard.
+"""Structured matrix products: Khatri–Rao, Hadamard, and ``vec``.
 
 Implemented from scratch (broadcasting, not ``np.kron``) and consistent with
 the column-major unfolding convention in :mod:`repro.tensor.matricization`:
@@ -10,19 +10,6 @@ the column-major unfolding convention in :mod:`repro.tensor.matricization`:
 from __future__ import annotations
 
 import numpy as np
-
-
-def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product ``a ⊗ b`` of two matrices (or column vectors)."""
-    A = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    B = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    if A.ndim != 2 or B.ndim != 2:
-        raise ValueError("kronecker expects matrices")
-    i, j = A.shape
-    p, q = B.shape
-    # outer product arranged so result[(r*p + s), (c*q + d)] = A[r,c]*B[s,d]
-    out = A[:, None, :, None] * B[None, :, None, :]
-    return out.reshape(i * p, j * q)
 
 
 def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,10 +1,9 @@
 """Random tensor constructors.
 
-``random_dense_tensor`` mirrors Tensor Toolbox's ``tenrand`` (uniform [0,1)
-entries), which the paper uses for its scalability studies (Section IV-A,
-"Synthetic Data").  ``random_irregular_tensor`` additionally draws per-slice
-row counts, and ``low_rank_irregular_tensor`` plants a PARAFAC2-structured
-signal so that fitness has a meaningful target.
+``random_irregular_tensor`` draws uniform-[0, 1) entries (Tensor Toolbox's
+``tenrand``) for a given per-slice row-count profile, and
+``low_rank_irregular_tensor`` plants a PARAFAC2-structured signal so that
+fitness has a meaningful target.
 """
 
 from __future__ import annotations
@@ -12,19 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.linalg.qr import random_orthonormal
-from repro.tensor.dense import DenseTensor
 from repro.tensor.irregular import IrregularTensor
 from repro.util.rng import as_generator
 from repro.util.validation import check_positive_int
-
-
-def random_dense_tensor(shape, random_state=None) -> DenseTensor:
-    """Uniform-[0, 1) tensor of the given ``(I, J, K)`` shape (``tenrand``)."""
-    if len(shape) != 3:
-        raise ValueError(f"shape must be (I, J, K), got {shape}")
-    dims = tuple(check_positive_int(dim, "dimension") for dim in shape)
-    rng = as_generator(random_state)
-    return DenseTensor(rng.random(dims))
 
 
 def random_irregular_tensor(

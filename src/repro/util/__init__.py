@@ -1,4 +1,5 @@
-"""Shared utilities: RNG handling, timing, validation, and configuration.
+"""Shared utilities: RNG handling, validation, configuration, fault
+injection, atomic writes, and duration formatting.
 
 These helpers are deliberately small and dependency-free so that every other
 subpackage (linear algebra, tensors, decompositions, experiments) can rely on
@@ -8,7 +9,7 @@ them without import cycles.
 from repro.util.config import DecompositionConfig
 from repro.util.faults import FaultInjected, FaultPlan, FaultSpec
 from repro.util.rng import as_generator, spawn_generators
-from repro.util.timing import Stopwatch, format_seconds, time_call
+from repro.util.timing import format_seconds
 from repro.util.validation import (
     check_matrix,
     check_non_negative_int,
@@ -22,7 +23,6 @@ __all__ = [
     "FaultInjected",
     "FaultPlan",
     "FaultSpec",
-    "Stopwatch",
     "as_generator",
     "check_matrix",
     "check_non_negative_int",
@@ -31,5 +31,4 @@ __all__ = [
     "check_rank",
     "format_seconds",
     "spawn_generators",
-    "time_call",
 ]

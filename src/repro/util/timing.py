@@ -1,111 +1,4 @@
-"""Wall-clock measurement helpers used by the experiment harness."""
-
-from __future__ import annotations
-
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-
-
-class Stopwatch:
-    """A cumulative stopwatch usable as a context manager.
-
-    Example
-    -------
-    >>> watch = Stopwatch()
-    >>> with watch:
-    ...     _ = sum(range(10))
-    >>> watch.elapsed >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self.elapsed = 0.0
-        self._started_at: float | None = None
-
-    def start(self) -> None:
-        if self._started_at is not None:
-            raise RuntimeError("stopwatch is already running")
-        self._started_at = time.perf_counter()
-
-    def stop(self) -> float:
-        if self._started_at is None:
-            raise RuntimeError("stopwatch is not running")
-        delta = time.perf_counter() - self._started_at
-        self.elapsed += delta
-        self._started_at = None
-        return delta
-
-    def reset(self) -> None:
-        """Zero the accumulated time.
-
-        Refuses to reset mid-measurement: silently discarding the start
-        mark used to leave the watch stopped while the caller believed
-        an interval was still being measured, and the next ``stop()``
-        raised from a seemingly impossible state.
-        """
-        if self._started_at is not None:
-            raise RuntimeError("cannot reset a running stopwatch; stop() it first")
-        self.elapsed = 0.0
-
-    @contextmanager
-    def span(self):
-        """Measure one interval as a context manager, yielding the watch.
-
-        Equivalent to ``with watch:`` but usable where an explicit
-        context-manager *object* is needed (``repro.obs.trace`` drives it
-        manually around span enter/exit), and exception-safe: the
-        interval is recorded even when the body raises.
-        """
-        self.start()
-        try:
-            yield self
-        finally:
-            self.stop()
-
-    @property
-    def running(self) -> bool:
-        return self._started_at is not None
-
-    def __enter__(self) -> "Stopwatch":
-        self.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
-
-
-@dataclass
-class TimedResult:
-    """Return value of :func:`time_call`: the callee's result plus seconds."""
-
-    value: object
-    seconds: float
-    repeats: int = 1
-    per_repeat: list = field(default_factory=list)
-
-
-def time_call(func, *args, repeats: int = 1, **kwargs) -> TimedResult:
-    """Call ``func`` ``repeats`` times and report the mean wall-clock time.
-
-    The paper reports the average of 5 runs for every timing experiment
-    (Section IV-A); the harness uses this helper with ``repeats=5`` for the
-    headline tables and ``repeats=1`` for smoke runs.
-    """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    durations: list[float] = []
-    value = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        value = func(*args, **kwargs)
-        durations.append(time.perf_counter() - t0)
-    return TimedResult(
-        value=value,
-        seconds=sum(durations) / len(durations),
-        repeats=repeats,
-        per_repeat=durations,
-    )
+"""Duration formatting for the CLI's timing lines."""
 
 
 def format_seconds(seconds: float) -> str:

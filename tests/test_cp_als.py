@@ -1,10 +1,9 @@
-"""Tests for CP-ALS: the standalone solver and the shared inner-step kernels."""
+"""Tests for the CP-ALS kernels the PARAFAC2 solvers share."""
 
 import numpy as np
 import pytest
 
 from repro.decomposition.cp_als import (
-    cp_als,
     cp_single_iteration,
     normalize_columns,
     slice_mttkrp,
@@ -107,53 +106,3 @@ class TestCpSingleIteration:
         H, V, W = cp_single_iteration(unf, H0, V0, W0, normalize=True)
         np.testing.assert_allclose(np.linalg.norm(H, axis=0), 1.0, atol=1e-10)
         np.testing.assert_allclose(np.linalg.norm(V, axis=0), 1.0, atol=1e-10)
-
-
-class TestCpAls:
-    def test_recovers_exact_cp_tensor(self, rng):
-        A = rng.standard_normal((8, 3))
-        B = rng.standard_normal((9, 3))
-        C = rng.standard_normal((7, 3))
-        X = DenseTensor.from_cp_factors((A, B, C))
-        result = cp_als(X, 3, max_iterations=200, random_state=0)
-        assert result.fitness(X) > 0.999
-
-    def test_result_structure(self, rng):
-        X = DenseTensor(rng.random((6, 5, 4)))
-        result = cp_als(X, 2, max_iterations=10, random_state=0)
-        assert result.rank == 2
-        assert result.factors[0].shape == (6, 2)
-        assert result.factors[1].shape == (5, 2)
-        assert result.factors[2].shape == (4, 2)
-        assert result.weights.shape == (2,)
-        assert result.n_iterations <= 10
-
-    def test_fit_history_monotone(self, rng):
-        X = DenseTensor(rng.random((6, 6, 6)))
-        result = cp_als(X, 3, max_iterations=30, random_state=1)
-        fits = result.fit_history
-        for earlier, later in zip(fits, fits[1:]):
-            assert later >= earlier - 1e-7
-
-    def test_convergence_flag(self, rng):
-        A = rng.standard_normal((6, 2))
-        B = rng.standard_normal((6, 2))
-        C = rng.standard_normal((6, 2))
-        X = DenseTensor.from_cp_factors((A, B, C))
-        result = cp_als(X, 2, max_iterations=500, tolerance=1e-10,
-                        random_state=0)
-        assert result.converged
-
-    def test_reconstruct_shape(self, rng):
-        X = DenseTensor(rng.random((3, 4, 5)))
-        result = cp_als(X, 2, max_iterations=5, random_state=0)
-        assert result.reconstruct().shape == (3, 4, 5)
-
-    def test_accepts_raw_array(self, rng):
-        result = cp_als(rng.random((4, 4, 4)), 2, max_iterations=3,
-                        random_state=0)
-        assert result.rank == 2
-
-    def test_invalid_rank(self, rng):
-        with pytest.raises(ValueError, match="rank"):
-            cp_als(DenseTensor(rng.random((3, 3, 3))), 0)

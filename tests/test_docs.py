@@ -1,5 +1,5 @@
-"""Documentation gates: intra-repo links, the metric inventory, and
-serve-API docstrings.
+"""Documentation gates: intra-repo links and ``repro.…`` references, the
+metric inventory, and serve-API docstrings.
 
 CI runs ``tools/check_docs_links.py`` and ``tools/check_metric_inventory.py``
 directly (docs job) and ruff's pydocstyle ``D1`` codes over
@@ -53,6 +53,21 @@ class TestDocsTree:
         finally:
             doc.unlink()
         assert len(problems) == 1 and "no/such/file.md" in problems[0]
+
+    def test_reference_checker_flags_a_stale_name(self, tmp_path):
+        doc = tmp_path / "refs.md"
+        doc.write_text(
+            "`repro.serve`, `repro.linalg.polar`, `repro.obs.trace.Span.annotate`\n"
+            "and `repro.serve.start_server_in_thread(registry)` resolve.\n"
+            "```\n`repro.in_a_fence_is_an_example`\n```\n"
+            "`repro.no_such_module` and `repro.obs.trace.Span.no_such_member`\n",
+            encoding="utf-8",
+        )
+        problems = check_docs_links.check_file(doc)
+        assert problems == [
+            f"{doc}:6: unresolved reference `repro.no_such_module`",
+            f"{doc}:6: unresolved reference `repro.obs.trace.Span.no_such_member`",
+        ]
 
 
 class TestMetricInventory:

@@ -1,4 +1,4 @@
-"""Tests for model and compressed-tensor persistence, and factor metrics."""
+"""Tests for model persistence and factor metrics."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,8 @@ from repro.analysis.metrics import (
     parafac2_factor_match,
     subspace_angle,
 )
-from repro.decomposition.dpar2 import compress_tensor, dpar2
+from repro.decomposition.dpar2 import dpar2
 from repro.decomposition.result import Parafac2Result
-from repro.io import load_compressed, save_compressed
 from repro.util.config import DecompositionConfig
 
 
@@ -58,37 +57,6 @@ class TestResultRoundtrip:
         assert loaded.fitness(structured_tensor) == pytest.approx(
             fitted.fitness(structured_tensor)
         )
-
-    def test_non_model_archive_rejected(self, tmp_path):
-        path = tmp_path / "random.npz"
-        np.savez(path, x=np.ones(3))
-        with pytest.raises(ValueError, match="not a repro model"):
-            load_compressed(path)
-
-
-class TestCompressedRoundtrip:
-    def test_roundtrip(self, structured_tensor, tmp_path):
-        compressed = compress_tensor(structured_tensor, 4, random_state=0)
-        path = tmp_path / "compressed.npz"
-        save_compressed(path, compressed)
-        loaded = load_compressed(path)
-        np.testing.assert_array_equal(loaded.D, compressed.D)
-        np.testing.assert_array_equal(loaded.E, compressed.E)
-        np.testing.assert_array_equal(loaded.F_blocks, compressed.F_blocks)
-        for Aa, Ab in zip(loaded.A, compressed.A):
-            np.testing.assert_array_equal(Aa, Ab)
-
-    def test_loaded_compression_drives_dpar2(self, structured_tensor,
-                                             tmp_path):
-        compressed = compress_tensor(structured_tensor, 4, random_state=0)
-        path = tmp_path / "compressed.npz"
-        save_compressed(path, compressed)
-        loaded = load_compressed(path)
-        config = DecompositionConfig(rank=4, max_iterations=5,
-                                     tolerance=0.0, random_state=0)
-        a = dpar2(structured_tensor, config, compressed=compressed)
-        b = dpar2(structured_tensor, config, compressed=loaded)
-        np.testing.assert_allclose(a.V, b.V, atol=1e-12)
 
 
 class TestCongruence:

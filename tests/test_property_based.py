@@ -24,7 +24,7 @@ from repro.sparse.coo import CooMatrix
 from repro.sparse.ops import dense_to_sparse
 from repro.tensor.irregular import IrregularTensor
 from repro.tensor.matricization import fold, unfold
-from repro.tensor.products import hadamard, khatri_rao, kronecker, vec
+from repro.tensor.products import hadamard, khatri_rao, vec
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False,
                    allow_infinity=False, width=64)
@@ -55,11 +55,6 @@ class TestProductProperties:
             np.testing.assert_allclose(
                 out[:, r], np.kron(a[:, r], b[:, r]), atol=1e-9
             )
-
-    @settings(max_examples=40, deadline=None)
-    @given(matrix_strategy(), matrix_strategy())
-    def test_kronecker_matches_numpy(self, a, b):
-        np.testing.assert_allclose(kronecker(a, b), np.kron(a, b), atol=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(matrix_strategy())

@@ -296,9 +296,21 @@ class TestHttpEndpoints:
                            {"index": 1, "k": 2, "version": 1})
             assert pinned["version"] == 1
 
-    def test_bad_request_never_poisons_cobatched_ones(self, store, result):
-        """An out-of-range index 400s on its own; a valid request sharing
-        the same batching window still gets its answer."""
+    @pytest.mark.parametrize("path", ["/v1/similar", "/v1/anomaly"],
+                             ids=["similar", "anomaly"])
+    def test_bad_request_never_poisons_cobatched_ones(
+        self, store, result, tensor, path
+    ):
+        """A bad request (an out-of-range index, a negative seed) 400s on
+        its own; a valid request sharing the same batching window gets the
+        answer it gets when sent alone."""
+        if path == "/v1/similar":
+            good_body = {"index": 0, "k": 2}
+            bad_body = {"index": result.n_slices + 50, "k": 2}
+        else:
+            unseen = np.asarray(tensor[2], dtype=np.float64).tolist()
+            good_body = {"slice": unseen, "seed": 3}
+            bad_body = {"slice": unseen, "seed": -1}
         with start_server_in_thread(
             store, batch_window=0.25, adaptive_batching=False
         ) as handle:
@@ -307,14 +319,12 @@ class TestHttpEndpoints:
 
             def good() -> None:
                 barrier.wait()
-                outcomes["good"] = _call(handle.base_url, "POST", "/v1/similar",
-                                         {"index": 0, "k": 2})
+                outcomes["good"] = _call(handle.base_url, "POST", path, good_body)
 
             def bad() -> None:
                 barrier.wait()
                 try:
-                    _call(handle.base_url, "POST", "/v1/similar",
-                          {"index": result.n_slices + 50, "k": 2})
+                    _call(handle.base_url, "POST", path, bad_body)
                 except urllib.error.HTTPError as exc:
                     outcomes["bad"] = exc.code
 
@@ -325,7 +335,7 @@ class TestHttpEndpoints:
             for t in threads:
                 t.join(timeout=30)
             assert outcomes["bad"] == 400
-            assert outcomes["good"]["neighbors"]  # unaffected by the 400
+            assert outcomes["good"] == _call(handle.base_url, "POST", path, good_body)
 
     def test_explicit_reload_endpoint(self, store, result):
         with start_server_in_thread(store) as handle:  # no polling
@@ -363,12 +373,33 @@ class TestHttpEndpoints:
                 ("POST", "/v1/fold-in", {"slice": [[1.0] * n], "seed": "x"}),
                 ("POST", "/v1/anomaly", {}),
                 ("POST", "/v1/anomaly", {"slice": "nope"}),
+                ("POST", "/v1/anomaly", {"slice": [[1.0] * n], "seed": -1}),
+            ]
+            # Integer fields take JSON integers only: no strings, no fractions.
+            # "1" is a valid value of every field, so only its type is wrong.
+            integer_fields = [
+                ("/v1/similar", {}, "index"),
+                ("/v1/similar", {"index": 0}, "k"),
+                ("/v1/similar", {"index": 0}, "version"),
+                ("/v1/reconstruct", {}, "slice"),
+                ("/v1/fold-in", {"slice": [[1.0] * n]}, "sweeps"),
+                ("/v1/fold-in", {"slice": [[1.0] * n]}, "neighbors"),
+                ("/v1/anomaly", {"slice": [[1.0] * n]}, "seed"),
+            ]
+            cases += [
+                ("POST", path, {**body, key: value})
+                for path, body, key in integer_fields
+                for value in ("1", 1.5)
             ]
             for method, path, body in cases:
                 with pytest.raises(urllib.error.HTTPError) as err:
                     _call(handle.base_url, method, path, body)
                 assert err.value.code == 400, (method, path, body)
                 assert "error" in json.loads(err.value.read()), (method, path)
+            # An integral float is an integer (the codec decodes integers
+            # past 64 bits as floats).
+            assert _call(handle.base_url, "POST", "/v1/similar", {"index": 2.0}) == \
+                _call(handle.base_url, "POST", "/v1/similar", {"index": 2})
 
     def test_model_cache_invalidates_on_hot_swap(self, store, result):
         """/v1/model is pre-serialized per engine; a reload must refresh it."""

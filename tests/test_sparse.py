@@ -6,7 +6,7 @@ import pytest
 import repro.sparse.stacked as stacked_module
 from repro.sparse.coo import CooMatrix
 from repro.sparse.csr import CsrMatrix
-from repro.sparse.ops import dense_to_sparse, random_sparse, sparsity
+from repro.sparse.ops import dense_to_sparse, random_sparse
 from repro.sparse.stacked import StackedCsr, spmm_backend
 
 
@@ -112,17 +112,6 @@ class TestCsr:
 
 
 class TestOps:
-    def test_sparsity_dense_array(self):
-        A = np.array([[0.0, 1.0], [0.0, 0.0]])
-        assert sparsity(A) == 0.75
-
-    def test_sparsity_csr(self):
-        csr = dense_to_sparse(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        assert sparsity(csr) == 0.75
-
-    def test_sparsity_empty(self):
-        assert sparsity(np.empty((0, 0))) == 0.0
-
     def test_random_sparse_density(self):
         csr = random_sparse((50, 40), 0.1, random_state=0)
         assert csr.nnz == round(0.1 * 50 * 40)

@@ -1,15 +1,10 @@
-"""Tests for DenseTensor, norms, and the random tensor constructors."""
+"""Tests for DenseTensor and the random tensor constructors."""
 
 import numpy as np
 import pytest
 
 from repro.tensor.dense import DenseTensor
-from repro.tensor.norms import frobenius_norm, relative_error
-from repro.tensor.random import (
-    low_rank_irregular_tensor,
-    random_dense_tensor,
-    random_irregular_tensor,
-)
+from repro.tensor.random import low_rank_irregular_tensor, random_irregular_tensor
 
 
 class TestDenseTensor:
@@ -74,47 +69,7 @@ class TestDenseTensor:
         assert DenseTensor(data).norm() == pytest.approx(np.linalg.norm(data.ravel()))
 
 
-class TestNorms:
-    def test_frobenius_matches_numpy(self, rng):
-        A = rng.standard_normal((4, 6))
-        assert frobenius_norm(A) == pytest.approx(np.linalg.norm(A))
-
-    def test_frobenius_of_tensor(self, rng):
-        X = rng.standard_normal((2, 3, 4))
-        assert frobenius_norm(X) == pytest.approx(np.linalg.norm(X.ravel()))
-
-    def test_relative_error_zero_for_identical(self, rng):
-        A = rng.standard_normal((3, 3))
-        assert relative_error(A, A) == 0.0
-
-    def test_relative_error_scale(self, rng):
-        A = rng.standard_normal((3, 3))
-        assert relative_error(A, np.zeros_like(A)) == pytest.approx(1.0)
-
-    def test_relative_error_zero_reference(self):
-        assert relative_error(np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
-        assert relative_error(np.zeros((2, 2)), np.ones((2, 2))) == float("inf")
-
-    def test_relative_error_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            relative_error(np.ones((2, 2)), np.ones((3, 2)))
-
-
 class TestRandomConstructors:
-    def test_dense_tensor_range(self):
-        X = random_dense_tensor((4, 5, 6), random_state=0)
-        assert X.shape == (4, 5, 6)
-        assert np.all(X.data >= 0.0) and np.all(X.data < 1.0)
-
-    def test_dense_deterministic(self):
-        a = random_dense_tensor((3, 3, 3), random_state=1)
-        b = random_dense_tensor((3, 3, 3), random_state=1)
-        np.testing.assert_array_equal(a.data, b.data)
-
-    def test_dense_bad_shape(self):
-        with pytest.raises(ValueError, match="shape"):
-            random_dense_tensor((3, 3))
-
     def test_irregular_row_profile(self):
         t = random_irregular_tensor([3, 9, 5], 7, random_state=0)
         assert t.row_counts == [3, 9, 5]

@@ -1,37 +1,10 @@
-"""Tests for Kronecker / Khatri-Rao / Hadamard products and vec."""
+"""Tests for the Khatri-Rao / Hadamard products and vec."""
 
 import numpy as np
 import pytest
 
 from repro.tensor.matricization import unfold
-from repro.tensor.products import hadamard, khatri_rao, kronecker, vec
-
-
-class TestKronecker:
-    def test_matches_numpy(self, rng):
-        A = rng.standard_normal((3, 2))
-        B = rng.standard_normal((4, 5))
-        np.testing.assert_allclose(kronecker(A, B), np.kron(A, B), atol=1e-12)
-
-    def test_identity_with_scalar_one(self):
-        A = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(kronecker(np.ones((1, 1)), A), A)
-
-    def test_mixed_product_property(self, rng):
-        """(A⊗B)(C⊗D) = AC ⊗ BD — the identity used in Lemma 1's proof."""
-        A = rng.standard_normal((3, 4))
-        B = rng.standard_normal((2, 5))
-        C = rng.standard_normal((4, 2))
-        D = rng.standard_normal((5, 3))
-        left = kronecker(A, B) @ kronecker(C, D)
-        right = kronecker(A @ C, B @ D)
-        np.testing.assert_allclose(left, right, atol=1e-10)
-
-    def test_vector_inputs_promoted(self):
-        a = np.array([[1.0], [2.0]])
-        b = np.array([[3.0], [4.0]])
-        expected = np.array([[3.0], [4.0], [6.0], [8.0]])
-        np.testing.assert_array_equal(kronecker(a, b), expected)
+from repro.tensor.products import hadamard, khatri_rao, vec
 
 
 class TestKhatriRao:
@@ -110,7 +83,7 @@ class TestVec:
         A = rng.standard_normal((3, 4))
         B = rng.standard_normal((4, 5))
         left = vec(A @ B)
-        right = kronecker(B.T, np.eye(3)) @ vec(A)
+        right = np.kron(B.T, np.eye(3)) @ vec(A)
         np.testing.assert_allclose(left, right, atol=1e-10)
 
     def test_vector_input_rejected(self):

@@ -2,99 +2,7 @@
 
 import pytest
 
-from repro.util.timing import Stopwatch, format_seconds, time_call
-
-
-class TestStopwatch:
-    def test_context_manager_accumulates(self):
-        watch = Stopwatch()
-        with watch:
-            pass
-        assert watch.elapsed >= 0.0
-
-    def test_multiple_intervals_accumulate(self):
-        watch = Stopwatch()
-        with watch:
-            pass
-        first = watch.elapsed
-        with watch:
-            pass
-        assert watch.elapsed >= first
-
-    def test_double_start_raises(self):
-        watch = Stopwatch()
-        watch.start()
-        with pytest.raises(RuntimeError, match="already running"):
-            watch.start()
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError, match="not running"):
-            Stopwatch().stop()
-
-    def test_reset(self):
-        watch = Stopwatch()
-        with watch:
-            pass
-        watch.reset()
-        assert watch.elapsed == 0.0
-        assert not watch.running
-
-    def test_running_flag(self):
-        watch = Stopwatch()
-        assert not watch.running
-        watch.start()
-        assert watch.running
-        watch.stop()
-        assert not watch.running
-
-    def test_reset_while_running_raises(self):
-        watch = Stopwatch()
-        watch.start()
-        with pytest.raises(RuntimeError, match="running"):
-            watch.reset()
-        watch.stop()
-        watch.reset()  # fine once stopped
-        assert watch.elapsed == 0.0
-
-    def test_span_times_one_interval(self):
-        watch = Stopwatch()
-        with watch.span() as inner:
-            assert inner is watch
-            assert watch.running
-        assert not watch.running
-        assert watch.elapsed >= 0.0
-
-    def test_span_stops_on_exception(self):
-        watch = Stopwatch()
-        with pytest.raises(ValueError):
-            with watch.span():
-                raise ValueError("boom")
-        assert not watch.running
-        assert watch.elapsed >= 0.0
-
-
-class TestTimeCall:
-    def test_returns_value(self):
-        out = time_call(lambda x: x * 2, 21)
-        assert out.value == 42
-        assert out.seconds >= 0.0
-
-    def test_repeats_recorded(self):
-        out = time_call(lambda: None, repeats=3)
-        assert out.repeats == 3
-        assert len(out.per_repeat) == 3
-
-    def test_mean_of_repeats(self):
-        out = time_call(lambda: None, repeats=4)
-        assert out.seconds == pytest.approx(sum(out.per_repeat) / 4)
-
-    def test_kwargs_forwarded(self):
-        out = time_call(lambda a, b=0: a + b, 1, b=2)
-        assert out.value == 3
-
-    def test_zero_repeats_rejected(self):
-        with pytest.raises(ValueError, match="repeats"):
-            time_call(lambda: None, repeats=0)
+from repro.util.timing import format_seconds
 
 
 class TestFormatSeconds:

@@ -1,4 +1,4 @@
-"""Tests for tensor windowing, file loaders, and anomaly scoring."""
+"""Tests for anomaly scoring."""
 
 import numpy as np
 import pytest
@@ -7,136 +7,10 @@ from repro.analysis.anomaly import (
     anomaly_threshold,
     row_anomaly_scores,
     slice_anomaly_scores,
-    top_anomalies,
 )
-from repro.data.loaders import load_tensor_csv_dir, save_tensor_csv_dir
 from repro.decomposition.dpar2 import dpar2
 from repro.tensor.irregular import IrregularTensor
-from repro.tensor.windows import (
-    row_range_window,
-    split_train_tail,
-    trailing_window,
-)
 from repro.util.config import DecompositionConfig
-
-
-@pytest.fixture
-def tensor(rng):
-    return IrregularTensor(
-        [rng.standard_normal((n, 6)) for n in (20, 35, 15, 40)]
-    )
-
-
-class TestTrailingWindow:
-    def test_keeps_covering_slices(self, tensor):
-        windowed = trailing_window(tensor, 20)
-        assert windowed.kept == [0, 1, 3]
-        assert windowed.tensor.row_counts == [20, 20, 20]
-
-    def test_rows_are_trailing(self, tensor):
-        windowed = trailing_window(tensor, 10)
-        np.testing.assert_array_equal(windowed.tensor[1], tensor[1][-10:])
-
-    def test_require_full_false_keeps_short(self, tensor):
-        windowed = trailing_window(tensor, 20, require_full=False)
-        assert windowed.kept == [0, 1, 2, 3]
-        assert windowed.tensor.row_counts == [20, 20, 15, 20]
-
-    def test_original_index(self, tensor):
-        windowed = trailing_window(tensor, 30)
-        assert windowed.kept == [1, 3]
-        assert windowed.original_index(1) == 3
-
-    def test_no_coverage_raises(self, tensor):
-        with pytest.raises(ValueError, match="no slice covers"):
-            trailing_window(tensor, 100)
-
-    def test_bad_length(self, tensor):
-        with pytest.raises(ValueError, match="positive"):
-            trailing_window(tensor, 0)
-
-
-class TestRowRangeWindow:
-    def test_range_semantics(self, tensor):
-        windowed = row_range_window(tensor, 5, 15)
-        assert windowed.tensor.row_counts == [10] * len(windowed.kept)
-        k0 = windowed.kept[0]
-        np.testing.assert_array_equal(
-            windowed.tensor[0], tensor[k0][-15:-5]
-        )
-
-    def test_start_zero_is_trailing(self, tensor):
-        a = row_range_window(tensor, 0, 15)
-        b = trailing_window(tensor, 15)
-        np.testing.assert_array_equal(a.tensor[0], b.tensor[0])
-
-    def test_invalid_range(self, tensor):
-        with pytest.raises(ValueError, match="start"):
-            row_range_window(tensor, 5, 5)
-
-    def test_nothing_covers(self, tensor):
-        with pytest.raises(ValueError, match="covers"):
-            row_range_window(tensor, 0, 1000)
-
-
-class TestSplitTrainTail:
-    def test_shapes(self, tensor):
-        heads, tails = split_train_tail(tensor, 5)
-        assert tails.row_counts == [5, 5, 5, 5]
-        assert heads.row_counts == [15, 30, 10, 35]
-
-    def test_content(self, tensor):
-        heads, tails = split_train_tail(tensor, 5)
-        np.testing.assert_array_equal(tails[2], tensor[2][-5:])
-        np.testing.assert_array_equal(heads[2], tensor[2][:-5])
-
-    def test_too_short_rejected(self, tensor):
-        with pytest.raises(ValueError, match="cannot hold out"):
-            split_train_tail(tensor, 15)
-
-
-class TestCsvRoundtrip:
-    def test_roundtrip(self, tensor, tmp_path):
-        directory = tmp_path / "slices"
-        save_tensor_csv_dir(directory, tensor)
-        loaded, names = load_tensor_csv_dir(directory)
-        assert len(names) == tensor.n_slices
-        for a, b in zip(loaded, tensor):
-            np.testing.assert_allclose(a, b, rtol=1e-9)
-
-    def test_custom_names_and_header(self, tensor, tmp_path):
-        directory = tmp_path / "slices"
-        names = [f"stock_{c}" for c in "abcd"]
-        header = [f"f{i}" for i in range(6)]
-        paths = save_tensor_csv_dir(directory, tensor, names=names,
-                                    header=header)
-        assert all(p.endswith(".csv") for p in paths)
-        loaded, loaded_names = load_tensor_csv_dir(directory, has_header=True)
-        assert loaded_names == sorted(names)
-        assert loaded.n_columns == 6
-
-    def test_name_count_mismatch(self, tensor, tmp_path):
-        with pytest.raises(ValueError, match="names"):
-            save_tensor_csv_dir(tmp_path / "x", tensor, names=["a"])
-
-    def test_duplicate_names(self, tensor, tmp_path):
-        with pytest.raises(ValueError, match="unique"):
-            save_tensor_csv_dir(tmp_path / "x", tensor,
-                                names=["a", "a", "b", "c"])
-
-    def test_header_length_mismatch(self, tensor, tmp_path):
-        with pytest.raises(ValueError, match="header"):
-            save_tensor_csv_dir(tmp_path / "x", tensor, header=["only_one"])
-
-    def test_empty_dir_rejected(self, tmp_path):
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        with pytest.raises(ValueError, match="no .csv"):
-            load_tensor_csv_dir(empty)
-
-    def test_missing_dir_rejected(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_tensor_csv_dir(tmp_path / "nope")
 
 
 class TestAnomalyScores:
@@ -161,14 +35,6 @@ class TestAnomalyScores:
         result = dpar2(tensor, config)
         scores = slice_anomaly_scores(result, tensor)
         assert int(np.argmax(scores)) == bad
-
-    def test_top_anomalies_ordering(self, planted):
-        tensor, bad = planted
-        result = dpar2(tensor, DecompositionConfig(rank=3, max_iterations=20,
-                                                   random_state=0))
-        top = top_anomalies(result, tensor, k=3)
-        assert top[0][0] == bad
-        assert top[0][1] >= top[1][1] >= top[2][1]
 
     def test_threshold_flags_only_the_bad_slice(self, planted):
         tensor, bad = planted
