@@ -1,10 +1,10 @@
 """Ablation — randomized-SVD power iterations (q in Algorithm 1).
 
 q trades compression time against accuracy: q=0 is the cheapest sketch,
-each extra power iteration adds two passes over every slice.  DESIGN.md §6
-calls this knob out; the benchmark quantifies the cost side, and the
-assertion quantifies the accuracy side (fitness must not *degrade* as q
-grows).
+each extra power iteration adds two passes over every slice.  Ablation A1
+of :mod:`repro.experiments.ablations` studies this knob; the benchmark
+quantifies the cost side, and the assertion quantifies the accuracy side
+(fitness must not *degrade* as q grows).
 """
 
 import pytest

@@ -1,9 +1,9 @@
 """Shared fixtures for the benchmark suite.
 
 Each ``bench_*.py`` file regenerates the timing content of one table or
-figure from the paper (see DESIGN.md §2).  Sizes are scaled so the whole
-suite runs in minutes on one core; the *ratios between methods* are the
-reproduced quantity, not absolute seconds.
+figure from the paper (``repro bench-info`` lists them).  Sizes are
+scaled so the whole suite runs in minutes on one core; the *ratios
+between methods* are the reproduced quantity, not absolute seconds.
 """
 
 import pytest

@@ -17,7 +17,7 @@ Commands
 ``trace``
     Inspect a span trace written via ``--trace`` / ``REPRO_TRACE``.
 ``bench-info``
-    Print the experiment-to-command index from DESIGN.md §2.
+    Print the experiment-to-command index (``EXPERIMENT_MODULES``).
 
 ``decompose``, ``publish``, and ``serve`` accept ``--trace PATH`` to
 record hierarchical spans for the whole run (see docs/observability.md);

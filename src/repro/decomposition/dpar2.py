@@ -383,8 +383,8 @@ def dpar2(
         Algorithm-4 load balancing for stage-1 compression (ablation knob).
     exact_convergence:
         When True, evaluate the true reconstruction error against the raw
-        slices each sweep instead of the compressed criterion — the
-        convergence ablation from DESIGN.md §6.  Each cell evaluates its
+        slices each sweep instead of the compressed criterion — ablation
+        A4 of :mod:`repro.experiments.ablations`.  Each cell evaluates its
         own slices, so it runs sharded too.  It needs the slices: with
         ``tensor=None`` it raises ``ValueError``.
 

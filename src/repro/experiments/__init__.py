@@ -6,7 +6,8 @@ tests and benchmarks) and is executable as a script::
     python -m repro.experiments.fig1_tradeoff
     python -m repro.experiments.run_all     # everything, writes a report
 
-See DESIGN.md §2 for the experiment-to-module index.
+``repro.cli.EXPERIMENT_MODULES`` maps each table and figure to its
+module; ``repro bench-info`` prints that index.
 """
 
 from repro.experiments.harness import MethodMeasurement, measure_method, sweep_methods

@@ -1,4 +1,4 @@
-"""Ablation studies for the design choices DESIGN.md §6 calls out.
+"""Ablation studies of DPar2's design choices.
 
 Four knobs, each isolated with everything else fixed:
 

@@ -1,9 +1,9 @@
 """Run every experiment and emit a consolidated report.
 
 ``python -m repro.experiments.run_all [--markdown PATH]`` executes the
-harness for every table and figure in DESIGN.md §2 and prints the rendered
-tables; with ``--markdown`` it also writes the EXPERIMENTS.md-ready
-markdown dump.
+harness for every table and figure that ``repro.cli.EXPERIMENT_MODULES``
+lists (``repro bench-info`` prints it) and prints the rendered tables;
+with ``--markdown`` it also writes the EXPERIMENTS.md-ready markdown dump.
 """
 
 from __future__ import annotations

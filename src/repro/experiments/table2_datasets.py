@@ -33,7 +33,8 @@ def run(*, random_state: int = 0) -> ExperimentReport:
         rows=rows,
         findings=[
             "synthetic datasets preserve structure (irregularity, density, "
-            "spectral decay) at laptop scale; see DESIGN.md §3"
+            "spectral decay) at laptop scale; see `repro datasets` and "
+            "repro.data.registry"
         ],
     )
 

@@ -27,10 +27,9 @@ Three serving concerns live here:
   until the client sends ``Connection: close`` (or an HTTP/1.0 client
   omits ``keep-alive``), so steady traffic pays the TCP handshake once.
   Bodies cross the socket through :mod:`repro.serve.wire` (orjson when
-  importable, the stdlib ``json`` otherwise, under one input contract).
-  Hot read-only responses are pre-serialized: the current model card is
-  cached as encoded bytes per engine, and ``/healthz`` renders through a
-  constant format string instead of an encoder.
+  importable, the stdlib ``json`` otherwise, under one input contract):
+  every route answers a dict that the codec encodes, ``/healthz`` and
+  ``/v1/model`` included; only ``/metrics`` ships pre-encoded text.
 
 Endpoints (all bodies JSON)::
 
@@ -77,6 +76,7 @@ All of it is observable under the ``"faults"`` key of ``/healthz``.
 from __future__ import annotations
 
 import asyncio
+import re
 import signal
 import threading
 import time
@@ -88,7 +88,7 @@ import numpy as np
 from repro.obs import exposition, trace
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.serve import wire
-from repro.serve.queries import QueryEngine
+from repro.serve.queries import SIMILARITY_MODES, QueryEngine
 from repro.serve.store import FactorStore
 from repro.util import faults
 
@@ -124,9 +124,8 @@ _REASONS = {
 class _PromText(bytes):
     """Pre-encoded response body that must ship as Prometheus text.
 
-    ``_encode_response`` keys the ``Content-Type`` header off this type, so
-    ``GET /metrics`` answers with the text-exposition media type while
-    every other pre-encoded hot path stays ``application/json``.
+    ``_encode_response`` passes this type through with the text-exposition
+    media type, so ``GET /metrics`` is the one route the codec never sees.
     """
 
     __slots__ = ()
@@ -163,6 +162,26 @@ class ServiceError(Exception):
         self.status = status
         self.close = close
         self.retry_after = retry_after
+
+
+#: The ``?version=`` values that pin a version: plain decimal integers,
+#: as a JSON body sends them (``int()`` alone also takes ``+1``, `` 1``
+#: and ``1_0``).
+_DECIMAL_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _describe(value) -> str:
+    """Name a decoded JSON value's type for an error message.
+
+    A scalar is quoted up to 40 characters; an array or an object is only
+    named.  A bad field may be megabytes long, and echoing its repr would
+    build it on the event-loop thread and send it back in the 400.
+    """
+    if isinstance(value, (dict, list)):
+        return "an object" if isinstance(value, dict) else "an array"
+    if isinstance(value, str):
+        return f"a string {value[:40]!r}" + ("..." if len(value) > 40 else "")
+    return wire.encode(value).decode()[:40]  # null, true, false or a number
 
 
 def _int_field(
@@ -203,7 +222,7 @@ def _int_field(
         return None
     if type(value) is not int:
         if type(value) is not float or not value.is_integer():
-            raise ServiceError(400, f"{key!r} must be an integer, got {value!r}")
+            raise ServiceError(400, f"{key!r} must be an integer, got {_describe(value)}")
         value = int(value)
     if minimum is not None and value < minimum:
         raise ServiceError(400, f"{key!r} must be >= {minimum}, got {value}")
@@ -361,8 +380,12 @@ class ModelHost:
                 return cached
         try:
             engine = self._build(version)
-        except KeyError as exc:
-            raise ServiceError(404, str(exc.args[0] if exc.args else exc)) from exc
+        except KeyError:
+            # Not FactorStore.get's text: that names the registry directory.
+            published = self.store.versions()
+            raise ServiceError(
+                404, f"version {version} is not published (published: {published or 'none'})"
+            ) from None
         self._admit(engine)
         return engine
 
@@ -415,7 +438,7 @@ class ModelHost:
                 self._quarantined.clear()
         latest = self.store.latest_version()
         if latest is None:
-            raise ServiceError(503, f"registry {self.store.root} has no published versions")
+            raise ServiceError(503, "the registry has no published versions")
         current = self._current
         candidates = [latest] + [
             v for v in sorted(self.store.versions(), reverse=True) if v != latest
@@ -446,10 +469,14 @@ class ModelHost:
             )
         raise ServiceError(503, f"every published version failed to load ({detail})")
 
-    def quarantined(self) -> dict[int, str]:
-        """Versions refused by :meth:`refresh`, mapped to their build errors."""
+    def quarantined(self) -> dict[str, str]:
+        """Versions refused by :meth:`refresh`, mapped to their build errors.
+
+        In version order, keyed by the version as a string: the
+        ``quarantined`` block of ``/healthz`` and ``/admin/reload``.
+        """
         with self._lock:
-            return dict(self._quarantined)
+            return {str(v): msg for v, msg in sorted(self._quarantined.items())}
 
     def current_meta(self) -> dict:
         """Publisher-supplied ``meta`` of the serving version ({} before one)."""
@@ -755,21 +782,9 @@ class MicroBatcher:
             "queue_depth": len(self._pending),
             "last_batch": self.last_batch_size,
             "ewma_depth": round(self._ewma_depth, 3),
-            "window_cap_ms": self.window * 1000.0,
-            "current_window_ms": self.current_window() * 1000.0,
+            "window_cap_ms": round(self.window * 1000.0, 3),
+            "current_window_ms": round(self.current_window() * 1000.0, 3),
         }
-
-    def stats_json(self) -> str:
-        """Return :meth:`stats` pre-serialized (the ``/healthz`` hot path)."""
-        return (
-            f'{{"batches":{self.batches},"requests":{self.requests},'
-            f'"shed":{self.shed},'
-            f'"queue_depth":{len(self._pending)},'
-            f'"last_batch":{self.last_batch_size},'
-            f'"ewma_depth":{self._ewma_depth:.3f},'
-            f'"window_cap_ms":{self.window * 1000.0:.3f},'
-            f'"current_window_ms":{self.current_window() * 1000.0:.3f}}}'
-        )
 
 
 def _meta_count(meta: dict, key: str) -> int:
@@ -794,11 +809,9 @@ def _decode_body(raw: bytes) -> dict:
 
 
 def _encode_response(status: int, payload) -> tuple[int, str, bytes]:
-    """``(status, content type, body)`` of a payload; bytes pass through."""
+    """``(status, content type, body)`` of a payload; ``_PromText`` passes through."""
     if isinstance(payload, _PromText):
         return status, exposition.CONTENT_TYPE, bytes(payload)
-    if isinstance(payload, (bytes, bytearray)):
-        return status, "application/json", bytes(payload)
     try:
         return status, "application/json", wire.encode(payload)
     except (TypeError, ValueError):  # pragma: no cover - defensive
@@ -885,24 +898,15 @@ class ServeApp:
         self._started = time.monotonic()
         self._shutdown: asyncio.Event | None = None
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._batcher = MicroBatcher(
-            self._run_similar_batch,
+        batching = dict(
             window=batch_window,
             max_batch=max_batch,
             adaptive=adaptive_batching,
             max_queue=max_queue,
             metrics=self.metrics,
-            name="similar",
         )
-        self._fold_batcher = MicroBatcher(
-            self._run_fold_batch,
-            window=batch_window,
-            max_batch=max_batch,
-            adaptive=adaptive_batching,
-            max_queue=max_queue,
-            metrics=self.metrics,
-            name="fold_in",
-        )
+        self._batcher = MicroBatcher(self._run_similar_batch, name="similar", **batching)
+        self._fold_batcher = MicroBatcher(self._run_fold_batch, name="fold_in", **batching)
         self._m_connections = self.metrics.counter(
             "repro_serve_connections_total", "Client connections accepted."
         )
@@ -921,13 +925,8 @@ class ServeApp:
                 "Dispatch latency (route + kernel) per endpoint.",
                 labels={"path": path},
             )
-            for path in self._ROUTE_PATHS
+            for path in self._ROUTE_PATHS + ("other",)
         }
-        self._m_request_seconds_other = self.metrics.histogram(
-            "repro_serve_request_seconds",
-            "Dispatch latency (route + kernel) per endpoint.",
-            labels={"path": "other"},
-        )
         self.metrics.gauge(
             "repro_serve_active_requests",
             "Requests currently being read, dispatched, or answered.",
@@ -943,24 +942,7 @@ class ServeApp:
         self._active_requests = 0
         self._server: asyncio.AbstractServer | None = None
         self._installed_signals: list[int] = []
-        self._model_cache: "tuple[QueryEngine, bytes] | None" = None
         self._open_writers: "set[asyncio.StreamWriter]" = set()
-
-    @property
-    def _connections(self) -> int:
-        return self._m_connections.value
-
-    @property
-    def _requests_served(self) -> int:
-        return self._m_requests.value
-
-    @property
-    def _timeouts(self) -> int:
-        return self._m_timeouts.value
-
-    @property
-    def _drains(self) -> int:
-        return self._m_drains.value
 
     # ------------------------------------------------------------------ #
     # kernels behind the batchers
@@ -1075,68 +1057,43 @@ class ServeApp:
         }
 
     # ------------------------------------------------------------------ #
-    # pre-serialized hot responses
-    # ------------------------------------------------------------------ #
-
-    def _healthz_body(self) -> bytes:
-        """Render ``/healthz`` through a constant format string.
-
-        The health endpoint is the highest-rate route in any deployment
-        (load balancers poll it), so it avoids the encoder and dict
-        building entirely — every value interpolates into a pre-written
-        JSON skeleton.  ``codec`` names the wire codec (``wire.NAME``).
-        """
-        version = self.host.current_version
-        transfers = self.host.transfer_stats()
-        meta = self.host.current_meta()
-        quarantined = self.host.quarantined()
-        quarantined_json = (
-            "{}"
-            if not quarantined
-            else wire.encode({str(k): v for k, v in sorted(quarantined.items())}).decode()
-        )
-        return (
-            f'{{"status":"ok",'
-            f'"version":{"null" if version is None else version},'
-            f'"uptime_seconds":{time.monotonic() - self._started:.3f},'
-            f'"connections":{self._connections},'
-            f'"requests_served":{self._requests_served},'
-            f'"batches":{self._batcher.batches},'
-            f'"batched_requests":{self._batcher.requests},'
-            f'"batching":{{"similar":{self._batcher.stats_json()},'
-            f'"fold_in":{self._fold_batcher.stats_json()}}},'
-            f'"faults":{{"timeouts":{self._timeouts},'
-            f'"shed":{self._batcher.shed + self._fold_batcher.shed},'
-            f'"drains":{self._drains},'
-            f'"draining":{"true" if self._draining else "false"},'
-            f'"worker_restarts":{_meta_count(meta, "worker_restarts")},'
-            f'"checkpoint_resumes":{_meta_count(meta, "checkpoint_resumes")},'
-            f'"quarantined":{quarantined_json}}},'
-            f'"engine":{{"compute_backend":"{self.host.engine_backend()}",'
-            f'"transfers":{{"h2d_calls":{transfers["h2d_calls"]},'
-            f'"h2d_bytes":{transfers["h2d_bytes"]},'
-            f'"d2h_calls":{transfers["d2h_calls"]},'
-            f'"d2h_bytes":{transfers["d2h_bytes"]}}}}},'
-            f'"codec":"{wire.NAME}"}}'
-        ).encode()
-
-    def _model_body(self, engine: QueryEngine) -> bytes:
-        """Serve the model card from a per-engine cache of encoded bytes.
-
-        Engine metadata is immutable, so the JSON is serialized once per
-        engine object; a hot swap installs a different engine and thereby
-        invalidates the cache by identity.
-        """
-        cached = self._model_cache
-        if cached is not None and cached[0] is engine:
-            return cached[1]
-        body = wire.encode(engine.metadata())
-        self._model_cache = (engine, body)
-        return body
-
-    # ------------------------------------------------------------------ #
     # routes
     # ------------------------------------------------------------------ #
+
+    def _healthz(self) -> dict:
+        """The ``/healthz`` body: serving version, counters, faults, engine.
+
+        Counters read the app's registry, so ``/healthz`` and ``/metrics``
+        agree; ``codec`` names the wire codec (``wire.NAME``).
+        """
+        meta = self.host.current_meta()
+        return {
+            "status": "ok",
+            "version": self.host.current_version,
+            "uptime_seconds": round(time.monotonic() - self._started, 3),
+            "connections": self._m_connections.value,
+            "requests_served": self._m_requests.value,
+            "batches": self._batcher.batches,
+            "batched_requests": self._batcher.requests,
+            "batching": {
+                "similar": self._batcher.stats(),
+                "fold_in": self._fold_batcher.stats(),
+            },
+            "faults": {
+                "timeouts": self._m_timeouts.value,
+                "shed": self._batcher.shed + self._fold_batcher.shed,
+                "drains": self._m_drains.value,
+                "draining": self._draining,
+                "worker_restarts": _meta_count(meta, "worker_restarts"),
+                "checkpoint_resumes": _meta_count(meta, "checkpoint_resumes"),
+                "quarantined": self.host.quarantined(),
+            },
+            "engine": {
+                "compute_backend": self.host.engine_backend(),
+                "transfers": self.host.transfer_stats(),
+            },
+            "codec": wire.NAME,
+        }
 
     async def _engine_for(self, body: dict) -> QueryEngine:
         """Resolve the engine a request runs against.
@@ -1155,8 +1112,8 @@ class ServeApp:
     async def _dispatch(self, method: str, target: str, body: dict, span):
         """Route one parsed request; return ``(status, payload)``.
 
-        ``payload`` is either a JSON-safe dict or pre-encoded ``bytes``
-        (the hot-path responses).  The dispatch is timed into the
+        ``payload`` is a JSON-safe dict, or ``_PromText`` for
+        ``/metrics``.  The dispatch is timed into the
         per-endpoint ``repro_serve_request_seconds`` histogram — known
         routes get their own ``path`` label, everything else pools under
         ``"other"`` — and ``span``, the request's ``serve.request`` span,
@@ -1167,7 +1124,7 @@ class ServeApp:
         path = parts.path.rstrip("/") or "/"
         span.annotate(method=method, path=path)
         query = parse_qs(parts.query)
-        hist = self._m_request_seconds.get(path, self._m_request_seconds_other)
+        hist = self._m_request_seconds.get(path, self._m_request_seconds["other"])
         t0 = time.perf_counter()
         try:
             return await self._route(method, path, query, body)
@@ -1177,20 +1134,14 @@ class ServeApp:
     async def _route(self, method: str, path: str, query: dict, body: dict):
         """The route table behind :meth:`_dispatch`."""
         if method == "GET" and path == "/healthz":
-            return 200, self._healthz_body()
+            return 200, self._healthz()
         if method == "GET" and path == "/metrics":
             return 200, _PromText(exposition.render(self.metrics).encode())
         if method == "GET" and path == "/v1/model":
-            version = query.get("version", [None])[0]
-            if version is None:
-                return 200, self._model_body(self.host.engine())
-            try:
-                pinned = int(version)
-            except ValueError:
-                raise ServiceError(
-                    400, f"version must be an integer, got {version!r}"
-                ) from None
-            engine = await self._engine_for({"version": pinned})
+            pin = query.get("version", [None])[0]
+            if pin is not None and _DECIMAL_INTEGER.fullmatch(pin) is None:
+                raise ServiceError(400, "'version' must be an integer")
+            engine = await self._engine_for({} if pin is None else {"version": int(pin)})
             return 200, engine.metadata()
         if method == "GET" and path == "/v1/versions":
             return 200, {
@@ -1216,9 +1167,7 @@ class ServeApp:
             return 200, {
                 "version": engine.version,
                 "swapped": engine.version != before,
-                "quarantined": {
-                    str(v): msg for v, msg in sorted(self.host.quarantined().items())
-                },
+                "quarantined": self.host.quarantined(),
             }
         raise ServiceError(404, f"no route for {method} {path}")
 
@@ -1226,8 +1175,10 @@ class ServeApp:
         """Answer ``/v1/similar``: batch lists inline, singles via batcher."""
         engine = await self._engine_for(body)
         mode = body.get("mode", "slice")
-        if not isinstance(mode, str):
-            raise ServiceError(400, f"mode must be a string, got {mode!r}")
+        if mode not in SIMILARITY_MODES:
+            raise ServiceError(
+                400, f"'mode' must be one of {list(SIMILARITY_MODES)}, got {_describe(mode)}"
+            )
         k = _int_field(body, "k", 10, minimum=1)
         if "indices" in body:
             indices = body["indices"]
@@ -1255,7 +1206,7 @@ class ServeApp:
             raise ServiceError(400, "similar query needs 'index' or 'indices'")
         # Validate before joining a batch: a bad index must 400 here, not
         # fail the kernel call it would share with other clients' requests.
-        n = engine.mode_size(mode)  # also rejects an unknown mode
+        n = engine.mode_size(mode)
         if not 0 <= index < n:
             raise ServiceError(
                 400, f"index {index} out of range [0, {n}) for mode {mode!r}"
@@ -1304,8 +1255,11 @@ class ServeApp:
             raise ServiceError(400, "'slice' must be a 2-D array (list of rows)")
         try:
             matrix = np.asarray(data, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ServiceError(400, f"'slice' is not numeric: {exc}") from exc
+        except (TypeError, ValueError):
+            # Not numpy's text: it quotes the offending entry in full.
+            raise ServiceError(
+                400, "'slice' must be equal-length rows of numbers"
+            ) from None
         if matrix.ndim != 2:
             raise ServiceError(
                 400, f"'slice' must be 2-D (list of rows), got {matrix.ndim}-D"
@@ -1676,16 +1630,8 @@ def start_server_in_thread(
     host: str = "127.0.0.1",
     port: int = 0,
     lru_size: int = 4,
-    batch_window: float = 0.002,
-    max_batch: int = 64,
-    poll_interval: float = 0.0,
-    adaptive_batching: bool = True,
-    request_timeout: float | None = None,
-    max_body_bytes: int | None = DEFAULT_MAX_BODY_BYTES,
-    max_queue: int | None = None,
-    drain_timeout: float = 10.0,
     engine_kwargs: dict | None = None,
-    metrics: MetricsRegistry | None = None,
+    **app_options,
 ) -> ServerHandle:
     """Spin up a serving thread over ``registry`` (a path or FactorStore).
 
@@ -1700,29 +1646,11 @@ def start_server_in_thread(
         Bind address; the default port 0 picks a free one.
     lru_size:
         Per-version engine cache size (see :class:`ModelHost`).
-    batch_window:
-        Micro-batching window cap in seconds.
-    max_batch:
-        Immediate-flush batch size threshold.
-    poll_interval:
-        Registry poll cadence in seconds; 0 disables polling.
-    adaptive_batching:
-        False pins the batching window at ``batch_window`` regardless of
-        load (the pre-adaptive behavior; useful for forcing coalescing in
-        tests).
-    request_timeout:
-        Per-request dispatch deadline in seconds (None disables).
-    max_body_bytes:
-        413 cap on request body size (None disables).
-    max_queue:
-        Per-batcher shed threshold (None never sheds).
-    drain_timeout:
-        Bound on the graceful-drain wait for in-flight requests.
     engine_kwargs:
         Extra keyword arguments for every ``QueryEngine`` construction.
-    metrics:
-        Metrics registry for the app (``None`` creates a fresh one; read
-        it back from ``handle.app.metrics``).
+    **app_options:
+        Keyword options of :class:`ServeApp` (``batch_window``,
+        ``request_timeout``, ``metrics``, ...), with its defaults.
 
     Returns
     -------
@@ -1736,18 +1664,7 @@ def start_server_in_thread(
     """
     store = registry if isinstance(registry, FactorStore) else FactorStore(registry)
     model_host = ModelHost(store, lru_size=lru_size, engine_kwargs=engine_kwargs)
-    app = ServeApp(
-        model_host,
-        batch_window=batch_window,
-        max_batch=max_batch,
-        poll_interval=poll_interval,
-        adaptive_batching=adaptive_batching,
-        request_timeout=request_timeout,
-        max_body_bytes=max_body_bytes,
-        max_queue=max_queue,
-        drain_timeout=drain_timeout,
-        metrics=metrics,
-    )
+    app = ServeApp(model_host, **app_options)
     ready = threading.Event()
     failure: list[BaseException] = []
     loop = asyncio.new_event_loop()

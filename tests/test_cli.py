@@ -234,7 +234,7 @@ class TestServeCommands:
 
 class TestExperimentIndexComplete:
     def test_every_paper_artifact_has_a_command(self):
-        """The CLI index must cover every table/figure in DESIGN.md §2."""
+        """The CLI index must cover every table and figure of the paper."""
         for exp_id in ("fig1", "fig8", "fig9a", "fig9b", "fig10", "fig11",
                        "fig12", "table2", "table3"):
             assert exp_id in EXPERIMENT_MODULES

@@ -10,6 +10,8 @@ Covers the fault surface of :mod:`repro.serve.service`:
 * a request asking for more work than a cap allows (fold-in sweeps,
   ``/v1/similar`` indices, ``/v1/reconstruct`` rows beyond the slice's
   height) answers 400 before it reaches a kernel;
+* an error body names the bad field and its value's type, not the value,
+  and never the registry's directory;
 * SIGTERM triggers a graceful drain — in-flight requests are answered,
   the process exits 0 (exercised over real HTTP against a real
   ``repro serve`` subprocess);
@@ -24,6 +26,7 @@ import asyncio
 import http.client
 import json
 import os
+import shutil
 import signal
 import socket
 import subprocess
@@ -251,6 +254,56 @@ class TestWorkCaps:
             assert codes == [400]
             assert time.monotonic() - start < 5.0
             assert health["status"] == "ok" and health_seconds < 5.0
+
+
+# --------------------------------------------------------------------- #
+# what an error body echoes
+# --------------------------------------------------------------------- #
+
+
+class TestErrorBodies:
+    @pytest.mark.parametrize(
+        "path, body, field",
+        [
+            ("/v1/similar", {"index": list(range(200_000))}, "'index'"),
+            ("/v1/similar", {"index": 0, "mode": [1.0] * 100_000}, "'mode'"),
+            ("/v1/similar", {"index": "9" * 1_000_000}, "'index'"),
+            ("/v1/anomaly", {"slice": [["x" * 1_000_000]]}, "'slice'"),
+        ],
+        ids=["index-array", "mode-array", "index-string", "slice-string"],
+    )
+    def test_bad_value_is_named_not_echoed(self, store, path, body, field):
+        """A megabyte of bad value answers a 400 of under a kilobyte."""
+        with start_server_in_thread(store) as handle:
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _call(handle.base_url, "POST", path, body)
+            reply = err.value.read()
+        assert err.value.code == 400
+        assert len(reply) < 1024
+        assert field in json.loads(reply)["error"]
+
+    def test_registry_path_stays_out_of_v1_errors(self, store, tmp_path):
+        with start_server_in_thread(store) as handle:
+            errors = []
+            for method, path, body in [
+                ("GET", "/v1/model?version=-1", None),
+                ("POST", "/v1/similar", {"index": 0, "version": 42}),
+            ]:
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    _call(handle.base_url, method, path, body)
+                assert err.value.code == 404
+                errors.append(json.loads(err.value.read())["error"])
+            # Unpublish the only version: a reload finds the registry empty.
+            shutil.rmtree(store.version_dir(1))
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _call(handle.base_url, "POST", "/admin/reload", {})
+            assert err.value.code == 503
+            errors.append(json.loads(err.value.read())["error"])
+        assert "version -1" in errors[0] and "[1]" in errors[0]
+        assert "version 42" in errors[1] and "[1]" in errors[1]
+        assert "no published versions" in errors[2]
+        for error in errors:
+            assert str(tmp_path) not in error
 
 
 # --------------------------------------------------------------------- #
